@@ -5,10 +5,12 @@ to dense ids through an :class:`Alphabet`, and the transition table is a
 per-state dict from symbol id to a tuple of successors.  There are no epsilon
 moves.  Multiple initial states are allowed.
 
-Language inclusion runs a lazy subset construction of the container
-interleaved with the contained machine (antichain-pruned), returning the
-shortest counterexample under a fixed symbol order when inclusion fails, so
-results are reproducible.
+Language inclusion compiles the container once into int bitsets (one
+successor mask per state and symbol, applied a byte chunk of states at a time)
+and runs a lazy subset construction of it interleaved with the contained
+machine, pruned by one antichain of subsets per contained state.  When
+inclusion fails it returns a shortest counterexample, the shortlex-least one
+when the contained machine is deterministic, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -322,85 +324,158 @@ def is_empty(nfa: Nfa) -> tuple[Symbol, ...] | None:
 
 @dataclass(frozen=True)
 class InclusionResult:
+    """Verdict of :func:`includes` plus counters of the work the search did.
+
+    ``explored`` counts the (contained state, container subset) pairs stored,
+    ``subset_steps`` the container subset successors computed, and
+    ``antichain_peak`` the most subsets kept for any one contained state.
+    """
+
     holds: bool
     counterexample: tuple[Symbol, ...] | None
     explored: int
+    subset_steps: int
+    antichain_peak: int
+
+
+class _BitsetStepper:
+    """A machine compiled to int bitsets: bit q of a mask stands for state q.
+
+    Each symbol has one successor row, an int mask per state.  A subset step
+    ORs the rows of the subset's states eight at a time, through one lookup
+    table per (symbol, byte chunk) that is filled lazily, entry by entry.
+    """
+
+    def __init__(self, nfa: Nfa):
+        rows = [[0] * nfa.num_states for _ in nfa.alphabet.symbols]
+        for q, row in enumerate(nfa.transitions):
+            for sym_id, dsts in row.items():
+                for d in dsts:
+                    rows[sym_id][q] |= 1 << d
+        self._rows = rows
+        self._chunks = (nfa.num_states + 7) // 8
+        self._tables: list[list[dict[int, int]]] = [
+            [{} for _ in range(self._chunks)] for _ in rows
+        ]
+        self.steps = 0
+
+    def step(self, mask: int, sym_id: int) -> int:
+        self.steps += 1
+        row, tables = self._rows[sym_id], self._tables[sym_id]
+        out = 0
+        for chunk, byte in enumerate(mask.to_bytes(self._chunks, "little")):
+            if not byte:
+                continue
+            table = tables[chunk]
+            part = table.get(byte)
+            if part is None:
+                part, base, rest = 0, 8 * chunk, byte
+                while rest:
+                    low = rest & -rest
+                    part |= row[base + low.bit_length() - 1]
+                    rest ^= low
+                table[byte] = part
+            out |= part
+        return out
+
+
+def _subsumed(kept: dict[int, list[int]], outside: int) -> bool:
+    """Whether some kept mask has no bit in ``outside``, the complement of the
+    candidate mask within the container's states.
+
+    ``kept`` buckets masks by their lowest set bit (as a one-bit int), so a
+    bucket whose bit lies outside the candidate holds no subset of it.  The
+    empty mask has no lowest bit: it sits under key 0, which no candidate
+    skips, since it is a subset of every mask.
+    """
+    for low, masks in kept.items():
+        if not outside & low:
+            for k in masks:
+                if not k & outside:
+                    return True
+    return False
 
 
 def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> InclusionResult:
     """Decide L(contained) <= L(container).
 
-    Explores pairs (state of contained, subset of container) breadth-first; a
-    pair whose contained state is final while the subset misses every final
-    container state witnesses a counterexample, reconstructed via parents.
-    Antichain pruning skips pairs whose subset contains an already-visited
-    subset for the same contained state.
+    The container is compiled once per call into int-bitset successor rows,
+    so a subset of its states is a plain int mask.  The search explores pairs
+    (state of contained, container subset) breadth-first from the initial
+    pairs, expanding each pair's symbols in sorted order.  A pair whose
+    contained state is final while its subset holds no final container state
+    ends the search, and the counterexample is rebuilt from stored parents.
+    With ``antichain`` set, a pair is pruned when an already stored pair of
+    the same contained state has a subset of its subset (De Wulf et al.,
+    CAV 2006); ``antichain=False`` stores every reachable pair and serves as
+    a cross-check.
+
+    The counterexample is always a shortest word of L(contained) minus
+    L(container).  When the contained machine is deterministic, as the syntax
+    checkers are, it is also the shortlex-least such word in symbol order.
+    With a nondeterministic contained machine it need not be shortlex-least:
+    breadth-first order follows pairs, not words.
     """
     if container.alphabet.symbols != contained.alphabet.symbols:
         raise ValueError("inclusion requires a common alphabet")
-    subset_ids: dict[frozenset[int], int] = {}
-    subsets: list[frozenset[int]] = []
-    subset_final: list[bool] = []
-    step_cache: dict[tuple[int, int], int] = {}
-
-    def intern_subset(states: frozenset[int]) -> int:
-        sid = subset_ids.get(states)
-        if sid is None:
-            sid = len(subsets)
-            subset_ids[states] = sid
-            subsets.append(states)
-            subset_final.append(bool(states & container.final))
-        return sid
-
-    def subset_step(sid: int, sym_id: int) -> int:
-        key = (sid, sym_id)
-        nxt = step_cache.get(key)
-        if nxt is None:
-            nxt = intern_subset(container.successors(subsets[sid], sym_id))
-            step_cache[key] = nxt
-        return nxt
-
-    start_sid = intern_subset(frozenset(container.initial))
+    stepper = _BitsetStepper(container)
+    everything = (1 << container.num_states) - 1
+    start = final = 0
+    for q in container.initial:
+        start |= 1 << q
+    for q in container.final:
+        final |= 1 << q
     visited: dict[tuple[int, int], tuple | None] = {}
-    chains: dict[int, list[frozenset[int]]] = {}
+    kept: dict[int, dict[int, list[int]]] = {}
     queue: deque[tuple[int, int]] = deque()
 
-    def witness(node: tuple[int, int]) -> tuple[Symbol, ...]:
-        word: list[int] = []
-        while visited[node] is not None:
-            node, sym = visited[node]
-            word.append(sym)
-        return container.alphabet.decode(reversed(word))
+    def result(bad: tuple[int, int] | None) -> InclusionResult:
+        counterexample = None
+        if bad is not None:
+            word: list[int] = []
+            node = bad
+            while visited[node] is not None:
+                node, sym_id = visited[node]
+                word.append(sym_id)
+            counterexample = container.alphabet.decode(reversed(word))
+        return InclusionResult(
+            holds=bad is None,
+            counterexample=counterexample,
+            explored=len(visited),
+            subset_steps=stepper.steps,
+            antichain_peak=max(
+                (sum(map(len, b.values())) for b in kept.values()), default=0
+            ),
+        )
+
+    def store(node: tuple[int, int], parent: tuple | None) -> bool:
+        """Record a new pair; True when it witnesses a counterexample."""
+        state, mask = node
+        visited[node] = parent
+        if state in contained.final and not mask & final:
+            return True
+        kept.setdefault(state, {}).setdefault(mask & -mask, []).append(mask)
+        queue.append(node)
+        return False
 
     for qb in sorted(contained.initial):
-        node = (qb, start_sid)
-        if node in visited:
-            continue
-        visited[node] = None
-        if qb in contained.final and not subset_final[start_sid]:
-            return InclusionResult(False, witness(node), len(visited))
-        chains.setdefault(qb, []).append(subsets[start_sid])
-        queue.append(node)
+        node = (qb, start)
+        if node not in visited and store(node, None):
+            return result(node)
 
     while queue:
-        qb, sid = queue.popleft()
+        qb, mask = queue.popleft()
         for sym_id, dsts in sorted(contained.transitions[qb].items()):
-            nsid = subset_step(sid, sym_id)
-            nsubset = subsets[nsid]
+            nmask = stepper.step(mask, sym_id)
             for db in dsts:
-                node = (db, nsid)
+                node = (db, nmask)
                 if node in visited:
                     continue
-                if antichain and any(
-                    kept <= nsubset for kept in chains.get(db, ())
-                ):
+                if antichain and _subsumed(kept.get(db, {}), everything ^ nmask):
                     continue
-                visited[node] = ((qb, sid), sym_id)
-                if db in contained.final and not subset_final[nsid]:
-                    return InclusionResult(False, witness(node), len(visited))
-                chains.setdefault(db, []).append(nsubset)
-                queue.append(node)
-    return InclusionResult(True, None, len(visited))
+                if store(node, ((qb, mask), sym_id)):
+                    return result(node)
+    return result(None)
 
 
 def to_dot(nfa: Nfa, name: str = "machine") -> str:

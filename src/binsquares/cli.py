@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from typing import Iterable, Sequence
 
-from .automata import Nfa, includes, to_automata_script, to_dot, trim, union
+from .automata import includes, to_automata_script, to_dot
 from .folding import render_word, syntax_checker, unfold
 from .lemma_machines import (
     FAMILY_NAMES,
@@ -92,37 +90,15 @@ def _emit(args: argparse.Namespace, record: dict, lines: Iterable[str]) -> None:
             print(line)
 
 
-def _machine_stats(nfa: Nfa) -> tuple[int, int]:
-    states = len(nfa.transitions)
-    edges = sum(len(dsts) for row in nfa.transitions for dsts in row.values())
-    return states, edges
-
-
-def _member_machine(task: tuple[str, int]) -> Nfa:
-    family, index = task
-    from .lemma_machines import build_profile_machine
-
-    return trim(build_profile_machine(family_profiles(family)[index]))
-
-
-def _build_union(family: str, jobs: int) -> Nfa:
-    count = len(family_profiles(family))
-    if jobs <= 1 or count <= 1:
-        return family_union(family)
-    tasks = [(family, i) for i in range(count)]
-    with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
-        members = list(pool.map(_member_machine, tasks))
-    return trim(union(members))
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     family, parity, shortest = _VERIFY_TARGETS[args.target]
     started = time.perf_counter()
-    machine = _build_union(family, args.parallel)
+    machine = family_union(family)
     checker = syntax_checker(parity, shortest)
+    built = time.perf_counter()
     result = includes(machine, checker)
-    wall = time.perf_counter() - started
-    states, edges = _machine_stats(machine)
+    finished = time.perf_counter()
+    states, edges = machine.num_states, machine.num_transitions()
     record = {
         "kind": "verify",
         "assertion": f"{args.target}: all source lengths >= {shortest} covered",
@@ -130,9 +106,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "members": len(family_profiles(family)),
         "states": states,
         "transitions": edges,
-        "checker_states": len(checker.transitions),
+        "checker_states": checker.num_states,
         "explored": result.explored,
-        "wall_seconds": round(wall, 3),
+        "subset_steps": result.subset_steps,
+        "antichain_peak": result.antichain_peak,
+        "build_seconds": round(built - started, 3),
+        "inclusion_seconds": round(finished - built, 3),
+        "wall_seconds": round(finished - started, 3),
     }
     lines = [
         f"assertion    {record['assertion']}",
@@ -142,6 +122,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"transitions  {edges}",
         f"checker      {record['checker_states']} states",
         f"explored     {result.explored} pairs",
+        f"steps        {result.subset_steps} subset steps",
+        f"antichain    {result.antichain_peak} subsets peak",
+        f"build        {record['build_seconds']}s",
+        f"inclusion    {record['inclusion_seconds']}s",
         f"wall         {record['wall_seconds']}s",
     ]
     if result.counterexample is not None:
@@ -366,12 +350,12 @@ def cmd_export(args: argparse.Namespace) -> int:
     elif args.machine == "syntax-even":
         nfa = syntax_checker("even", 18)
     else:
-        nfa = _build_union(args.machine, args.parallel)
+        nfa = family_union(args.machine)
     name = args.machine.replace("-", "_")
     text = to_dot(nfa, name) if args.format == "dot" else to_automata_script(nfa, name)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(text)
-    states, edges = _machine_stats(nfa)
+    states, edges = nfa.num_states, nfa.num_transitions()
     record = {
         "kind": "export",
         "machine": args.machine,
@@ -392,26 +376,12 @@ def build_parser() -> _Parser:
         default=argparse.SUPPRESS,
         help="emit line-delimited JSON records instead of text",
     )
-    common.add_argument(
-        "--parallel",
-        type=int,
-        metavar="N",
-        default=argparse.SUPPRESS,
-        help="worker processes for union member builds",
-    )
 
     parser = _Parser(
         prog="binsquares",
         description="Verified sums of binary squares.",
     )
     parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        metavar="N",
-        default=os.cpu_count() or 1,
-        help=argparse.SUPPRESS,
-    )
     commands = parser.add_subparsers(
         dest="command", metavar="command", parser_class=_Parser
     )
@@ -499,8 +469,6 @@ def build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.parallel < 1:
-        parser.error("--parallel must be at least 1")
     try:
         return args.func(args)
     except NotRepresentable as exc:

@@ -568,22 +568,6 @@ def family_union(name: str) -> Nfa:
     return trim(union([nfa for _, nfa in family_members(name)]))
 
 
-def build_A_odd() -> Nfa:
-    return family_union("a-odd")
-
-
-def build_A_even() -> Nfa:
-    return family_union("a-even")
-
-
-def build_square_power_machines(parity: str) -> Nfa:
-    return family_union(f"square-power-{parity}")
-
-
-def build_generalized_machines(parity: str) -> Nfa:
-    return family_union(f"generalized-{parity}")
-
-
 def machine_manifest(name: str) -> dict:
     members = family_members(name)
     combined = family_union(name)

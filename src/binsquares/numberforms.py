@@ -43,10 +43,6 @@ def from_bits(bits: tuple[int, ...]) -> int:
     return sum(b << i for i, b in enumerate(bits))
 
 
-def bit_length(value: int) -> int:
-    return value.bit_length()
-
-
 def is_binary_square(value: int) -> bool:
     if value < 0:
         return False

@@ -6,8 +6,11 @@ every question the engine answers, so the checks are exact.
 
 import itertools
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binsquares.automata import (
     Alphabet,
@@ -191,6 +194,118 @@ def test_includes_agrees_with_enumeration():
         if not res.holds:
             assert len(plain.counterexample) == len(res.counterexample)
     assert holds_seen > 0 and fails_seen > 0
+
+
+def reference_includes(container, contained):
+    """The antichain search on frozensets, written independently of the
+    bitset kernel: (holds, counterexample, explored)."""
+    visited = {}
+    kept = {}
+    queue = deque()
+
+    def found(node):
+        word = []
+        while visited[node] is not None:
+            node, sym_id = visited[node]
+            word.append(sym_id)
+        return False, BITS.decode(reversed(word)), len(visited)
+
+    def bad(node):
+        state, subset = node
+        return state in contained.final and not subset & container.final
+
+    start = frozenset(container.initial)
+    for qb in sorted(contained.initial):
+        node = (qb, start)
+        if node in visited:
+            continue
+        visited[node] = None
+        if bad(node):
+            return found(node)
+        kept.setdefault(qb, []).append(start)
+        queue.append(node)
+    while queue:
+        qb, subset = queue.popleft()
+        for sym_id, dsts in sorted(contained.transitions[qb].items()):
+            nsubset = container.successors(subset, sym_id)
+            for db in dsts:
+                node = (db, nsubset)
+                if node in visited or any(k <= nsubset for k in kept.get(db, ())):
+                    continue
+                visited[node] = ((qb, subset), sym_id)
+                if bad(node):
+                    return found(node)
+                kept.setdefault(db, []).append(nsubset)
+                queue.append(node)
+    return True, None, len(visited)
+
+
+@st.composite
+def machines(draw, max_states, deterministic=False):
+    """Random machines over BITS; sparse rows and an empty initial set let a
+    container's subset run empty, the empty-mask case of the kernel."""
+    n = draw(st.integers(1, max_states))
+    state = st.integers(0, n - 1)
+    dsts = st.sets(state, max_size=1 if deterministic else n)
+    transitions = []
+    for _ in range(n):
+        row = {sym_id: tuple(sorted(draw(dsts))) for sym_id in range(len(BITS))}
+        transitions.append({sym_id: d for sym_id, d in row.items() if d})
+    return Nfa(
+        alphabet=BITS,
+        num_states=n,
+        initial=frozenset(draw(st.sets(state, max_size=1 if deterministic else 2))),
+        final=frozenset(draw(st.sets(state))),
+        transitions=transitions,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(machines(5), st.booleans(), st.data())
+def test_includes_property_matches_enumeration_and_reference(
+    container, deterministic, data
+):
+    contained = data.draw(machines(3, deterministic))
+    res = includes(container, contained)
+    bound = 8 if res.holds else len(res.counterexample)
+    brute = brute_inclusion(container, contained, bound)
+    assert res.holds == (brute is None)
+    if not res.holds:
+        # a shortest counterexample; shortlex-least when contained is a DFA
+        assert contained.accepts(res.counterexample)
+        assert not container.accepts(res.counterexample)
+        assert len(brute) == len(res.counterexample)
+        if deterministic:
+            assert res.counterexample == brute
+    assert (res.holds, res.counterexample, res.explored) == reference_includes(
+        container, contained
+    )
+    assert res.antichain_peak <= res.explored
+    plain = includes(container, contained, antichain=False)
+    assert plain.holds == res.holds
+    assert plain.explored >= res.explored
+
+
+def test_includes_prunes_with_the_empty_subset():
+    # "0" kills the container, so the pair (t, {}) is stored first and
+    # subsumes (t, {a}), reached later by "11"
+    b = NfaBuilder(BITS)
+    b.mark_initial("a")
+    b.mark_final("a")
+    b.add_edge("a", X1, "a")
+    container = b.build()
+    c = NfaBuilder(BITS)
+    c.mark_initial("s")
+    c.add_edge("s", X0, "t")
+    c.add_edge("s", X1, "u")
+    c.add_edge("u", X1, "t")
+    c.add_edge("t", X0, "t")
+    c.add_edge("t", X1, "t")
+    contained = c.build()
+    res = includes(container, contained)
+    assert res.holds
+    assert res.explored == 3
+    assert reference_includes(container, contained) == (True, None, 3)
 
 
 def test_includes_reflexive_and_of_union_parts():

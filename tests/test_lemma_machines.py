@@ -7,7 +7,7 @@ two sides share no code path."""
 import pytest
 
 from binsquares.automata import includes
-from binsquares.folding import syntax_checker
+from binsquares.folding import syntax_checker, unfold
 from binsquares.lemma_machines import (
     FAMILY_NAMES,
     Profile,
@@ -238,6 +238,17 @@ def test_carry_beyond_range_is_empty():
     assert accept_set(nfa, "even", 12) == set()
 
 
+# pairs the inclusion search stores; pruning and expansion order fix them
+EXPLORED = {
+    "a-odd": 595,
+    "a-even": 2212,
+    "square-power-odd": 1970,
+    "square-power-even": 11892,
+    "generalized-odd": 173,
+    "generalized-even": 373,
+}
+
+
 @pytest.mark.parametrize(
     "name,parity,gate",
     [
@@ -252,6 +263,21 @@ def test_carry_beyond_range_is_empty():
 def test_family_covers_all_long_words(name, parity, gate):
     res = includes(family_union(name), syntax_checker(parity, gate))
     assert res.holds, [s.render() for s in res.counterexample]
+    assert res.explored == EXPLORED[name]
+
+
+@pytest.mark.parametrize(
+    "name,parity,gate,explored,value",
+    [
+        ("a-odd", "odd", 11, 587, 1550),
+        ("a-even", "even", 16, 1849, 55328),
+    ],
+)
+def test_family_misses_a_word_below_its_gate(name, parity, gate, explored, value):
+    res = includes(family_union(name), syntax_checker(parity, gate))
+    assert not res.holds
+    assert res.explored == explored
+    assert unfold(res.counterexample) == value
 
 
 def test_manifest_shape():
