@@ -5,19 +5,29 @@ to dense ids through an :class:`Alphabet`, and the transition table is a
 per-state dict from symbol id to a tuple of successors.  There are no epsilon
 moves.  Multiple initial states are allowed.
 
-Language inclusion compiles the container once into int bitsets (one
-successor mask per state and symbol, applied a byte chunk of states at a time)
-and runs a lazy subset construction of it interleaved with the contained
-machine, pruned by one antichain of subsets per contained state.  When
-inclusion fails it returns a shortest counterexample, the shortlex-least one
-when the contained machine is deterministic, so results are reproducible.
+One compiled form serves the two searches: state sets as int bitsets,
+stepped a chunk of states at a time through lazily filled per-symbol tables
+of successor masks.  Language inclusion compiles the container into it and
+runs a lazy subset construction interleaved with the contained machine,
+pruned by one antichain of subsets per contained state.  When inclusion
+fails it returns a shortest counterexample, the shortlex-least one when the
+contained machine is deterministic, so results are reproducible.
+Accepting-path search runs a word through a compiled machine one state mask
+per position and recovers the lexicographically least run to the lowest
+reachable final state.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+# array typecodes of unsigned ints of 8 and 64 bits, in native byte order
+_CHUNK_TYPECODES = {8: "B", 64: "Q"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 @dataclass(frozen=True, order=True)
@@ -341,42 +351,132 @@ class InclusionResult:
 class _BitsetStepper:
     """A machine compiled to int bitsets: bit q of a mask stands for state q.
 
-    Each symbol has one successor row, an int mask per state.  A subset step
-    ORs the rows of the subset's states eight at a time, through one lookup
-    table per (symbol, byte chunk) that is filled lazily, entry by entry.
+    A subset step ORs the successor masks of the subset's states a chunk of
+    ``chunk_bits`` states at a time, through one lookup table per (symbol,
+    chunk).  An entry is built from the machine's successor tuples the first
+    time its chunk pattern occurs, so compiling costs nothing up front and
+    only patterns that occur take memory.  A backward step works the same
+    way on predecessor lists, built on the first backward step, so a machine
+    that only steps forward never pays for them.
     """
 
-    def __init__(self, nfa: Nfa):
-        rows = [[0] * nfa.num_states for _ in nfa.alphabet.symbols]
-        for q, row in enumerate(nfa.transitions):
-            for sym_id, dsts in row.items():
-                for d in dsts:
-                    rows[sym_id][q] |= 1 << d
-        self._rows = rows
-        self._chunks = (nfa.num_states + 7) // 8
-        self._tables: list[list[dict[int, int]]] = [
-            [{} for _ in range(self._chunks)] for _ in rows
-        ]
+    def __init__(self, nfa: Nfa, chunk_bits: int = 8):
+        self.transitions = nfa.transitions
+        self._num_symbols = len(nfa.alphabet)
+        self.initial = sum(1 << q for q in nfa.initial)
+        self.final = sum(1 << q for q in nfa.final)
+        self._chunk_bits = chunk_bits
+        self._typecode = _CHUNK_TYPECODES[chunk_bits]
+        self._chunks = (nfa.num_states + chunk_bits - 1) // chunk_bits
+        self._num_bytes = self._chunks * chunk_bits // 8
+        self._tables = self._empty_tables()
+        self._predecessors: list[dict[int, list[int]]] | None = None
+        self._back_tables: list[list[dict[int, int]]] = []
         self.steps = 0
 
-    def step(self, mask: int, sym_id: int) -> int:
-        self.steps += 1
-        row, tables = self._rows[sym_id], self._tables[sym_id]
+    def _empty_tables(self) -> list[list[dict[int, int]]]:
+        return [[{} for _ in range(self._chunks)] for _ in range(self._num_symbols)]
+
+    def _apply(
+        self,
+        adjacency: Sequence[Mapping[int, Sequence[int]]],
+        sym_id: int,
+        tables: list[dict[int, int]],
+        mask: int,
+    ) -> int:
+        width = self._chunk_bits
+        chunks = array(self._typecode, mask.to_bytes(self._num_bytes, "little"))
+        if _BIG_ENDIAN:
+            chunks.byteswap()
         out = 0
-        for chunk, byte in enumerate(mask.to_bytes(self._chunks, "little")):
-            if not byte:
+        for chunk, word in enumerate(chunks):
+            if not word:
                 continue
             table = tables[chunk]
-            part = table.get(byte)
+            part = table.get(word)
             if part is None:
-                part, base, rest = 0, 8 * chunk, byte
+                part, base, rest = 0, width * chunk, word
                 while rest:
                     low = rest & -rest
-                    part |= row[base + low.bit_length() - 1]
+                    for d in adjacency[base + low.bit_length() - 1].get(sym_id, ()):
+                        part |= 1 << d
                     rest ^= low
-                table[byte] = part
+                table[word] = part
             out |= part
         return out
+
+    def step(self, mask: int, sym_id: int) -> int:
+        """The states some state of ``mask`` reaches on the symbol."""
+        self.steps += 1
+        return self._apply(self.transitions, sym_id, self._tables[sym_id], mask)
+
+    def back(self, mask: int, sym_id: int) -> int:
+        """The states that reach some state of ``mask`` on the symbol."""
+        if self._predecessors is None:
+            predecessors: list[dict[int, list[int]]] = [{} for _ in self.transitions]
+            for q, row in enumerate(self.transitions):
+                for sym, dsts in row.items():
+                    for d in dsts:
+                        predecessors[d].setdefault(sym, []).append(q)
+            self._predecessors = predecessors
+            self._back_tables = self._empty_tables()
+        return self._apply(self._predecessors, sym_id, self._back_tables[sym_id], mask)
+
+
+def compile_nfa(nfa: Nfa) -> _BitsetStepper:
+    """Compile a machine for :func:`accepting_path`.
+
+    Path search steps wide frontiers, hundreds of states, with few distinct
+    patterns per 64-state chunk, so 64-bit chunks take far fewer lookups
+    than bytes.  :func:`includes` keeps byte chunks: its many small subsets
+    would fill wide tables with patterns seen once.
+    """
+    return _BitsetStepper(nfa, chunk_bits=64)
+
+
+class AcceptingPath(NamedTuple):
+    """Result of :func:`accepting_path`.
+
+    ``states`` is the state sequence of the path, one more than the symbols,
+    or None when the word is rejected; ``visited`` sums the sizes of the
+    forward layers and ``frontier_max`` is the largest of them.
+    """
+
+    states: list[int] | None
+    visited: int
+    frontier_max: int
+
+
+def accepting_path(compiled: _BitsetStepper, symbol_ids: Sequence[int]) -> AcceptingPath:
+    """An accepting run of a compiled machine over a word of symbol ids.
+
+    The forward pass keeps one mask per layer, the states reachable after
+    each prefix.  With f the lowest final state of the last layer, a
+    backward pass intersects each layer with the states that reach f on the
+    rest of the word, and a greedy walk then takes the lowest such state at
+    every step.  The result is the lexicographically least state sequence
+    from an initial state to f, the run that breadth-first simulation with
+    first-found parent pointers also picks.
+    """
+    layers = [compiled.initial]
+    for sym_id in symbol_ids:
+        if not layers[-1]:
+            break
+        layers.append(compiled.step(layers[-1], sym_id))
+    sizes = [layer.bit_count() for layer in layers]
+    visited, widest = sum(sizes), max(sizes)
+    accepted = layers[-1] & compiled.final  # an early stop leaves an empty layer
+    if not accepted:
+        return AcceptingPath(None, visited, widest)
+    alive = [0] * len(layers)
+    alive[-1] = accepted & -accepted
+    for k in range(len(symbol_ids) - 1, -1, -1):
+        alive[k] = layers[k] & compiled.back(alive[k + 1], symbol_ids[k])
+    states = [(alive[0] & -alive[0]).bit_length() - 1]
+    for k, sym_id in enumerate(symbol_ids):
+        dsts = compiled.transitions[states[-1]].get(sym_id, ())
+        states.append(min(d for d in dsts if alive[k + 1] >> d & 1))
+    return AcceptingPath(states, visited, widest)
 
 
 def _subsumed(kept: dict[int, list[int]], outside: int) -> bool:
@@ -399,8 +499,8 @@ def _subsumed(kept: dict[int, list[int]], outside: int) -> bool:
 def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> InclusionResult:
     """Decide L(contained) <= L(container).
 
-    The container is compiled once per call into int-bitset successor rows,
-    so a subset of its states is a plain int mask.  The search explores pairs
+    The container is compiled once per call into the int-bitset kernel, so
+    a subset of its states is a plain int mask.  The search explores pairs
     (state of contained, container subset) breadth-first from the initial
     pairs, expanding each pair's symbols in sorted order.  A pair whose
     contained state is final while its subset holds no final container state
@@ -420,11 +520,7 @@ def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> Inclusio
         raise ValueError("inclusion requires a common alphabet")
     stepper = _BitsetStepper(container)
     everything = (1 << container.num_states) - 1
-    start = final = 0
-    for q in container.initial:
-        start |= 1 << q
-    for q in container.final:
-        final |= 1 << q
+    start, final = stepper.initial, stepper.final
     visited: dict[tuple[int, int], tuple | None] = {}
     kept: dict[int, dict[int, list[int]]] = {}
     queue: deque[tuple[int, int]] = deque()

@@ -248,6 +248,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         ],
         "profile": result.profile,
         "states_visited": result.states_visited,
+        "frontier_max": result.frontier_max,
     }
     lines = [f"{result.target} = " + " + ".join(str(v) for v in result.values())]
     lines.extend(f"  {text}" for text in rendered)

@@ -31,14 +31,21 @@ the short layouts the uniform rules cannot express.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
-from .automata import Nfa, NfaBuilder, Symbol, trim, union
+from .automata import Nfa, NfaBuilder, Symbol, _BitsetStepper, compile_nfa, trim, union
 from .folding import SINGLE_TAGS, alphabet_for, pair_tags
 
 TOP_KINDS = ("exact", "free", "zero")
+
+
+@lru_cache(maxsize=None)
+def _pair_symbol(tag: str, hi: int, lo: int) -> Symbol:
+    """One shared symbol per pair letter: generation emits one per edge."""
+    return Symbol(tag, (hi, lo))
 
 
 def digit_step(addends: tuple[int, ...], carry_in: int) -> tuple[int, int]:
@@ -226,7 +233,7 @@ class _Generator:
                         continue
                     nc_lo = 0
                 new_key = (next_pos, new_slots, nc_lo, nc_hi, used2)
-                sym = Symbol(tag, (bit_hi, bit_lo))
+                sym = _pair_symbol(tag, bit_hi, bit_lo)
                 self.builder.add_edge(key, sym, new_key, (guesses, inj_lo, inj_hi))
                 out.append(new_key)
         return out
@@ -563,9 +570,40 @@ def family_members(name: str) -> tuple[tuple[Profile, Nfa], ...]:
     )
 
 
+class FamilyRuntime:
+    """A family's members, the state where each member starts in their
+    disjoint union, the union itself and, compiled on first use, the union's
+    bitset kernel.
+
+    The members are trimmed, so their union is trim as it stands and its
+    states number the members one after another.
+    """
+
+    def __init__(self, name: str):
+        self.members = family_members(name)
+        starts, total = [], 0
+        for _, nfa in self.members:
+            starts.append(total)
+            total += nfa.num_states
+        self.starts = tuple(starts)
+        self.union = union([nfa for _, nfa in self.members])
+
+    @cached_property
+    def kernel(self) -> _BitsetStepper:
+        return compile_nfa(self.union)
+
+    def profile_at(self, state: int) -> Profile:
+        """The profile of the member that owns a state of the union."""
+        return self.members[bisect_right(self.starts, state) - 1][0]
+
+
 @lru_cache(maxsize=None)
+def family_runtime(name: str) -> FamilyRuntime:
+    return FamilyRuntime(name)
+
+
 def family_union(name: str) -> Nfa:
-    return trim(union([nfa for _, nfa in family_members(name)]))
+    return family_runtime(name).union
 
 
 def machine_manifest(name: str) -> dict:

@@ -62,9 +62,11 @@ def is_generalized_binary_square(value: int) -> bool:
         return False
     if value == 0:
         return True
-    for p in range(1, value.bit_length() + 1):
-        a, rest = divmod(value, (1 << p) + 1)
-        if rest == 0 and a < (1 << p):
+    # value = a(2**p + 1) with a < 2**p is the bit string of a written twice,
+    # the low copy p bits wide; 2**(2p) > value needs p >= half the length
+    n = value.bit_length()
+    for p in range((n + 1) // 2, n + 1):
+        if value >> p == value & ((1 << p) - 1):
             return True
     return False
 

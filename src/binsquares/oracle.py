@@ -22,6 +22,11 @@ from .numberforms import (
 )
 
 
+# each level is a bound-bit int and a sweep shifts it once per ground-set
+# member, so larger bounds would exhaust memory and time
+MAX_BOUND = 1 << 24
+
+
 def _shift_or_level(prev: int, ground: list[int], mask: int) -> int:
     acc = 0
     for g in ground:
@@ -71,6 +76,8 @@ def sumset_table(
     ground set, turning level k into sums of exactly k positive members."""
     if bound <= 0 or max_k < 0:
         raise ValueError("bound must be positive and max_k non-negative")
+    if bound > MAX_BOUND:
+        raise ValueError(f"bound {bound} exceeds the supported maximum 2**24")
     ground = ground_set_upto(kind, bound)
     if not include_zero:
         ground = [g for g in ground if g]
@@ -112,6 +119,11 @@ def two_squares_density(m: int, table: SumsetTable | None = None) -> Fraction:
     return Fraction(bin(window).count("1"), m)
 
 
+def _bits_from(member: int, lo: int, hi: int) -> str:
+    """Bits lo .. hi-1 of ``member`` as a string of '0'/'1', lowest first."""
+    return format(member >> lo, "b")[::-1].ljust(hi - lo, "0")[: hi - lo]
+
+
 def lower_density_estimate(bound: int) -> Fraction:
     """Estimator for the lower asymptotic density of the two-square sums.
 
@@ -128,13 +140,15 @@ def lower_density_estimate(bound: int) -> Fraction:
     count = bin(member & ((1 << (lo + 1)) - 1)).count("1")
     if member & 1:
         count -= 1
-    best = Fraction(count, lo)
-    for m in range(lo + 1, bound):
-        count += member >> m & 1
-        ratio = Fraction(count, m)
-        if ratio < best:
-            best = ratio
-    return best
+    # the running minimum count/m as an integer pair, the first one kept; a
+    # member at m cannot lower the ratio (count <= m - 1 before it), a gap can
+    best_count, best_m = count, lo
+    for m, bit in enumerate(_bits_from(member, lo + 1, bound), start=lo + 1):
+        if bit == "1":
+            count += 1
+        elif count * best_m < best_count * m:
+            best_count, best_m = count, m
+    return Fraction(best_count, best_m)
 
 
 def density_floor_holds(lo: int, hi: int, ratio: Fraction) -> bool:
@@ -145,9 +159,10 @@ def density_floor_holds(lo: int, hi: int, ratio: Fraction) -> bool:
     if member & 1:
         count -= 1  # x = 0 is outside the counted window
     p, q = ratio.numerator, ratio.denominator
-    for m in range(lo, hi):
-        if m > lo:
-            count += member >> m & 1
+    if lo < hi and q * count < p * lo:
+        return False
+    for m, bit in enumerate(_bits_from(member, lo + 1, hi), start=lo + 1):
+        count += bit == "1"
         if q * count < p * m:
             return False
     return True
@@ -263,7 +278,8 @@ def decompose_brute(
                 break
         else:
             raise AssertionError("reachable value lost during backtracking")
-    assert remaining == 0
+    if remaining:
+        raise AssertionError(f"backtracking left {remaining} of {value} unassigned")
     return parts
 
 

@@ -1,22 +1,24 @@
 """Explicit decompositions with certificates.
 
 Small inputs go through the exhaustive sumset tables.  Large inputs fold
-into a tagged word and run through a machine family's disjoint union in a
-single pass: the accepting path lands inside exactly one member, the
-per-edge guess records along that path rebuild each summand's digit
-stream, and unstacking the streams gives the parts.  Every returned
-decomposition is re-verified by predicate and sum before it leaves this
-module."""
+into a tagged word and run through a machine family's disjoint union,
+compiled once per family into the bitset kernel of :mod:`automata`:
+a forward pass keeps one state mask per word position, a backward pass
+keeps the states that still reach the chosen final state, and a greedy
+walk takes the lowest such state at each step.  The accepting path lands
+inside exactly one member, the per-edge guess records along that path
+rebuild each summand's digit stream, and unstacking the streams gives the
+parts.  Every returned decomposition is re-verified by predicate and sum
+before it leaves this module."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .automata import union
+from .automata import AcceptingPath, accepting_path
 from .folding import fold
-from .lemma_machines import alignment, family_members
+from .lemma_machines import alignment, family_runtime
 from .numberforms import (
     GroundSetKind,
     is_binary_square,
@@ -49,12 +51,19 @@ class InvalidInput(ValueError):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A target with its certified parts, each tagged by role."""
+    """A target with its certified parts, each tagged by role.
+
+    Machine-backed results name the member profile that accepted, the
+    states the path search visited summed over word positions, and
+    ``frontier_max``, the most states alive at any one position; table-backed
+    results leave all three empty.
+    """
 
     target: int
     parts: tuple[tuple[int, str], ...]
     profile: str = ""
     states_visited: int = 0
+    frontier_max: int = 0
 
     def values(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.parts)
@@ -78,40 +87,14 @@ class Decomposition:
 # -- machine-path plumbing -------------------------------------------------
 
 
-def _accepting_path(nfa, symbols) -> tuple[list[int] | None, int]:
-    """Simulate the word, keeping parent pointers; the product with the
-    word's singleton machine never materializes beyond one frontier."""
-    ids = [nfa.alphabet.id_of(s) for s in symbols]
-    layers: list[dict[int, int]] = [{s: -1 for s in sorted(nfa.initial)}]
-    visited = len(layers[0])
-    for sid in ids:
-        nxt: dict[int, int] = {}
-        for st in layers[-1]:
-            for d in sorted(nfa.transitions[st].get(sid, ())):
-                nxt.setdefault(d, st)
-        if not nxt:
-            return None, visited
-        layers.append(nxt)
-        visited += len(nxt)
-    finals = sorted(st for st in layers[-1] if st in nfa.final)
-    if not finals:
-        return None, visited
-    states = [finals[0]]
-    for layer in reversed(layers[1:]):
-        states.append(layer[states[-1]])
-    states.reverse()
-    return states, visited
-
-
-def _replay(profile, nfa, word, states):
+def _replay(profile, nfa, word, ids, states):
     """Decode one accepting path into digit streams and power columns."""
     i = word.pair_count
     active = [s for s in profile.summands if s.count]
     aligns = [alignment(profile.parity, s.offset) for s in active]
     digits = [[0] * (i + a) for a in aligns]
     power_columns: list[int] = []
-    for k, sym in enumerate(word.symbols):
-        sid = nfa.alphabet.id_of(sym)
+    for k, (sym, sid) in enumerate(zip(word.symbols, ids)):
         guesses, inj_lo, inj_hi = nfa.edge_data[(states[k], sid, states[k + 1])]
         if sym.is_pair:
             for idx, records in enumerate(guesses):
@@ -137,29 +120,17 @@ def _replay(profile, nfa, word, states):
     return squares, [1 << c for c in power_columns]
 
 
-@lru_cache(maxsize=None)
-def _family_runtime(family: str):
-    """Disjoint union of a family's members plus the member id boundaries."""
-    members = family_members(family)
-    machines = [nfa for _, nfa in members]
-    starts = []
-    total = 0
-    for nfa in machines:
-        starts.append(total)
-        total += len(nfa.transitions)
-    return members, tuple(starts), union(machines)
-
-
 def _machine_decompose(value: int, family: str):
     word = fold(value)
-    members, starts, combined = _family_runtime(family)
-    states, visited = _accepting_path(combined, word.symbols)
-    if states is None:
+    runtime = family_runtime(family)
+    ids = runtime.union.alphabet.encode(word.symbols)
+    path = accepting_path(runtime.kernel, ids)
+    if path.states is None:
         raise NotRepresentable(value, family)
     # a disjoint-union path stays inside one member from start to finish
-    profile = members[bisect_right(starts, states[0]) - 1][0]
-    squares, powers = _replay(profile, combined, word, states)
-    return squares, powers, profile.label, visited
+    profile = runtime.profile_at(path.states[0])
+    squares, powers = _replay(profile, runtime.union, word, ids, path.states)
+    return squares, powers, profile.label, path
 
 
 # -- cached small tables ---------------------------------------------------
@@ -170,8 +141,13 @@ def _square_pairs_table():
     return sumset_table(GroundSetKind.BINARY_SQUARE, _SHORT_FLOOR, max_k=2)
 
 
-def _final(target, raw_parts, role, profile="", visited=0) -> Decomposition:
-    dec = Decomposition(target, tuple((v, role) for v in raw_parts), profile, visited)
+def _final(target, raw_parts, role, profile="", path=None) -> Decomposition:
+    return _certified(target, tuple((v, role) for v in raw_parts), profile, path)
+
+
+def _certified(target, parts, profile="", path: AcceptingPath | None = None):
+    visited, widest = (path.visited, path.frontier_max) if path else (0, 0)
+    dec = Decomposition(target, parts, profile, visited, widest)
     dec.verify()
     return dec
 
@@ -194,10 +170,11 @@ def decompose(value: int) -> Decomposition:
             raise AssertionError(f"{value} unexpectedly unrepresentable")
         return _final(value, parts, ROLE_SQUARE)
     family = "a-odd" if value.bit_length() % 2 else "a-even"
-    squares, powers, label, visited = _machine_decompose(value, family)
-    assert not powers
+    squares, powers, label, path = _machine_decompose(value, family)
+    if powers:
+        raise AssertionError("four-squares mode must produce no powers of two")
     squares += [0] * (4 - len(squares))
-    dec = _final(value, squares, ROLE_SQUARE, label, visited)
+    dec = _final(value, squares, ROLE_SQUARE, label, path)
     if len(dec.parts) != 4:
         raise AssertionError("four-squares mode must produce four parts")
     return dec
@@ -220,16 +197,12 @@ def decompose_square_power(value: int) -> Decomposition:
             squares = decompose_brute(rest, GroundSetKind.BINARY_SQUARE, 2)
             parts = [(v, ROLE_SQUARE) for v in squares if v]
             parts += [(p, ROLE_POWER) for p in pad]
-            dec = Decomposition(value, tuple(parts))
-            dec.verify()
-            return dec
+            return _certified(value, tuple(parts))
         raise NotRepresentable(value, "two squares and two powers")
     family = f"square-power-{'odd' if value.bit_length() % 2 else 'even'}"
-    squares, powers, label, visited = _machine_decompose(value, family)
+    squares, powers, label, path = _machine_decompose(value, family)
     parts = [(v, ROLE_SQUARE) for v in squares] + [(p, ROLE_POWER) for p in powers]
-    dec = Decomposition(value, tuple(parts), label, visited)
-    dec.verify()
-    return dec
+    return _certified(value, tuple(parts), label, path)
 
 
 def decompose_generalized(value: int) -> Decomposition:
@@ -242,9 +215,10 @@ def decompose_generalized(value: int) -> Decomposition:
             raise NotRepresentable(value, "three generalized binary squares")
         return _final(value, parts, ROLE_GENERALIZED)
     family = f"generalized-{'odd' if value.bit_length() % 2 else 'even'}"
-    squares, powers, label, visited = _machine_decompose(value, family)
-    assert not powers and len(squares) == 3
-    return _final(value, squares, ROLE_GENERALIZED, label, visited)
+    squares, powers, label, path = _machine_decompose(value, family)
+    if powers or len(squares) != 3:
+        raise AssertionError("generalized mode must produce three squares")
+    return _final(value, squares, ROLE_GENERALIZED, label, path)
 
 
 def render_part(value: int, role: str) -> str:

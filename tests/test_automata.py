@@ -17,6 +17,8 @@ from binsquares.automata import (
     Nfa,
     NfaBuilder,
     Symbol,
+    accepting_path,
+    compile_nfa,
     includes,
     intersect,
     is_empty,
@@ -284,6 +286,43 @@ def test_includes_property_matches_enumeration_and_reference(
     plain = includes(container, contained, antichain=False)
     assert plain.holds == res.holds
     assert plain.explored >= res.explored
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(machines(5), st.lists(st.integers(0, len(BITS) - 1), max_size=5))
+def test_accepting_path_is_least_run_to_lowest_final(nfa, ids):
+    runs = [(q,) for q in sorted(nfa.initial)]
+    layers = [nfa.initial]
+    for sym_id in ids:
+        if not runs:
+            break
+        runs = [r + (d,) for r in runs for d in nfa.transitions[r[-1]].get(sym_id, ())]
+        layers.append({r[-1] for r in runs})
+    accepting = [r for r in runs if r[-1] in nfa.final]
+    path = accepting_path(compile_nfa(nfa), ids)
+    assert path.visited == sum(map(len, layers))
+    assert path.frontier_max == max(map(len, layers))
+    if not accepting:
+        assert path.states is None
+    else:
+        lowest = min(r[-1] for r in accepting)
+        assert tuple(path.states) == min(r for r in accepting if r[-1] == lowest)
+
+
+def test_kernel_steps_forward_and_back_across_chunks():
+    rng = random.Random(17)
+    nfa = random_nfa(rng, BITS, 200, edge_prob=0.02)
+    kernel = compile_nfa(nfa)
+    masks = [0, (1 << 200) - 1] + [rng.getrandbits(200) & rng.getrandbits(200) for _ in range(30)]
+    for mask in masks:
+        chosen = {q for q in range(200) if mask >> q & 1}
+        for sym_id in range(len(BITS)):
+            forward = sum(1 << d for d in nfa.successors(frozenset(chosen), sym_id))
+            backward = sum(
+                1 << q for q in range(200) if chosen & set(nfa.transitions[q].get(sym_id, ()))
+            )
+            assert kernel.step(mask, sym_id) == forward
+            assert kernel.back(mask, sym_id) == backward
 
 
 def test_includes_prunes_with_the_empty_subset():

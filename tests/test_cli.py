@@ -206,6 +206,24 @@ def test_usage_errors_exit_three(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize("command", ["exceptions", "counts", "density"])
+def test_bound_above_the_table_limit_exits_three(capsys, command):
+    code, out, err = run(capsys, command, "--bound", str(10**12))
+    assert code == 3
+    assert out == ""
+    assert "exceeds" in err
+
+
+def test_decompose_json_reports_the_frontier(capsys):
+    value = (1 << 40) + 3
+    code, out, _ = run(capsys, "--json", "decompose", str(value))
+    assert code == 0
+    (record,) = records(out)
+    assert 0 < record["frontier_max"] <= record["states_visited"]
+    code, out, _ = run(capsys, "--json", "decompose", "687")
+    assert records(out)[0]["frontier_max"] == 0
+
+
 def test_flags_accepted_after_subcommand(capsys):
     code, out, _ = run(capsys, "uniqueness", "--n", "3", "--json")
     assert code == 0

@@ -6,7 +6,7 @@ two sides share no code path."""
 
 import pytest
 
-from binsquares.automata import includes
+from binsquares.automata import includes, trim
 from binsquares.folding import syntax_checker, unfold
 from binsquares.lemma_machines import (
     FAMILY_NAMES,
@@ -18,6 +18,7 @@ from binsquares.lemma_machines import (
     digit_step,
     even_square_profiles,
     family_members,
+    family_runtime,
     family_union,
     fixed_machine,
     generalized_profiles,
@@ -321,3 +322,31 @@ def test_edge_annotations_route_to_known_sites():
                         assert 0 <= value <= summand.count
                 seen += 1
             assert seen == nfa.num_transitions()
+
+
+UNION_STATES = {
+    "a-odd": 2856,
+    "a-even": 1461,
+    "square-power-odd": 579,
+    "square-power-even": 1552,
+    "generalized-odd": 312,
+    "generalized-even": 1639,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNION_STATES))
+def test_family_union_of_trimmed_members_is_trim(name):
+    runtime = family_runtime(name)
+    combined = family_union(name)
+    assert combined is runtime.union and family_runtime(name) is runtime
+    assert combined.num_states == UNION_STATES[name]
+    trimmed = trim(combined)
+    assert trimmed.num_states == combined.num_states
+    assert trimmed.transitions == combined.transitions
+    assert trimmed.edge_data == combined.edge_data
+    assert (trimmed.initial, trimmed.final) == (combined.initial, combined.final)
+    # the member offsets partition the union's states in member order; a
+    # member whose language is empty trims to no states and owns none
+    for (profile, nfa), start in zip(runtime.members, runtime.starts):
+        for q in {start, start + nfa.num_states - 1} if nfa.num_states else ():
+            assert runtime.profile_at(q) is profile

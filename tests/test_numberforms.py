@@ -61,6 +61,24 @@ def test_every_square_is_generalized():
             assert is_generalized_binary_square(v)
 
 
+def test_generalized_matches_division_form():
+    def by_division(value):
+        return value == 0 or any(
+            value % ((1 << p) + 1) == 0 and value // ((1 << p) + 1) < 1 << p
+            for p in range(1, value.bit_length() + 1)
+        )
+
+    rng = random.Random(12)
+    values = list(range(1 << 13))
+    for bits in range(14, 400, 7):
+        a = rng.randrange(1 << (bits // 2))
+        pad = rng.randrange(0, 4)
+        values += [a * ((1 << (bits // 2 + pad)) + 1), rng.getrandbits(bits)]
+        values.append(values[-2] + 1)
+    for v in values:
+        assert is_generalized_binary_square(v) == by_division(v)
+
+
 def test_sequence_prefixes():
     squares = ground_set_upto(GroundSetKind.BINARY_SQUARE, 256)
     assert squares == SQUARE_PREFIX

@@ -12,6 +12,7 @@ from binsquares.numberforms import (
     is_generalized_binary_square,
 )
 from binsquares.oracle import (
+    MAX_BOUND,
     congruence_two_solutions,
     decompose_brute,
     density_floor_holds,
@@ -101,6 +102,26 @@ def test_density_floor():
 def test_lower_density_near_point_14():
     d = lower_density_estimate(1 << 18)
     assert Fraction(12, 100) <= d <= Fraction(16, 100)
+
+
+def test_density_scans_match_pointwise_ratios():
+    member = sumset_table(GroundSetKind.BINARY_SQUARE, 1200, 2).reach[2]
+
+    def ratio(m):
+        return Fraction(bin(member & ((1 << (m + 1)) - 2)).count("1"), m)
+
+    for bound in range(8, 1200, 37):
+        expected = min(ratio(m) for m in range(bound // 4, bound))
+        assert lower_density_estimate(bound) == expected
+    for lo, hi in ((1, 1200), (14, 900), (300, 301), (5, 5)):
+        for floor in (Fraction(1, 5), Fraction(1, 4), Fraction(3, 10)):
+            expected = all(ratio(m) >= floor for m in range(lo, hi))
+            assert density_floor_holds(lo, hi, floor) == expected
+
+
+def test_sumset_bound_is_capped():
+    with pytest.raises(ValueError, match="exceeds"):
+        sumset_table(GroundSetKind.BINARY_SQUARE, MAX_BOUND + 1, 4)
 
 
 def test_uniqueness_counts():

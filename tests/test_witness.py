@@ -3,7 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from binsquares.automata import accepting_path
+from binsquares.folding import fold
+from binsquares.lemma_machines import family_runtime
 from binsquares.numberforms import GroundSetKind, is_binary_square
 from binsquares.oracle import sumset_table
 from binsquares.witness import (
@@ -134,3 +139,102 @@ def test_render_part():
     assert render_part(9, "GeneralizedBinarySquare") == "9 = 1001 = (001)(001)"
     assert render_part(32, "PowerOfTwo") == "32 = 100000"
     assert render_part(0, "BinarySquare") == "0"
+
+
+def test_readme_example_is_exact():
+    d = decompose(2**100 + 12345)
+    assert d.values() == (
+        1043170806433179750220291545750,
+        178263365657095076244822687744,
+        46216428137954575031588984227,
+        0,
+    )
+
+
+# -- path search against a dict-per-layer reference -------------------------
+
+MODES = {
+    "squares4": (decompose, "a"),
+    "square-power": (decompose_square_power, "square-power"),
+    "generalized": (decompose_generalized, "generalized"),
+}
+
+
+def reference_accepting_path(nfa, ids):
+    """Simulate the word one dict per position, each mapping a state to the
+    first state of the previous position that reached it, then follow those
+    parents back from the lowest final state of the last position."""
+    layers = [{s: -1 for s in sorted(nfa.initial)}]
+    visited = len(layers[0])
+    for sid in ids:
+        nxt = {}
+        for st_ in layers[-1]:
+            for d in sorted(nfa.transitions[st_].get(sid, ())):
+                nxt.setdefault(d, st_)
+        if not nxt:
+            return None, visited, max(map(len, layers))
+        layers.append(nxt)
+        visited += len(nxt)
+    widest = max(map(len, layers))
+    finals = sorted(st_ for st_ in layers[-1] if st_ in nfa.final)
+    if not finals:
+        return None, visited, widest
+    states = [finals[0]]
+    for layer in reversed(layers[1:]):
+        states.append(layer[states[-1]])
+    states.reverse()
+    return states, visited, widest
+
+
+def family_of(prefix, bits):
+    return f"{prefix}-{'odd' if bits % 2 else 'even'}"
+
+
+@st.composite
+def folded_inputs(draw):
+    """A family and a word for it: the folded word of a random value, or
+    now and then a random symbol string, which the family mostly rejects."""
+    mode = draw(st.sampled_from(sorted(MODES)))
+    bits = draw(st.integers(18, 600))
+    runtime = family_runtime(family_of(MODES[mode][1], bits))
+    if draw(st.integers(0, 4)):
+        value = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        ids = runtime.union.alphabet.encode(fold(value).symbols)
+    else:
+        size = len(runtime.union.alphabet)
+        ids = tuple(draw(st.lists(st.integers(0, size - 1), max_size=40)))
+    return runtime, ids
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(folded_inputs())
+def test_kernel_path_search_matches_dict_reference(case):
+    runtime, ids = case
+    path = accepting_path(runtime.kernel, ids)
+    states, visited, widest = reference_accepting_path(runtime.union, ids)
+    assert path.states == states
+    assert path.visited == visited
+    if states is not None:
+        assert path.frontier_max == widest
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.integers(18, 5000), st.data())
+def test_decompositions_verify_in_every_mode(bits, data):
+    value = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    for fn, _ in MODES.values():
+        d = fn(value)
+        d.verify()
+        assert sum(d.values()) == value
+        assert d.profile and 0 < d.frontier_max <= d.states_visited
+
+
+def test_frontier_max_is_the_widest_layer():
+    value = (1 << 300) + 987654321
+    for fn, prefix in MODES.values():
+        d = fn(value)
+        runtime = family_runtime(family_of(prefix, value.bit_length()))
+        ids = runtime.union.alphabet.encode(fold(value).symbols)
+        _, visited, widest = reference_accepting_path(runtime.union, ids)
+        assert (d.states_visited, d.frontier_max) == (visited, widest)
+    assert decompose((1 << 17) - 1).frontier_max == 0
