@@ -28,6 +28,11 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 # array typecodes of unsigned ints of 8 and 64 bits, in native byte order
 _CHUNK_TYPECODES = {8: "B", 64: "Q"}
 _BIG_ENDIAN = sys.byteorder == "big"
+# Entries one (symbol, chunk) lookup table may hold; a full table is cleared
+# before its next insertion.  A byte-chunk table never holds more than 255,
+# and a perfbench certify pass (three rounds of 24 decompositions of 64 to
+# 4001 bits) fills no 64-bit-chunk table past 144.
+_TABLE_LIMIT = 256
 
 
 @dataclass(frozen=True, order=True)
@@ -140,16 +145,20 @@ class NfaBuilder:
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         self._ids: dict[object, int] = {}
-        self._edges: dict[int, dict[int, set[int]]] = {}
+        self._edges: list[dict[int, set[int]]] = []
         self._initial: set[int] = set()
         self._final: set[int] = set()
         self._edge_data: dict[tuple[int, int, int], tuple] = {}
+        # the last source key and its id: a generator adds a state's edges
+        # one after another, so its key is interned once, not once per edge
+        self._src: tuple[object, int] = (object(), -1)
 
     def state(self, key: object) -> int:
-        if key not in self._ids:
-            self._ids[key] = len(self._ids)
-            self._edges[self._ids[key]] = {}
-        return self._ids[key]
+        q = self._ids.get(key)
+        if q is None:
+            q = self._ids[key] = len(self._edges)
+            self._edges.append({})
+        return q
 
     def known(self, key: object) -> bool:
         return key in self._ids
@@ -161,15 +170,28 @@ class NfaBuilder:
         self._final.add(self.state(key))
 
     def add_edge(
-        self, src: object, symbol: Symbol, dst: object, data: tuple | None = None
+        self, src: object, symbol: Symbol | int, dst: object, data: tuple | None = None
     ) -> None:
-        s, d = self.state(src), self.state(dst)
-        sym_id = self.alphabet.id_of(symbol)
-        self._edges[s].setdefault(sym_id, set()).add(d)
+        """Add the edge src -> dst on ``symbol``, a letter of the alphabet or
+        its id, interning new state keys."""
+        last, s = self._src
+        if src is not last:
+            s = self.state(src)
+            self._src = (src, s)
+        d = self._ids.get(dst)
+        if d is None:
+            d = self.state(dst)
+        sym_id = symbol if isinstance(symbol, int) else self.alphabet.id_of(symbol)
+        row = self._edges[s]
+        dsts = row.get(sym_id)
+        if dsts is None:
+            row[sym_id] = {d}
+        else:
+            dsts.add(d)
         if data is not None:
             key = (s, sym_id, d)
             stored = self._edge_data.setdefault(key, data)
-            if stored != data:
+            if stored is not data and stored != data:
                 # an edge decodes to one guess vector or path replay is junk
                 raise ValueError(
                     f"conflicting annotations on edge {key}: {stored} vs {data}"
@@ -218,28 +240,31 @@ def _renumber(nfa: Nfa, keep: list[int]) -> Nfa:
 
 def trim(nfa: Nfa) -> Nfa:
     """Restrict to states both reachable and co-reachable, renumbered densely."""
+    transitions = nfa.transitions
     forward: set[int] = set(nfa.initial)
     queue = deque(forward)
     while queue:
         q = queue.popleft()
-        for dsts in nfa.transitions[q].values():
+        for dsts in transitions[q].values():
             for d in dsts:
                 if d not in forward:
                     forward.add(d)
                     queue.append(d)
-    reverse: dict[int, set[int]] = {q: set() for q in range(nfa.num_states)}
-    for src, _, dst in nfa.walk():
-        reverse[dst].add(src)
-    backward: set[int] = set(nfa.final)
-    queue = deque(backward)
-    while queue:
-        q = queue.popleft()
-        for p in reverse[q]:
+    # successors of reachable states are reachable, so the co-reachable
+    # ones among them are found by walking back over their edges alone
+    reverse: list[list[int]] = [[] for _ in transitions]
+    for src in forward:
+        for dsts in transitions[src].values():
+            for d in dsts:
+                reverse[d].append(src)
+    backward: set[int] = forward.intersection(nfa.final)
+    stack = list(backward)
+    while stack:
+        for p in reverse[stack.pop()]:
             if p not in backward:
                 backward.add(p)
-                queue.append(p)
-    keep = sorted(forward & backward)
-    return _renumber(nfa, keep)
+                stack.append(p)
+    return _renumber(nfa, sorted(backward))
 
 
 def union(machines: list[Nfa]) -> Nfa:
@@ -355,7 +380,9 @@ class _BitsetStepper:
     ``chunk_bits`` states at a time, through one lookup table per (symbol,
     chunk).  An entry is built from the machine's successor tuples the first
     time its chunk pattern occurs, so compiling costs nothing up front and
-    only patterns that occur take memory.  A backward step works the same
+    only patterns that occur take memory; a table that reaches
+    ``_TABLE_LIMIT`` entries starts over, so a long-lived machine's tables
+    stay bounded.  A backward step works the same
     way on predecessor lists, built on the first backward step, so a machine
     that only steps forward never pays for them.
     """
@@ -401,6 +428,8 @@ class _BitsetStepper:
                     for d in adjacency[base + low.bit_length() - 1].get(sym_id, ()):
                         part |= 1 << d
                     rest ^= low
+                if len(table) >= _TABLE_LIMIT:
+                    table.clear()
                 table[word] = part
             out |= part
         return out

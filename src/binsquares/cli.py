@@ -33,6 +33,7 @@ from .lemma_machines import (
     Summand,
     accept_set,
     family_profiles,
+    family_runtime,
     family_union,
     fixed_machine,
 )
@@ -65,6 +66,10 @@ _VERIFY_TARGETS = {
     "generalized-even": ("generalized-even", "even", 12),
 }
 
+# crossvalidate builds a fixed machine per summand subset and carry, so its
+# cost climbs steeply with the total count: 8 takes seconds at length 14
+_MAX_SUMMANDS = 8
+
 _EXPORT_MACHINES = FAMILY_NAMES + ("syntax-odd", "syntax-even")
 
 _DECOMPOSERS = {
@@ -93,7 +98,8 @@ def _emit(args: argparse.Namespace, record: dict, lines: Iterable[str]) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     family, parity, shortest = _VERIFY_TARGETS[args.target]
     started = time.perf_counter()
-    machine = family_union(family)
+    runtime = family_runtime(family)
+    machine = runtime.union
     checker = syntax_checker(parity, shortest)
     built = time.perf_counter()
     result = includes(machine, checker)
@@ -106,6 +112,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "members": len(family_profiles(family)),
         "states": states,
         "transitions": edges,
+        "generated_states": runtime.generated_states,
+        "generated_transitions": runtime.generated_transitions,
         "checker_states": checker.num_states,
         "explored": result.explored,
         "subset_steps": result.subset_steps,
@@ -120,6 +128,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"members      {record['members']}",
         f"states       {states}",
         f"transitions  {edges}",
+        f"generated    {runtime.generated_states} states, "
+        f"{runtime.generated_transitions} transitions before trim",
         f"checker      {record['checker_states']} states",
         f"explored     {result.explored} pairs",
         f"steps        {result.subset_steps} subset steps",
@@ -168,6 +178,11 @@ def _parse_profiles(text: str) -> tuple[list[tuple[int, int]], int | None]:
         entries.append(entry)
     if not entries:
         raise ValueError("profile spec lists no summands")
+    total = sum(count for _, count in entries)
+    if total > _MAX_SUMMANDS:
+        raise ValueError(
+            f"profile spec counts {total} summands, more than {_MAX_SUMMANDS}"
+        )
     return entries, carry
 
 

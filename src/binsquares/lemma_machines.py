@@ -27,6 +27,12 @@ Machines come in two builds.  Uniform ones key their rules on tags alone,
 so one machine covers every source length at or above the layout minimum
 (11 for odd, 12 for even).  Fixed-length ones key on step indices and reach
 the short layouts the uniform rules cannot express.
+
+Generation memoises the product of a pair column.  The guess combinations a
+column offers, with their digit sums, new slots and edge annotations, depend
+on the phase, the slots, the tag and the powers used so far, never on the two
+carries.  So each product is computed once per machine, and a state that
+shares it only adds its carries to the sums.
 """
 
 from __future__ import annotations
@@ -37,15 +43,9 @@ from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 from .automata import Nfa, NfaBuilder, Symbol, _BitsetStepper, compile_nfa, trim, union
-from .folding import SINGLE_TAGS, alphabet_for, pair_tags
+from .folding import PAIR_TAGS, SINGLE_TAGS, alphabet_for, pair_tags
 
 TOP_KINDS = ("exact", "free", "zero")
-
-
-@lru_cache(maxsize=None)
-def _pair_symbol(tag: str, hi: int, lo: int) -> Symbol:
-    """One shared symbol per pair letter: generation emits one per edge."""
-    return Symbol(tag, (hi, lo))
 
 
 def digit_step(addends: tuple[int, ...], carry_in: int) -> tuple[int, int]:
@@ -157,6 +157,15 @@ class _Generator:
                     raise ValueError(f"offset {s.offset} needs more pair columns")
         self.alphabet = alphabet_for(parity)
         self.builder = NfaBuilder(self.alphabet)
+        self.letters = {(s.tag, s.bits): i for i, s in enumerate(self.alphabet.symbols)}
+        # symbol id of the pair letter [hi, lo] under a tag: pair_ids[tag][hi][lo]
+        self.pair_ids = {
+            tag: tuple(tuple(self.letters[tag, (hi, lo)] for lo in (0, 1)) for hi in (0, 1))
+            for tag in PAIR_TAGS
+        }
+        # pair moves by (pos, slots, tag, used), shared by every carry pair;
+        # dropped when build() returns
+        self._moves: dict[tuple, list] = {}
 
     def _pair_count(self, n: int) -> int:
         span = 1 if self.parity == "odd" else 4
@@ -184,6 +193,7 @@ class _Generator:
                 if new_key not in seen:
                     seen.add(new_key)
                     work.append(new_key)
+        self._moves = {}
         return self.builder.build()
 
     def _expand(self, key: tuple) -> list[tuple]:
@@ -213,29 +223,47 @@ class _Generator:
     def _pair_edges(
         self, key: tuple, tag: str, next_pos: object, step: int | None
     ) -> list[tuple]:
-        _, slots, c_lo, c_hi, used = key
+        pos, slots, c_lo, c_hi, used = key
+        memo = (pos, slots, tag, used)
+        moves = self._moves.get(memo)
+        if moves is None:
+            moves = self._moves[memo] = self._pair_moves(slots, tag, step, used)
+        ids = self.pair_ids[tag]
+        add_edge = self.builder.add_edge
+        at_seam = tag == "e"
+        out = []
+        for add_lo, add_hi, new_slots, used2, data in moves:
+            total_lo, total_hi = add_lo + c_lo, add_hi + c_hi
+            nc_lo = total_lo >> 1
+            if at_seam:
+                if nc_lo != self.carry:
+                    continue
+                nc_lo = 0
+            new_key = (next_pos, new_slots, nc_lo, total_hi >> 1, used2)
+            add_edge(key, ids[total_hi & 1][total_lo & 1], new_key, data)
+            out.append(new_key)
+        return out
+
+    def _pair_moves(
+        self, slots: tuple, tag: str, step: int | None, used: int
+    ) -> list[tuple[int, int, tuple, int, tuple]]:
+        """Every (low add, high add, new slots, new used, edge data) a pair
+        column offers, before the carries: one per guess combination and
+        power injection."""
         per_summand = [
             self._pair_options(s, a, slot, tag, step)
             for s, a, slot in zip(self.active, self.aligns, slots)
         ]
-        at_seam = tag == "e"
+        injections = self._injections(used)
         out = []
         for combo in iproduct(*per_summand):
             base_lo = sum(c[0] for c in combo)
             base_hi = sum(c[1] for c in combo)
             new_slots = tuple(c[2] for c in combo)
             guesses = tuple(c[3] for c in combo)
-            for used2, inj_lo, inj_hi in self._injections(used):
-                bit_lo, nc_lo = digit_step((base_lo, inj_lo), c_lo)
-                bit_hi, nc_hi = digit_step((base_hi, inj_hi), c_hi)
-                if at_seam:
-                    if nc_lo != self.carry:
-                        continue
-                    nc_lo = 0
-                new_key = (next_pos, new_slots, nc_lo, nc_hi, used2)
-                sym = _pair_symbol(tag, bit_hi, bit_lo)
-                self.builder.add_edge(key, sym, new_key, (guesses, inj_lo, inj_hi))
-                out.append(new_key)
+            for used2, inj_lo, inj_hi in injections:
+                data = (guesses, inj_lo, inj_hi)
+                out.append((base_lo + inj_lo, base_hi + inj_hi, new_slots, used2, data))
         return out
 
     def _injections(self, used: int):
@@ -395,13 +423,13 @@ class _Generator:
             if final:
                 if bit != 1 or carry:
                     continue
-                self.builder.add_edge(key, Symbol(tag, (1,)), ("ACC",), data)
+                self.builder.add_edge(key, self.letters[tag, (1,)], ("ACC",), data)
                 self.builder.mark_final(("ACC",))
                 out.append(("ACC",))
             else:
                 next_pos = ("S", tau) if self.i is None else pos + 1
                 nk = (next_pos, tuple(new_slots), 0, carry, used2)
-                self.builder.add_edge(key, Symbol(tag, (bit,)), nk, data)
+                self.builder.add_edge(key, self.letters[tag, (bit,)], nk, data)
                 out.append(nk)
         return out
 
@@ -562,25 +590,30 @@ def family_profiles(name: str) -> tuple[Profile, ...]:
     return tuple(table[name]())
 
 
-@lru_cache(maxsize=None)
 def family_members(name: str) -> tuple[tuple[Profile, Nfa], ...]:
-    """Build (profile, machine) pairs for a named family, in fixed order."""
-    return tuple(
-        (p, trim(build_profile_machine(p))) for p in family_profiles(name)
-    )
+    """The (profile, trimmed machine) pairs of a named family, in fixed order."""
+    return family_runtime(name).members
 
 
 class FamilyRuntime:
-    """A family's members, the state where each member starts in their
-    disjoint union, the union itself and, compiled on first use, the union's
-    bitset kernel.
+    """A family's trimmed members, the state where each member starts in
+    their disjoint union, the union itself and, compiled on first use, the
+    union's bitset kernel.  ``generated_states`` and
+    ``generated_transitions`` total the members as generated, before
+    ``trim`` drops their dead states.
 
     The members are trimmed, so their union is trim as it stands and its
     states number the members one after another.
     """
 
     def __init__(self, name: str):
-        self.members = family_members(name)
+        members, self.generated_states, self.generated_transitions = [], 0, 0
+        for profile in family_profiles(name):
+            nfa = build_profile_machine(profile)
+            self.generated_states += nfa.num_states
+            self.generated_transitions += nfa.num_transitions()
+            members.append((profile, trim(nfa)))
+        self.members = tuple(members)
         starts, total = [], 0
         for _, nfa in self.members:
             starts.append(total)

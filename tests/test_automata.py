@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binsquares import automata
 from binsquares.automata import (
     Alphabet,
     Nfa,
@@ -323,6 +324,40 @@ def test_kernel_steps_forward_and_back_across_chunks():
             )
             assert kernel.step(mask, sym_id) == forward
             assert kernel.back(mask, sym_id) == backward
+
+
+def _largest_table(kernel):
+    return max(len(t) for tables in (kernel._tables, kernel._back_tables) for row in tables for t in row)
+
+
+def test_capped_lookup_tables_change_no_result(monkeypatch):
+    rng = random.Random(29)
+    cases = []
+    for _ in range(6):
+        nfa = random_nfa(rng, BITS, rng.randrange(64, 200), edge_prob=0.03)
+        words = [
+            [rng.randrange(len(BITS)) for _ in range(rng.randrange(1, 40))]
+            for _ in range(20)
+        ]
+        cases.append((nfa, words))
+
+    def run_all():
+        kernels = [compile_nfa(nfa) for nfa, _ in cases]
+        paths = [
+            [accepting_path(kernel, word) for word in words]
+            for kernel, (_, words) in zip(kernels, cases)
+        ]
+        inclusions = [includes(a, b) for (a, _), (b, _) in zip(cases, cases[1:])]
+        return kernels, paths, inclusions
+
+    kernels, paths, inclusions = run_all()
+    limit = 3
+    assert max(map(_largest_table, kernels)) > limit  # the cap will bite
+    monkeypatch.setattr(automata, "_TABLE_LIMIT", limit)
+    capped_kernels, capped_paths, capped_inclusions = run_all()
+    assert capped_paths == paths  # states, visited and frontier_max
+    assert capped_inclusions == inclusions
+    assert max(map(_largest_table, capped_kernels)) <= limit
 
 
 def test_includes_prunes_with_the_empty_subset():

@@ -139,6 +139,7 @@ def test_verify_generalized_odd_holds(capsys):
     assert record["holds"] is True
     assert record["members"] == 3
     assert record["states"] == 312
+    assert (record["generated_states"], record["generated_transitions"]) == (530, 4238)
     assert "counterexample" not in record
     assert record["explored"] == 173
     assert record["subset_steps"] == 788
@@ -204,6 +205,20 @@ def test_usage_errors_exit_three(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err
+
+
+@pytest.mark.parametrize("spec", ["2:120,carry=0", "4:6,2:6", "4:5,2:4"])
+def test_crossvalidate_rejects_more_than_eight_summands(capsys, spec):
+    code, out, err = run(capsys, "crossvalidate", "--length", "14", "--profiles", spec)
+    assert code == 3
+    assert out == ""
+    assert "more than 8" in err
+
+
+def test_crossvalidate_accepts_eight_summands(capsys):
+    code, out, _ = run(capsys, "--json", "crossvalidate", "--length", "8", "--profiles", "4:4,2:4")
+    assert code == 0
+    assert records(out)[0]["machines"] == 100
 
 
 @pytest.mark.parametrize("command", ["exceptions", "counts", "density"])

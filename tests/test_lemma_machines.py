@@ -4,6 +4,8 @@ Every exactness test enumerates a machine's full accept set at some source
 length and compares it with brute-force sums computed by the oracle, so the
 two sides share no code path."""
 
+import hashlib
+
 import pytest
 
 from binsquares.automata import includes, trim
@@ -350,3 +352,58 @@ def test_family_union_of_trimmed_members_is_trim(name):
     for (profile, nfa), start in zip(runtime.members, runtime.starts):
         for q in {start, start + nfa.num_states - 1} if nfa.num_states else ():
             assert runtime.profile_at(q) is profile
+
+
+# sha256 over each family's members, in order, and then its union; the first
+# 16 hex digits.  Any change to state numbering, transitions, initial or
+# final sets or edge annotations moves them.
+GOLDEN_MACHINES = {
+    "a-odd": "3f3cab502ad953e1",
+    "a-even": "12c004216f435ffc",
+    "square-power-odd": "adb53802c11a17c3",
+    "square-power-even": "74cab5d8f94cbe0d",
+    "generalized-odd": "ddbdcadc8ec16cf9",
+    "generalized-even": "386d9851eb1054f2",
+}
+
+
+def machine_bytes(nfa):
+    return repr(
+        (
+            nfa.num_states,
+            sorted(nfa.initial),
+            sorted(nfa.final),
+            [sorted(row.items()) for row in nfa.transitions],
+            sorted(nfa.edge_data.items()),
+        )
+    ).encode()
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_family_machines_match_golden_digests(name):
+    runtime = family_runtime(name)
+    digest = hashlib.sha256()
+    for _, nfa in runtime.members:
+        digest.update(machine_bytes(nfa))
+    digest.update(machine_bytes(runtime.union))
+    assert digest.hexdigest()[:16] == GOLDEN_MACHINES[name]
+
+
+# member totals as generated, before trim drops the dead states
+GENERATED = {
+    "a-odd": (7180, 74265),
+    "a-even": (2445, 19870),
+    "square-power-odd": (1729, 14287),
+    "square-power-even": (3030, 25459),
+    "generalized-odd": (530, 4238),
+    "generalized-even": (2788, 22160),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_generated_counts_cover_the_untrimmed_members(name):
+    runtime = family_runtime(name)
+    states, transitions = GENERATED[name]
+    assert (runtime.generated_states, runtime.generated_transitions) == (states, transitions)
+    assert states > runtime.union.num_states
+    assert transitions > runtime.union.num_transitions()
