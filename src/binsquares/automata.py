@@ -7,9 +7,10 @@ moves.  Multiple initial states are allowed.
 
 One compiled form serves the two searches: state sets as int bitsets,
 stepped a chunk of states at a time through lazily filled per-symbol tables
-of successor masks.  Language inclusion compiles the container into it and
-runs a lazy subset construction interleaved with the contained machine,
-pruned by one antichain of subsets per contained state.  When inclusion
+of successor masks.  Language inclusion compiles the container into it with
+32-bit chunks and runs a lazy subset construction interleaved with the
+contained machine, pruned by one antichain of subsets per contained state,
+indexed by the lowest and the highest state of each subset.  When inclusion
 fails it returns a shortest counterexample, the shortlex-least one when the
 contained machine is deterministic, so results are reproducible.
 Accepting-path search runs a word through a compiled machine one state mask
@@ -25,13 +26,18 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-# array typecodes of unsigned ints of 8 and 64 bits, in native byte order
-_CHUNK_TYPECODES = {8: "B", 64: "Q"}
+# array typecodes of unsigned ints of 32 and 64 bits, in native byte order
+_CHUNK_TYPECODES = {
+    32: next(code for code in "IL" if array(code).itemsize == 4),
+    64: "Q",
+}
 _BIG_ENDIAN = sys.byteorder == "big"
 # Entries one (symbol, chunk) lookup table may hold; a full table is cleared
-# before its next insertion.  A byte-chunk table never holds more than 255,
-# and a perfbench certify pass (three rounds of 24 decompositions of 64 to
-# 4001 bits) fills no 64-bit-chunk table past 144.
+# before its next insertion.  A perfbench certify pass (three rounds of 24
+# decompositions of 64 to 4001 bits) fills no 64-bit-chunk table past 144.
+# Inclusion's 32-bit-chunk tables fill up 12 times in the even-squares verify
+# (and in the a-even refutation at 16 bits), with the same result and counts
+# as uncapped tables.
 _TABLE_LIMIT = 256
 
 
@@ -362,8 +368,10 @@ class InclusionResult:
     """Verdict of :func:`includes` plus counters of the work the search did.
 
     ``explored`` counts the (contained state, container subset) pairs stored,
-    ``subset_steps`` the container subset successors computed, and
-    ``antichain_peak`` the most subsets kept for any one contained state.
+    ``subset_steps`` the container subset successors computed,
+    ``antichain_peak`` the most subsets kept for any one contained state, and
+    ``subset_popcount_mean`` the mean number of container states in the
+    subsets kept (0.0 when none is kept).
     """
 
     holds: bool
@@ -371,6 +379,7 @@ class InclusionResult:
     explored: int
     subset_steps: int
     antichain_peak: int
+    subset_popcount_mean: float
 
 
 class _BitsetStepper:
@@ -387,7 +396,7 @@ class _BitsetStepper:
     that only steps forward never pays for them.
     """
 
-    def __init__(self, nfa: Nfa, chunk_bits: int = 8):
+    def __init__(self, nfa: Nfa, chunk_bits: int):
         self.transitions = nfa.transitions
         self._num_symbols = len(nfa.alphabet)
         self.initial = sum(1 << q for q in nfa.initial)
@@ -457,8 +466,9 @@ def compile_nfa(nfa: Nfa) -> _BitsetStepper:
 
     Path search steps wide frontiers, hundreds of states, with few distinct
     patterns per 64-state chunk, so 64-bit chunks take far fewer lookups
-    than bytes.  :func:`includes` keeps byte chunks: its many small subsets
-    would fill wide tables with patterns seen once.
+    than narrower ones.  :func:`includes` compiles with 32-bit chunks: its
+    many small subsets fill wider tables with patterns seen once, and
+    narrower ones cost more lookups per step.
     """
     return _BitsetStepper(nfa, chunk_bits=64)
 
@@ -508,20 +518,32 @@ def accepting_path(compiled: _BitsetStepper, symbol_ids: Sequence[int]) -> Accep
     return AcceptingPath(states, visited, widest)
 
 
-def _subsumed(kept: dict[int, list[int]], outside: int) -> bool:
+_Antichain = dict[int, dict[int, list[int]]]
+
+
+def _keep(kept: _Antichain, mask: int) -> None:
+    """File a mask under its lowest and then its highest set bit, each as a
+    one-bit int; the empty mask has neither and sits under (0, 0)."""
+    high = mask and 1 << mask.bit_length() - 1
+    kept.setdefault(mask & -mask, {}).setdefault(high, []).append(mask)
+
+
+def _subsumed(kept: _Antichain, outside: int) -> bool:
     """Whether some kept mask has no bit in ``outside``, the complement of the
     candidate mask within the container's states.
 
-    ``kept`` buckets masks by their lowest set bit (as a one-bit int), so a
-    bucket whose bit lies outside the candidate holds no subset of it.  The
-    empty mask has no lowest bit: it sits under key 0, which no candidate
-    skips, since it is a subset of every mask.
+    A kept mask is a subset of the candidate only if both its lowest and its
+    highest bit lie in the candidate, so a bucket keyed by a bit outside the
+    candidate is skipped whole.  The empty mask's keys are 0, which no
+    candidate skips, since it is a subset of every mask.
     """
-    for low, masks in kept.items():
+    for low, by_high in kept.items():
         if not outside & low:
-            for k in masks:
-                if not k & outside:
-                    return True
+            for high, masks in by_high.items():
+                if not outside & high:
+                    for k in masks:
+                        if not k & outside:
+                            return True
     return False
 
 
@@ -547,11 +569,11 @@ def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> Inclusio
     """
     if container.alphabet.symbols != contained.alphabet.symbols:
         raise ValueError("inclusion requires a common alphabet")
-    stepper = _BitsetStepper(container)
+    stepper = _BitsetStepper(container, chunk_bits=32)
     everything = (1 << container.num_states) - 1
     start, final = stepper.initial, stepper.final
     visited: dict[tuple[int, int], tuple | None] = {}
-    kept: dict[int, dict[int, list[int]]] = {}
+    kept: dict[int, _Antichain] = {}
     queue: deque[tuple[int, int]] = deque()
 
     def result(bad: tuple[int, int] | None) -> InclusionResult:
@@ -563,13 +585,21 @@ def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> Inclusio
                 node, sym_id = visited[node]
                 word.append(sym_id)
             counterexample = container.alphabet.decode(reversed(word))
+        chains = [
+            [k for by_high in index.values() for masks in by_high.values() for k in masks]
+            for index in kept.values()
+        ]
+        stored = sum(map(len, chains))
         return InclusionResult(
             holds=bad is None,
             counterexample=counterexample,
             explored=len(visited),
             subset_steps=stepper.steps,
-            antichain_peak=max(
-                (sum(map(len, b.values())) for b in kept.values()), default=0
+            antichain_peak=max(map(len, chains), default=0),
+            subset_popcount_mean=(
+                sum(k.bit_count() for chain in chains for k in chain) / stored
+                if stored
+                else 0.0
             ),
         )
 
@@ -579,7 +609,7 @@ def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> Inclusio
         visited[node] = parent
         if state in contained.final and not mask & final:
             return True
-        kept.setdefault(state, {}).setdefault(mask & -mask, []).append(mask)
+        _keep(kept.setdefault(state, {}), mask)
         queue.append(node)
         return False
 

@@ -118,6 +118,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "explored": result.explored,
         "subset_steps": result.subset_steps,
         "antichain_peak": result.antichain_peak,
+        "subset_popcount_mean": round(result.subset_popcount_mean, 2),
         "build_seconds": round(built - started, 3),
         "inclusion_seconds": round(finished - built, 3),
         "wall_seconds": round(finished - started, 3),
@@ -134,6 +135,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"explored     {result.explored} pairs",
         f"steps        {result.subset_steps} subset steps",
         f"antichain    {result.antichain_peak} subsets peak",
+        f"subsets      {record['subset_popcount_mean']} states mean",
         f"build        {record['build_seconds']}s",
         f"inclusion    {record['inclusion_seconds']}s",
         f"wall         {record['wall_seconds']}s",

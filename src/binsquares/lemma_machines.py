@@ -42,7 +42,16 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
-from .automata import Nfa, NfaBuilder, Symbol, _BitsetStepper, compile_nfa, trim, union
+from .automata import (
+    Nfa,
+    NfaBuilder,
+    Symbol,
+    _BitsetStepper,
+    _renumber,
+    compile_nfa,
+    trim,
+    union,
+)
 from .folding import PAIR_TAGS, SINGLE_TAGS, alphabet_for, pair_tags
 
 TOP_KINDS = ("exact", "free", "zero")
@@ -596,30 +605,40 @@ def family_members(name: str) -> tuple[tuple[Profile, Nfa], ...]:
 
 
 class FamilyRuntime:
-    """A family's trimmed members, the state where each member starts in
-    their disjoint union, the union itself and, compiled on first use, the
+    """A family's profiles, the disjoint union of their trimmed machines, the
+    state where each member starts in it and, compiled on first use, the
     union's bitset kernel.  ``generated_states`` and
     ``generated_transitions`` total the members as generated, before
     ``trim`` drops their dead states.
 
     The members are trimmed, so their union is trim as it stands and its
-    states number the members one after another.
+    states number the members one after another.  Only the union is kept:
+    ``members`` cuts each member back out of it on request.
     """
 
     def __init__(self, name: str):
+        self.profiles = family_profiles(name)
         members, self.generated_states, self.generated_transitions = [], 0, 0
-        for profile in family_profiles(name):
+        for profile in self.profiles:
             nfa = build_profile_machine(profile)
             self.generated_states += nfa.num_states
             self.generated_transitions += nfa.num_transitions()
-            members.append((profile, trim(nfa)))
-        self.members = tuple(members)
+            members.append(trim(nfa))
         starts, total = [], 0
-        for _, nfa in self.members:
+        for nfa in members:
             starts.append(total)
             total += nfa.num_states
         self.starts = tuple(starts)
-        self.union = union([nfa for _, nfa in self.members])
+        self.union = union(members)
+
+    @property
+    def members(self) -> tuple[tuple[Profile, Nfa], ...]:
+        """The (profile, trimmed machine) pairs, in family order."""
+        stops = self.starts[1:] + (self.union.num_states,)
+        return tuple(
+            (profile, _renumber(self.union, list(range(start, stop))))
+            for profile, start, stop in zip(self.profiles, self.starts, stops)
+        )
 
     @cached_property
     def kernel(self) -> _BitsetStepper:
@@ -627,7 +646,7 @@ class FamilyRuntime:
 
     def profile_at(self, state: int) -> Profile:
         """The profile of the member that owns a state of the union."""
-        return self.members[bisect_right(self.starts, state) - 1][0]
+        return self.profiles[bisect_right(self.starts, state) - 1]
 
 
 @lru_cache(maxsize=None)

@@ -238,8 +238,8 @@ def power_of_two_short_representations(n: int) -> list[tuple[int, ...]]:
 def optimality_check(max_n: int) -> dict[int, list[tuple[int, ...]]]:
     """For odd n <= max_n, the representations of 2**n as sums of at most 3
     positive binary squares.  Empty list = no representation."""
-    if max_n > 25:
-        raise ValueError("max_n above 25 is not supported")
+    if not 1 <= max_n <= 25:
+        raise ValueError("max_n must be in [1, 25]")
     return {
         n: power_of_two_short_representations(n) for n in range(1, max_n + 1, 2)
     }

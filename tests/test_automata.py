@@ -442,3 +442,80 @@ def test_automata_script_export_shape():
     assert 'internalAlphabet = { "0x", "1x" }' in text
     assert text.count('("q') == m.num_transitions()
     assert "callTransitions = { }" in text
+
+
+@st.composite
+def antichain_cases(draw):
+    """A family of masks over up to 200 states, with the empty mask and masks
+    sharing a lowest or a highest bit mixed in, and a candidate mask that is
+    random or built from a stored one."""
+    n = draw(st.integers(1, 200))
+    masks = st.integers(0, (1 << n) - 1)
+    family = draw(st.lists(masks, max_size=24))
+    if draw(st.booleans()):
+        family.append(0)
+    for k in list(family):
+        if k and draw(st.booleans()):
+            low, high, extra = k & -k, 1 << k.bit_length() - 1, draw(masks)
+            family.append(low | extra & ~((low << 1) - 1))
+            family.append(high | extra & (high - 1))
+    candidate = draw(masks)
+    if family:
+        stored = draw(st.sampled_from(family))
+        candidate = draw(
+            st.sampled_from((candidate, stored, stored | candidate, stored & candidate))
+        )
+    return n, family, candidate
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(antichain_cases())
+def test_antichain_index_agrees_with_brute_force(case):
+    n, family, candidate = case
+    kept = {}
+    for k in family:
+        automata._keep(kept, k)
+    held = [k for by_high in kept.values() for masks in by_high.values() for k in masks]
+    assert sorted(held) == sorted(family)
+    outside = ((1 << n) - 1) ^ candidate
+    assert automata._subsumed(kept, outside) == any(not k & ~candidate for k in family)
+
+
+def test_capped_lookup_tables_reach_the_inclusion_kernels(monkeypatch):
+    # the capped-table test runs includes too; its kernels must be the
+    # 32-bit ones and big enough for the cap to bite
+    built = []
+
+    class Recording(automata._BitsetStepper):
+        def __init__(self, nfa, chunk_bits):
+            super().__init__(nfa, chunk_bits)
+            built.append(self)
+
+    monkeypatch.setattr(automata, "_BitsetStepper", Recording)
+    test_capped_lookup_tables_change_no_result(monkeypatch)
+    inclusion = [k for k in built if k._chunk_bits == 32]
+    assert len(inclusion) == 10  # five inclusions, uncapped and then capped
+    assert max(map(_largest_table, inclusion[:5])) > 3
+    assert max(map(_largest_table, inclusion[5:])) <= 3
+
+
+def test_includes_reports_the_mean_subset_popcount():
+    # the machines of the empty-subset test store {a}, {} and {a}
+    b = NfaBuilder(BITS)
+    b.mark_initial("a")
+    b.mark_final("a")
+    b.add_edge("a", X1, "a")
+    c = NfaBuilder(BITS)
+    c.mark_initial("s")
+    c.add_edge("s", X0, "t")
+    c.add_edge("s", X1, "u")
+    c.add_edge("u", X1, "t")
+    c.add_edge("t", X0, "t")
+    c.add_edge("t", X1, "t")
+    assert includes(b.build(), c.build()).subset_popcount_mean == 2 / 3
+    # a counterexample at the initial pair leaves nothing stored
+    accept_empty = NfaBuilder(BITS)
+    accept_empty.mark_initial("q")
+    accept_empty.mark_final("q")
+    res = includes(c.build(), accept_empty.build())
+    assert (res.holds, res.subset_popcount_mean) == (False, 0.0)

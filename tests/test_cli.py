@@ -187,6 +187,22 @@ def test_optimality_only_nine(capsys):
     assert all(not reps for n, reps in by_n.items() if n != 9)
 
 
+@pytest.mark.parametrize("max_n", ["0", "-5", "26"])
+def test_optimality_rejects_max_n_out_of_range(capsys, max_n):
+    code, out, err = run(capsys, "optimality", "--max-n", max_n)
+    assert code == 3
+    assert out == ""
+    assert "max_n" in err
+
+
+def test_verify_reports_the_mean_subset_popcount(capsys):
+    code, out, _ = run(capsys, "--json", "verify", "generalized-odd")
+    assert code == 0
+    assert records(out)[0]["subset_popcount_mean"] == 14.39
+    code, out, _ = run(capsys, "verify", "generalized-odd")
+    assert "subsets      14.39 states mean" in out.splitlines()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binsquares.automata import Symbol
 from binsquares.folding import (
@@ -66,6 +68,22 @@ def test_fold_round_trips_exhaustively():
             w = fold(value)
             assert w.source_length == n
             assert unfold(w.symbols) == value
+
+
+@st.composite
+def long_values(draw):
+    """A value of 16 to 5000 bits, odd and even lengths alike."""
+    n = draw(st.integers(16, 5000))
+    return draw(st.integers(1 << n - 1, (1 << n) - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(long_values())
+def test_fold_round_trips_long_values(value):
+    word = fold(value)
+    assert word.source_length == value.bit_length()
+    assert unfold(word.symbols) == value
+    assert parse_word(render_word(word.symbols)) == word.symbols
 
 
 def test_fold_rejects_short_values():
