@@ -371,8 +371,12 @@ def cmd_export(args: argparse.Namespace) -> int:
         nfa = family_union(args.machine)
     name = args.machine.replace("-", "_")
     text = to_dot(nfa, name) if args.format == "dot" else to_automata_script(nfa, name)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 3
     states, edges = nfa.num_states, nfa.num_transitions()
     record = {
         "kind": "export",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .numberforms import (
     GroundSetKind,
@@ -43,18 +44,23 @@ class SumsetTable:
     max_k: int
     reach: tuple[int, ...]  # reach[k] for k = 0 .. max_k
 
+    def _level(self, k: int) -> int:
+        if not 0 <= k <= self.max_k:
+            raise ValueError(f"k {k} outside [0, {self.max_k}]")
+        return self.reach[k]
+
     def contains(self, k: int, value: int) -> bool:
         if not 0 <= value < self.bound:
             raise ValueError(f"value {value} outside [0, {self.bound})")
-        return bool(self.reach[k] >> value & 1)
+        return bool(self._level(k) >> value & 1)
 
     def count(self, k: int) -> int:
-        return bin(self.reach[k]).count("1")
+        return bin(self._level(k)).count("1")
 
     def missing(self, k: int) -> list[int]:
         """Values in [0, bound) that are not a sum of k members."""
         mask = (1 << self.bound) - 1
-        return _bit_positions(~self.reach[k] & mask)
+        return _bit_positions(~self._level(k) & mask)
 
 
 def _bit_positions(mask: int) -> list[int]:
@@ -108,20 +114,28 @@ def exceptions_exact_four_positive(bound: int) -> list[int]:
     return table.missing(4)
 
 
-def two_squares_density(m: int, table: SumsetTable | None = None) -> Fraction:
+def two_squares_density(m: int) -> Fraction:
     """|{x : 1 <= x <= m, x is a sum of two binary squares}| / m, exactly."""
     if m < 1:
         raise ValueError("m must be positive")
-    if table is None or table.bound <= m:
-        table = sumset_table(GroundSetKind.BINARY_SQUARE, m + 1, 2)
-    window = table.reach[2] >> 1  # drop x = 0
-    window &= (1 << m) - 1
-    return Fraction(bin(window).count("1"), m)
+    member = sumset_table(GroundSetKind.BINARY_SQUARE, m + 1, 2).reach[2]
+    return Fraction(bin(member >> 1).count("1"), m)  # drop x = 0
 
 
-def _bits_from(member: int, lo: int, hi: int) -> str:
-    """Bits lo .. hi-1 of ``member`` as a string of '0'/'1', lowest first."""
-    return format(member >> lo, "b")[::-1].ljust(hi - lo, "0")[: hi - lo]
+def _window_minimum(lo: int, hi: int) -> tuple[int, int]:
+    """(|S2 cap [1, m]|, m) for the first m in [lo, hi) with the least ratio;
+    needs 1 <= lo < hi."""
+    member = sumset_table(GroundSetKind.BINARY_SQUARE, hi, 2).reach[2]
+    count = bin(member & ((1 << (lo + 1)) - 2)).count("1")
+    best_count, best_m = count, lo
+    # a member at m cannot lower the ratio (count <= m - 1 before it), a gap can
+    window = format(member >> (lo + 1), "b")[::-1].ljust(hi - lo - 1, "0")
+    for m, bit in enumerate(window[: hi - lo - 1], start=lo + 1):
+        if bit == "1":
+            count += 1
+        elif count * best_m < best_count * m:
+            best_count, best_m = count, m
+    return best_count, best_m
 
 
 def lower_density_estimate(bound: int) -> Fraction:
@@ -134,38 +148,17 @@ def lower_density_estimate(bound: int) -> Fraction:
     """
     if bound < 8:
         raise ValueError("bound too small for a full period")
-    table = sumset_table(GroundSetKind.BINARY_SQUARE, bound, 2)
-    member = table.reach[2]
-    lo = bound // 4
-    count = bin(member & ((1 << (lo + 1)) - 1)).count("1")
-    if member & 1:
-        count -= 1
-    # the running minimum count/m as an integer pair, the first one kept; a
-    # member at m cannot lower the ratio (count <= m - 1 before it), a gap can
-    best_count, best_m = count, lo
-    for m, bit in enumerate(_bits_from(member, lo + 1, bound), start=lo + 1):
-        if bit == "1":
-            count += 1
-        elif count * best_m < best_count * m:
-            best_count, best_m = count, m
-    return Fraction(best_count, best_m)
+    return Fraction(*_window_minimum(bound // 4, bound))
 
 
 def density_floor_holds(lo: int, hi: int, ratio: Fraction) -> bool:
     """Whether the two-square density is >= ratio for every m in [lo, hi)."""
-    table = sumset_table(GroundSetKind.BINARY_SQUARE, hi, 2)
-    member = table.reach[2]
-    count = bin(member & ((1 << (lo + 1)) - 1)).count("1")
-    if member & 1:
-        count -= 1  # x = 0 is outside the counted window
-    p, q = ratio.numerator, ratio.denominator
-    if lo < hi and q * count < p * lo:
-        return False
-    for m, bit in enumerate(_bits_from(member, lo + 1, hi), start=lo + 1):
-        count += bit == "1"
-        if q * count < p * m:
-            return False
-    return True
+    if lo < 1:
+        raise ValueError("lo must be positive")
+    if lo >= hi:
+        return True
+    count, m = _window_minimum(lo, hi)
+    return count * ratio.denominator >= ratio.numerator * m
 
 
 def sumset_uniqueness(n: int) -> int:
@@ -245,33 +238,36 @@ def optimality_check(max_n: int) -> dict[int, list[tuple[int, ...]]]:
     }
 
 
-def decompose_brute(
-    value: int, kind: GroundSetKind, k: int, include_zero: bool = True
-) -> list[int] | None:
+# the witness small paths: squares4 below 2**17 (k = 4, bit lengths 1..17),
+# square-power (k = 2) and generalized (k = 3) below 2**10 (1..10 each)
+@lru_cache(maxsize=37)
+def _search_tables(
+    kind: GroundSetKind, k: int, bits: int
+) -> tuple[SumsetTable, tuple[int, ...]]:
+    """The table below 2**bits and the members there, largest first."""
+    bound = 1 << bits
+    return sumset_table(kind, bound, k), tuple(ground_set_upto(kind, bound)[::-1])
+
+
+def decompose_brute(value: int, kind: GroundSetKind, k: int) -> list[int] | None:
     """One length-k summand list over the ground set, or None.
 
-    Searches greedily from the largest member, guided by reachability masks
-    so dead branches are never entered; instant for bounds up to ~2**20 and
-    workable to 2**24.
+    Searches greedily from the largest member, guided by the cached table of
+    ``value``'s bit length so dead branches are never entered; reach bits up
+    to ``value`` do not depend on the table's bound.  Works up to 2**24.
     """
     if value < 0 or value >= 1 << 24:
         raise ValueError("value must lie in [0, 2**24)")
-    if k == 0:
-        return [] if value == 0 else None
-    bound = value + 1
-    ground = ground_set_upto(kind, bound)
-    if not include_zero:
-        ground = [g for g in ground if g]
-    mask = (1 << bound) - 1
-    levels = [1]
-    for _ in range(k):
-        levels.append(_shift_or_level(levels[-1], ground, mask))
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    table, members = _search_tables(kind, k, max(value.bit_length(), 1))
+    levels = table.reach
     if not levels[k] >> value & 1:
         return None
     parts = []
     remaining = value
     for level in range(k, 0, -1):
-        for g in reversed(ground):
+        for g in members:
             if g <= remaining and levels[level - 1] >> (remaining - g) & 1:
                 parts.append(g)
                 remaining -= g

@@ -14,7 +14,6 @@ before it leaves this module."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .automata import AcceptingPath, accepting_path
 from .folding import fold
@@ -25,7 +24,7 @@ from .numberforms import (
     is_generalized_binary_square,
     is_power_of_two,
 )
-from .oracle import decompose_brute, sumset_table
+from .oracle import decompose_brute
 
 ROLE_SQUARE = "BinarySquare"
 ROLE_GENERALIZED = "GeneralizedBinarySquare"
@@ -133,14 +132,6 @@ def _machine_decompose(value: int, family: str):
     return squares, powers, profile.label, path
 
 
-# -- cached small tables ---------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _square_pairs_table():
-    return sumset_table(GroundSetKind.BINARY_SQUARE, _SHORT_FLOOR, max_k=2)
-
-
 def _final(target, raw_parts, role, profile="", path=None) -> Decomposition:
     return _certified(target, tuple((v, role) for v in raw_parts), profile, path)
 
@@ -185,16 +176,17 @@ def decompose_square_power(value: int) -> Decomposition:
     if value < 0:
         raise InvalidInput("value must be a natural number")
     if value < _SHORT_FLOOR:
-        table = _square_pairs_table()
         pads = [()] + [((1 << a),) for a in range(10)]
         pads += [
             ((1 << a), (1 << b)) for a in range(10) for b in range(a, 10)
         ]
         for pad in pads:
             rest = value - sum(pad)
-            if rest < 0 or not table.contains(2, rest):
+            if rest < 0:
                 continue
             squares = decompose_brute(rest, GroundSetKind.BINARY_SQUARE, 2)
+            if squares is None:
+                continue
             parts = [(v, ROLE_SQUARE) for v in squares if v]
             parts += [(p, ROLE_POWER) for p in pad]
             return _certified(value, tuple(parts))

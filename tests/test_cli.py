@@ -163,6 +163,17 @@ def test_export_dot_and_ats(capsys, tmp_path):
     assert ats.read_text().startswith("NestedWordAutomaton generalized_odd = (")
 
 
+@pytest.mark.parametrize("target", ["dir", "missing/checker.dot"])
+def test_export_unwritable_path_exits_three(capsys, tmp_path, target):
+    out = tmp_path / target
+    if target == "dir":
+        out.mkdir()
+    code, _, err = run(capsys, "export", "syntax-even", "--format", "dot", "--out", str(out))
+    assert code == 3
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+
+
 def test_density_reports_both_ratios(capsys):
     code, out, _ = run(capsys, "--json", "density", "--bound", "65536")
     assert code == 0

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from binsquares import oracle
 from binsquares.numberforms import (
     GroundSetKind,
     ground_set_upto,
@@ -187,6 +188,81 @@ def test_decompose_brute_generalized():
     parts = decompose_brute(686, GroundSetKind.GENERALIZED_BINARY_SQUARE, 3)
     assert parts is not None and sum(parts) == 686
     assert all(is_generalized_binary_square(p) for p in parts)
+
+
+def reference_decompose_brute(value, kind, k):
+    """Greedy backtracking over levels built per call on [0, value] only."""
+    if k == 0:
+        return [] if value == 0 else None
+    ground = ground_set_upto(kind, value + 1)
+    levels = [1]
+    for _ in range(k):
+        acc = 0
+        for g in ground:
+            acc |= levels[-1] << g
+        levels.append(acc & ((1 << (value + 1)) - 1))
+    if not levels[k] >> value & 1:
+        return None
+    parts, remaining = [], value
+    for level in range(k, 0, -1):
+        g = next(
+            g
+            for g in reversed(ground)
+            if g <= remaining and levels[level - 1] >> (remaining - g) & 1
+        )
+        parts.append(g)
+        remaining -= g
+    return parts
+
+
+def test_decompose_brute_matches_per_call_levels():
+    edges = sorted({(1 << b) + d for b in range(17) for d in (-1, 0, 1)})
+    rng = random.Random(17)
+    for kind in GroundSetKind:
+        sample = [rng.randrange(1 << rng.randrange(1, 18)) for _ in range(40)]
+        for k in range(5):
+            for v in edges + sample:
+                expected = reference_decompose_brute(v, kind, k)
+                assert decompose_brute(v, kind, k) == expected, (kind, k, v)
+
+
+def test_decompose_brute_cache_stays_within_maxsize():
+    # the tables of the witness small paths: squares4 below 2**17, the
+    # square-power and generalized modes below 2**10
+    oracle._search_tables.cache_clear()
+    for _ in range(2):
+        for kind, k, bits in (
+            (GroundSetKind.BINARY_SQUARE, 4, 17),
+            (GroundSetKind.BINARY_SQUARE, 2, 10),
+            (GroundSetKind.GENERALIZED_BINARY_SQUARE, 3, 10),
+        ):
+            for b in range(bits + 1):  # 0 shares bit length 1's table
+                decompose_brute((1 << b) - 1, kind, k)
+    info = oracle._search_tables.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (37, 2 * 40 - 37, info.maxsize)
+    decompose_brute(5, GroundSetKind.POWER_OF_TWO, 1)
+    assert oracle._search_tables.cache_info().currsize == info.maxsize
+
+
+@pytest.mark.parametrize("method", ["contains", "count", "missing"])
+@pytest.mark.parametrize("k", [-1, 3])
+def test_table_level_outside_max_k_rejected(method, k):
+    table = sumset_table(GroundSetKind.BINARY_SQUARE, 100, 2)
+    args = (k, 3) if method == "contains" else (k,)
+    with pytest.raises(ValueError, match="outside"):
+        getattr(table, method)(*args)
+
+
+@pytest.mark.parametrize("k", [-1, -2])
+def test_decompose_brute_negative_k_rejected(k):
+    with pytest.raises(ValueError, match="non-negative"):
+        decompose_brute(0, GroundSetKind.BINARY_SQUARE, k)
+
+
+@pytest.mark.parametrize("lo", [0, -5])
+def test_density_floor_needs_positive_lo(lo):
+    with pytest.raises(ValueError, match="positive"):
+        density_floor_holds(lo, 100, Fraction(1, 40))
 
 
 def test_profile_mask_small():

@@ -1,5 +1,6 @@
 """Decomposition extraction, table path and machine path."""
 
+import hashlib
 import random
 
 import pytest
@@ -79,6 +80,30 @@ def test_small_range_agrees_with_oracle():
         d = decompose(n)
         assert sum(d.values()) == n
         assert table.contains(4, n)
+
+
+# sha256 of small_path_lines(), pinned from the per-call level builder
+SMALL_PATH_DIGEST = "7c4d2badd87c8cde856a2e4c4ed84b9801f9a009cb07c59e18ebb70beef579e5"
+
+
+def small_path_lines():
+    for v in range(687, 1 << 17, 61):
+        yield f"squares4 {v} {decompose(v).parts}"
+    for mode, fn in (
+        ("square-power", decompose_square_power),
+        ("generalized", decompose_generalized),
+    ):
+        for n in range(1 << 10):
+            try:
+                parts = fn(n).parts
+            except NotRepresentable:
+                parts = "NotRepresentable"
+            yield f"{mode} {n} {parts}"
+
+
+def test_small_path_witnesses_are_pinned():
+    text = "\n".join(small_path_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == SMALL_PATH_DIGEST
 
 
 def test_square_power_basics():
