@@ -5,7 +5,7 @@ to dense ids through an :class:`Alphabet`, and the transition table is a
 per-state dict from symbol id to a tuple of successors.  There are no epsilon
 moves.  Multiple initial states are allowed.
 
-One compiled form serves the two searches: state sets as int bitsets,
+One compiled form serves three walks: state sets as int bitsets,
 stepped a chunk of states at a time through lazily filled per-symbol tables
 of successor masks.  Language inclusion compiles the container into it with
 32-bit chunks and runs a lazy subset construction interleaved with the
@@ -15,7 +15,8 @@ fails it returns a shortest counterexample, the shortlex-least one when the
 contained machine is deterministic, so results are reproducible.
 Accepting-path search runs a word through a compiled machine one state mask
 per position and recovers the lexicographically least run to the lowest
-reachable final state.
+reachable final state.  Accept-set enumeration in :mod:`lemma_machines`
+steps a compiled machine through every word of one length, depth first.
 """
 
 from __future__ import annotations
@@ -462,13 +463,16 @@ class _BitsetStepper:
 
 
 def compile_nfa(nfa: Nfa) -> _BitsetStepper:
-    """Compile a machine for :func:`accepting_path`.
+    """Compile a machine for :func:`accepting_path` and for
+    :func:`lemma_machines.accept_set`.
 
     Path search steps wide frontiers, hundreds of states, with few distinct
     patterns per 64-state chunk, so 64-bit chunks take far fewer lookups
-    than narrower ones.  :func:`includes` compiles with 32-bit chunks: its
-    many small subsets fill wider tables with patterns seen once, and
-    narrower ones cost more lookups per step.
+    than narrower ones.  Accept sets step narrow masks, a median of two
+    states, and still run faster with 64-bit chunks than with 32-bit ones.
+    :func:`includes` compiles with 32-bit chunks: its many small subsets
+    fill wider tables with patterns seen once, and narrower ones cost more
+    lookups per step.
     """
     return _BitsetStepper(nfa, chunk_bits=64)
 

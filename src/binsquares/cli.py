@@ -32,7 +32,6 @@ from .lemma_machines import (
     FAMILY_NAMES,
     Summand,
     accept_set,
-    family_profiles,
     family_runtime,
     family_union,
     fixed_machine,
@@ -109,7 +108,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "kind": "verify",
         "assertion": f"{args.target}: all source lengths >= {shortest} covered",
         "holds": result.holds,
-        "members": len(family_profiles(family)),
+        "members": len(runtime.profiles),
         "states": states,
         "transitions": edges,
         "generated_states": runtime.generated_states,
@@ -178,13 +177,17 @@ def _parse_profiles(text: str) -> tuple[list[tuple[int, int]], int | None]:
         if entry[1] < 0:
             raise ValueError(f"count cannot be negative in {token!r}")
         entries.append(entry)
-    if not entries:
-        raise ValueError("profile spec lists no summands")
     total = sum(count for _, count in entries)
+    if not total:
+        raise ValueError("profile spec lists no summands")
     if total > _MAX_SUMMANDS:
         raise ValueError(
             f"profile spec counts {total} summands, more than {_MAX_SUMMANDS}"
         )
+    # the low chain's carry stays below the summand count, so a machine with
+    # a carry at or past it accepts nothing and is never built
+    if carry is not None and carry >= total:
+        raise ValueError(f"carry {carry} is not below the {total} summands")
     return entries, carry
 
 
@@ -363,10 +366,10 @@ def cmd_uniqueness(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    if args.machine == "syntax-odd":
-        nfa = syntax_checker("odd", 13)
-    elif args.machine == "syntax-even":
-        nfa = syntax_checker("even", 18)
+    if args.machine.startswith("syntax-"):
+        parity = args.machine.removeprefix("syntax-")
+        _, _, shortest = _VERIFY_TARGETS[f"{parity}-squares"]
+        nfa = syntax_checker(parity, shortest)
     else:
         nfa = family_union(args.machine)
     name = args.machine.replace("-", "_")

@@ -24,6 +24,22 @@ from .numberforms import to_bits
 
 PAIR_TAGS = ("a", "b", "c", "d", "e")
 SINGLE_TAGS = {"odd": ("f",), "even": ("f", "g", "h", "i")}
+# source bits outside the pair block, one per single: an n-bit word of the
+# parity has (n - SPAN[parity]) / 2 pairs
+SPAN = {parity: len(tags) for parity, tags in SINGLE_TAGS.items()}
+
+
+def pair_count(parity: str, length: int) -> int:
+    """Pair columns of the fold of a ``length``-bit number of the parity."""
+    if parity not in SPAN:
+        raise ValueError(f"unknown parity {parity!r}")
+    span = SPAN[parity]
+    if length % 2 != span % 2:
+        raise ValueError(f"length {length} is not {parity}")
+    i = (length - span) // 2
+    if i < 1:
+        raise ValueError(f"length {length} leaves no pair columns")
+    return i
 
 
 def pair_tags(parity: str, pair_count: int) -> tuple[str, ...]:
@@ -80,9 +96,7 @@ class FoldedWord:
 
     @property
     def source_length(self) -> int:
-        if self.parity == "odd":
-            return 2 * self.pair_count + 1
-        return 2 * self.pair_count + 4
+        return 2 * self.pair_count + SPAN[self.parity]
 
     def value(self) -> int:
         return unfold(self.symbols)
@@ -94,15 +108,8 @@ class FoldedWord:
 def fold(value: int) -> FoldedWord:
     """Fold a positive number; needs 3 bits (odd) or 6 bits (even)."""
     bits = to_bits(value)
-    n = len(bits)
-    if n % 2 == 1:
-        if n < 3:
-            raise ValueError(f"odd fold needs at least 3 bits, got {n}")
-        parity, i = "odd", (n - 1) // 2
-    else:
-        if n < 6:
-            raise ValueError(f"even fold needs at least 6 bits, got {n}")
-        parity, i = "even", (n - 4) // 2
+    parity = "odd" if len(bits) % 2 else "even"
+    i = pair_count(parity, len(bits))
     tags = pair_tags(parity, i)
     symbols = [
         Symbol(tags[k], (bits[i + k], bits[k])) for k in range(i)
@@ -154,23 +161,20 @@ def syntax_checker(parity: str, min_source_length: int) -> Nfa:
     """
     alphabet = alphabet_for(parity)
     builder = NfaBuilder(alphabet)
+    mandatory = pair_count(parity, min_source_length) - 4
     if parity == "odd":
-        if min_source_length % 2 == 0 or min_source_length < 11:
+        if mandatory < 1:
             raise ValueError("odd checker needs an odd bound of at least 11")
-        mandatory = (min_source_length - 1) // 2 - 4
         chain = ["a"] * mandatory + ["b", "c", "d", "e"]
         loop_at, loop_tag = mandatory, "a"
         tail = [("f", (1,))]
-    elif parity == "even":
-        if min_source_length % 2 == 1 or min_source_length < 12:
+    else:
+        if mandatory < 0:
             raise ValueError("even checker needs an even bound of at least 12")
-        mandatory = (min_source_length - 4) // 2 - 4
         chain = ["a", "b"] + ["c"] * mandatory + ["d", "e"]
         loop_at, loop_tag = 2 + mandatory, "c"
         tail = [("f", (0,)), ("f", (1,)), ("g", (0,)), ("g", (1,)),
                 ("h", (0,)), ("h", (1,)), ("i", (1,))]
-    else:
-        raise ValueError(f"unknown parity {parity!r}")
     builder.mark_initial(0)
     for step, tag in enumerate(chain):
         for symbol in _pair_symbols(tag):

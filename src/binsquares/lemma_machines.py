@@ -45,14 +45,13 @@ from itertools import product as iproduct
 from .automata import (
     Nfa,
     NfaBuilder,
-    Symbol,
     _BitsetStepper,
     _renumber,
     compile_nfa,
     trim,
     union,
 )
-from .folding import PAIR_TAGS, SINGLE_TAGS, alphabet_for, pair_tags
+from .folding import PAIR_TAGS, SINGLE_TAGS, SPAN, alphabet_for, pair_count, pair_tags
 
 TOP_KINDS = ("exact", "free", "zero")
 
@@ -102,8 +101,7 @@ def alignment(parity: str, offset: int) -> int:
     Positive: the summand is wider than the pair block and needs top
     slots.  Negative: it is narrower and its guesses ride the high-to-low
     FIFO."""
-    base = 1 if parity == "odd" else 4
-    num = base - offset
+    num = SPAN[parity] - offset
     if num % 2:
         raise ValueError(f"offset {offset} has the wrong parity for {parity} words")
     align = num // 2
@@ -157,7 +155,7 @@ class _Generator:
         if source_length is None:
             self.i = None
         else:
-            self.i = self._pair_count(source_length)
+            self.i = pair_count(parity, source_length)
             self.tags = pair_tags(parity, self.i)
             for s, a in zip(self.active, self.aligns):
                 if a < 0 and self.i < -2 * a:
@@ -175,15 +173,6 @@ class _Generator:
         # pair moves by (pos, slots, tag, used), shared by every carry pair;
         # dropped when build() returns
         self._moves: dict[tuple, list] = {}
-
-    def _pair_count(self, n: int) -> int:
-        span = 1 if self.parity == "odd" else 4
-        if n % 2 != span % 2:
-            raise ValueError(f"length {n} is not {self.parity}")
-        i = (n - span) // 2
-        if i < 1:
-            raise ValueError(f"length {n} leaves no pair columns")
-        return i
 
     # State layout: (pos, slots, c_lo, c_hi, used) where pos is a phase
     # name (uniform) or step index (fixed), slots holds per-summand
@@ -683,50 +672,32 @@ def machine_manifest(name: str) -> dict:
 
 def accept_set(nfa: Nfa, parity: str, source_length: int) -> set[int]:
     """All values of the given bit length whose folded word the machine
-    accepts.  Walks the word tree once, sharing work across prefixes."""
-    span = 1 if parity == "odd" else 4
-    i = (source_length - span) // 2
-    if i < 1 or 2 * i + span != source_length:
-        raise ValueError(f"bad {parity} source length {source_length}")
-    tags = pair_tags(parity, i)
-    singles = SINGLE_TAGS[parity]
-    alphabet = nfa.alphabet
+    accepts.  Steps the machine's bitset kernel through the word tree depth
+    first, so prefixes share their work and the stack grows with the length
+    alone."""
+    i = pair_count(parity, source_length)
+    ids = {(s.tag, s.bits): k for k, s in enumerate(nfa.alphabet.symbols)}
+    # per word position, the value bits and letter of each symbol it may hold
+    letters = [
+        [((hi << i | lo) << k, (tag, (hi, lo))) for hi in (0, 1) for lo in (0, 1)]
+        for k, tag in enumerate(pair_tags(parity, i))
+    ] + [
+        [(bit << 2 * i + t, (tag, (bit,))) for bit in (0, 1)]
+        for t, tag in enumerate(SINGLE_TAGS[parity])
+    ]
+    # letters the alphabet lacks, the leading 0f and 0i among them, label no word
+    columns = [[(bits, ids[key]) for bits, key in column if key in ids] for column in letters]
+    kernel = compile_nfa(nfa)
     found: set[int] = set()
-
-    def sym_id(tag: str, bits: tuple[int, ...]) -> int | None:
-        sym = Symbol(tag, bits)
-        return alphabet.id_of(sym) if sym in alphabet else None
-
-    def singles_walk(states: frozenset, base: int) -> None:
-        frontier = [(states, 0)]
-        for tau, tag in enumerate(singles):
-            final = tau == len(singles) - 1
-            nxt = []
-            for st, acc in frontier:
-                for bits in (((1,),) if final else ((0,), (1,))):
-                    sid = sym_id(tag, bits)
-                    if sid is None:
-                        continue
-                    st2 = nfa.successors(st, sid)
-                    if st2:
-                        nxt.append((st2, acc | bits[0] << tau))
-            frontier = nxt
-        for st, acc in frontier:
-            if st & nfa.final:
-                found.add(base | acc << 2 * i)
-
-    def pairs_walk(k: int, states: frozenset, lo: int, hi: int) -> None:
-        if k == i:
-            singles_walk(states, lo | hi << i)
-            return
-        for hb in (0, 1):
-            for lb in (0, 1):
-                sid = sym_id(tags[k], (hb, lb))
-                if sid is None:
-                    continue
-                st2 = nfa.successors(states, sid)
-                if st2:
-                    pairs_walk(k + 1, st2, lo | lb << k, hi | hb << k)
-
-    pairs_walk(0, nfa.initial, 0, 0)
+    stack = [(0, kernel.initial, 0)]
+    while stack:
+        k, mask, value = stack.pop()
+        if k == len(columns):
+            if mask & kernel.final:
+                found.add(value)
+            continue
+        for bits, sym_id in columns[k]:
+            after = kernel.step(mask, sym_id)
+            if after:
+                stack.append((k + 1, after, value | bits))
     return found

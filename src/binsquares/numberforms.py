@@ -56,19 +56,26 @@ def is_binary_square(value: int) -> bool:
     return rest == 0 and a >> (half - 1) == 1
 
 
-def is_generalized_binary_square(value: int) -> bool:
-    """True when some even-length zero-padding of ``value`` splits into xx."""
+def square_half_width(value: int) -> int | None:
+    """The width p of the halves of a generalized binary square, so that
+    ``value`` is a(2**p + 1) with a < 2**p, or None when it is not one.
+
+    Such a value is the bit string of a written twice, the low copy p bits
+    wide; 2**(2p) > value needs p >= half the length, and the least such p
+    is taken.  Zero has width 0.
+    """
     if value < 0:
-        return False
-    if value == 0:
-        return True
-    # value = a(2**p + 1) with a < 2**p is the bit string of a written twice,
-    # the low copy p bits wide; 2**(2p) > value needs p >= half the length
+        return None
     n = value.bit_length()
     for p in range((n + 1) // 2, n + 1):
         if value >> p == value & ((1 << p) - 1):
-            return True
-    return False
+            return p
+    return None
+
+
+def is_generalized_binary_square(value: int) -> bool:
+    """True when some even-length zero-padding of ``value`` splits into xx."""
+    return square_half_width(value) is not None
 
 
 def is_power_of_two(value: int) -> bool:

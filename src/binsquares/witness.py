@@ -23,6 +23,7 @@ from .numberforms import (
     is_binary_square,
     is_generalized_binary_square,
     is_power_of_two,
+    square_half_width,
 )
 from .oracle import decompose_brute
 
@@ -220,15 +221,8 @@ def render_part(value: int, role: str) -> str:
     bits = format(value, "b")
     if role == ROLE_POWER:
         return f"{value} = {bits}"
-    width = _half_width(value)
-    a = value // ((1 << width) + 1)
-    half = format(a, "b").zfill(width)
+    width = square_half_width(value)
+    if width is None:
+        raise ValueError(f"{value} has no repeated-half form")
+    half = format(value >> width, "b").zfill(width)
     return f"{value} = {bits} = ({half})({half})"
-
-
-def _half_width(value: int) -> int:
-    for width in range(1, value.bit_length() + 1):
-        block = (1 << width) + 1
-        if value % block == 0 and value // block < 1 << width:
-            return width
-    raise ValueError(f"{value} has no repeated-half form")

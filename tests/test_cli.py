@@ -242,6 +242,18 @@ def test_crossvalidate_rejects_more_than_eight_summands(capsys, spec):
     assert "more than 8" in err
 
 
+@pytest.mark.parametrize("spec", ["0:0", "2:1,carry=5", "4:2,carry=2"])
+def test_crossvalidate_rejects_specs_that_build_no_machine(capsys, monkeypatch, spec):
+    def no_build(*args):
+        raise AssertionError("a machine was built")
+
+    monkeypatch.setattr(cli, "fixed_machine", no_build)
+    code, out, err = run(capsys, "crossvalidate", "--length", "12", "--profiles", spec)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_crossvalidate_accepts_eight_summands(capsys):
     code, out, _ = run(capsys, "--json", "crossvalidate", "--length", "8", "--profiles", "4:4,2:4")
     assert code == 0

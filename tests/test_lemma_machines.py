@@ -9,7 +9,7 @@ import hashlib
 import pytest
 
 from binsquares.automata import includes, trim
-from binsquares.folding import syntax_checker, unfold
+from binsquares.folding import fold, syntax_checker, unfold
 from binsquares.lemma_machines import (
     FAMILY_NAMES,
     Profile,
@@ -407,3 +407,51 @@ def test_generated_counts_cover_the_untrimmed_members(name):
     assert (runtime.generated_states, runtime.generated_transitions) == (states, transitions)
     assert states > runtime.union.num_states
     assert transitions > runtime.union.num_transitions()
+
+
+# -- accept sets against the frozenset simulator ---------------------------
+
+# (summands, carry, max powers) per parity, each fitting the shortest folds
+# (5 bits odd, 6 bits even), whose tag runs are truncated, and accepting
+# some value at every length from there to 14
+FIXED_SHAPES = {
+    "squares": {
+        "odd": ((Summand(1, 1), Summand(3, 1)), 1, 0),
+        "even": ((Summand(2, 3), Summand(4, 1)), 1, 0),
+    },
+    "free-halves-and-powers": {
+        "odd": ((Summand(-1, 1, "zero"), Summand(1, 1, "free"), Summand(3, 1, "free")), 1, 1),
+        "even": ((Summand(2, 1, "free"), Summand(4, 1)), 1, 2),
+    },
+}
+ACCEPT_SET_CASES = [(shape, n) for shape in FIXED_SHAPES for n in range(5, 15)] + [
+    (name, n) for name in FAMILY_NAMES for n in ((11, 13) if name.endswith("odd") else (12, 14))
+]
+
+
+@pytest.mark.parametrize("machine,n", ACCEPT_SET_CASES)
+def test_accept_set_matches_frozenset_simulation(machine, n):
+    # Nfa.accepts steps frozensets of states and shares no code with the
+    # bitset kernel that accept_set walks
+    parity = "odd" if n % 2 else "even"
+    if machine in FIXED_SHAPES:
+        nfa = fixed_machine(parity, n, *FIXED_SHAPES[machine][parity])
+    else:
+        # the family's largest member
+        nfa = max((m for _, m in family_members(machine)), key=lambda m: m.num_states)
+    expected = {v for v in range(1 << (n - 1), 1 << n) if nfa.accepts(fold(v).symbols)}
+    assert expected
+    assert accept_set(nfa, parity, n) == expected
+
+
+def test_lengths_without_a_fold_layout_are_rejected():
+    summands = {"odd": (Summand(1, 1),), "even": (Summand(4, 1),)}
+    nfa = fixed_machine("odd", 5, summands["odd"], 0)
+    for parity, n in (("odd", 12), ("even", 13), ("odd", 1), ("even", 2), ("even", 4)):
+        with pytest.raises(ValueError, match="length"):
+            accept_set(nfa, parity, n)
+        with pytest.raises(ValueError, match="length"):
+            fixed_machine(parity, n, summands[parity], 0)
+    for value in (0, 1, 3, 8, 15):
+        with pytest.raises(ValueError, match="length"):
+            fold(value)

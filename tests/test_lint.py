@@ -1,6 +1,7 @@
 """Source checks that hold for the whole package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,3 +15,22 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    # the package has no runtime dependencies: a module imports the standard
+    # library or the package itself
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    outside = {
+        name
+        for name in names
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"binsquares"}
+    }
+    assert not outside, f"{path.name}: imports {sorted(outside)}"

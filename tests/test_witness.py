@@ -166,6 +166,24 @@ def test_render_part():
     assert render_part(0, "BinarySquare") == "0"
 
 
+def test_render_part_of_large_decompositions():
+    def by_division(value):
+        """The half width found by trial division, the least w with value =
+        a(2**w + 1) and a < 2**w, and that half."""
+        for w in range(1, value.bit_length() + 1):
+            a, rest = divmod(value, (1 << w) + 1)
+            if rest == 0 and a < 1 << w:
+                return w, a
+
+    value = (1 << 1000) + 12345
+    for dec in (decompose(value), decompose_generalized(value)):
+        for part, role in dec.parts:
+            if part:
+                width, a = by_division(part)
+                half = format(a, "b").zfill(width)
+                assert render_part(part, role) == f"{part} = {part:b} = ({half})({half})"
+
+
 def test_readme_example_is_exact():
     d = decompose(2**100 + 12345)
     assert d.values() == (
