@@ -17,6 +17,10 @@ Accepting-path search runs a word through a compiled machine one state mask
 per position and recovers the lexicographically least run to the lowest
 reachable final state.  Accept-set enumeration in :mod:`lemma_machines`
 steps a compiled machine through every word of one length, depth first.
+
+:func:`quotient` merges the states of a machine by a forward and then a
+backward bisimulation; the result accepts the same words, and inclusion
+proofs run on it.
 """
 
 from __future__ import annotations
@@ -305,6 +309,114 @@ def union(machines: list[Nfa]) -> Nfa:
         transitions=table,
         edge_data=edge_data,
     )
+
+
+class Quotient(NamedTuple):
+    """Result of :func:`quotient`: ``middle`` is the forward quotient of the
+    input and ``machine`` the backward quotient of ``middle``.  ``forward``
+    maps each input state to its ``middle`` state, ``backward`` each
+    ``middle`` state to its ``machine`` state."""
+
+    machine: Nfa
+    middle: Nfa
+    forward: tuple[int, ...]
+    backward: tuple[int, ...]
+
+
+def _refine(rows: Sequence[Mapping[int, Sequence[int]]], marked: frozenset[int]) -> list[int]:
+    """The coarsest stable partition of the states that separates ``marked``
+    from the rest: the states of a block have neighbours in the same blocks
+    on every symbol, where ``rows[q]`` maps a symbol to q's neighbours.
+    Blocks are numbered by first occurrence in state order.
+
+    Signature refinement: a round splits each block it re-signs by its
+    members' sets of neighbour blocks per symbol.  A split is sound whenever
+    it happens, since states of one class have neighbours in the same
+    blocks of any coarser partition.  A signature changes only when a
+    neighbour changes block, so a round re-signs only the blocks holding a
+    predecessor of a state that the last round moved.
+    """
+    items = [sorted(row.items()) for row in rows]
+    predecessors: list[list[int]] = [[] for _ in rows]
+    for q, row in enumerate(items):
+        for _, nbrs in row:
+            for d in nbrs:
+                predecessors[d].append(q)
+    block = [int(q in marked) for q in range(len(rows))]
+    members = [[q for q, b in enumerate(block) if b == side] for side in (0, 1)]
+    get = block.__getitem__
+    dirty = set(block)
+    while dirty:
+        moved: list[int] = []
+        for b in sorted(dirty):
+            parts: dict[tuple, list[int]] = {}
+            for q in members[b]:
+                key = tuple([(sym, frozenset(map(get, nbrs))) for sym, nbrs in items[q]])
+                parts.setdefault(key, []).append(q)
+            members[b], *split = parts.values()
+            for part in split:
+                for q in part:
+                    block[q] = len(members)
+                members.append(part)
+                moved += part
+        dirty = {block[p] for q in moved for p in predecessors[q]}
+    ids: dict[int, int] = {}
+    return [ids.setdefault(b, len(ids)) for b in block]
+
+
+def _collapse(
+    rows: Sequence[Mapping[int, Sequence[int]]], block: list[int]
+) -> list[dict[int, tuple[int, ...]]]:
+    """The rows of the machine on the blocks of a stable partition, read off
+    each block's first member, since the members agree on neighbour blocks."""
+    first: dict[int, int] = {}
+    for q, b in enumerate(block):
+        first.setdefault(b, q)
+    return [
+        {sym: tuple(sorted({block[d] for d in nbrs})) for sym, nbrs in sorted(rows[q].items())}
+        for q in first.values()
+    ]
+
+
+def _reverse(rows: Sequence[Mapping[int, Sequence[int]]]) -> list[dict[int, tuple[int, ...]]]:
+    """Each state's predecessors per symbol, in state order."""
+    out: list[dict[int, list[int]]] = [{} for _ in rows]
+    for src, row in enumerate(rows):
+        for sym_id, dsts in row.items():
+            for d in dsts:
+                out[d].setdefault(sym_id, []).append(src)
+    return [{sym: tuple(srcs) for sym, srcs in sorted(row.items())} for row in out]
+
+
+def quotient(nfa: Nfa) -> Quotient:
+    """Merge states by a forward and then a backward bisimulation.
+
+    The forward stage merges states of the same finality whose successors
+    fall in the same blocks on every symbol, so merged states accept the
+    same words.  The backward stage does the mirror on the result, over
+    predecessors and initiality, so merged states are reached by the same
+    words.  Each stage keeps the language, and the second often merges
+    states the first could not.  ``edge_data`` is dropped, since a merged
+    edge no longer names one guess.
+    """
+    forward = _refine(nfa.transitions, nfa.final)
+    middle = Nfa(
+        alphabet=nfa.alphabet,
+        num_states=len(set(forward)),
+        initial=frozenset(forward[q] for q in nfa.initial),
+        final=frozenset(forward[q] for q in nfa.final),
+        transitions=_collapse(nfa.transitions, forward),
+    )
+    predecessors = _reverse(middle.transitions)
+    backward = _refine(predecessors, middle.initial)
+    machine = Nfa(
+        alphabet=nfa.alphabet,
+        num_states=len(set(backward)),
+        initial=frozenset(backward[q] for q in middle.initial),
+        final=frozenset(backward[q] for q in middle.final),
+        transitions=_reverse(_collapse(predecessors, backward)),
+    )
+    return Quotient(machine, middle, tuple(forward), tuple(backward))
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:

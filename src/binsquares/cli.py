@@ -101,7 +101,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     machine = runtime.union
     checker = syntax_checker(parity, shortest)
     built = time.perf_counter()
-    result = includes(machine, checker)
+    # inclusion runs on the checked quotient, which accepts the union's words
+    proof = runtime.proof_machine
+    collapsed = time.perf_counter()
+    result = includes(proof, checker)
     finished = time.perf_counter()
     states, edges = machine.num_states, machine.num_transitions()
     record = {
@@ -113,13 +116,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "transitions": edges,
         "generated_states": runtime.generated_states,
         "generated_transitions": runtime.generated_transitions,
+        "proof_states": proof.num_states,
+        "proof_transitions": proof.num_transitions(),
         "checker_states": checker.num_states,
         "explored": result.explored,
         "subset_steps": result.subset_steps,
         "antichain_peak": result.antichain_peak,
         "subset_popcount_mean": round(result.subset_popcount_mean, 2),
         "build_seconds": round(built - started, 3),
-        "inclusion_seconds": round(finished - built, 3),
+        "quotient_seconds": round(collapsed - built, 3),
+        "inclusion_seconds": round(finished - collapsed, 3),
         "wall_seconds": round(finished - started, 3),
     }
     lines = [
@@ -130,12 +136,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"transitions  {edges}",
         f"generated    {runtime.generated_states} states, "
         f"{runtime.generated_transitions} transitions before trim",
+        f"proof        {proof.num_states} states, "
+        f"{record['proof_transitions']} transitions after quotient",
         f"checker      {record['checker_states']} states",
         f"explored     {result.explored} pairs",
         f"steps        {result.subset_steps} subset steps",
         f"antichain    {result.antichain_peak} subsets peak",
         f"subsets      {record['subset_popcount_mean']} states mean",
         f"build        {record['build_seconds']}s",
+        f"quotient     {record['quotient_seconds']}s",
         f"inclusion    {record['inclusion_seconds']}s",
         f"wall         {record['wall_seconds']}s",
     ]

@@ -48,10 +48,12 @@ from .automata import (
     _BitsetStepper,
     _renumber,
     compile_nfa,
+    quotient,
     trim,
     union,
 )
 from .folding import PAIR_TAGS, SINGLE_TAGS, SPAN, alphabet_for, pair_count, pair_tags
+from .proofcheck import check_backward, check_forward
 
 TOP_KINDS = ("exact", "free", "zero")
 
@@ -595,8 +597,8 @@ def family_members(name: str) -> tuple[tuple[Profile, Nfa], ...]:
 
 class FamilyRuntime:
     """A family's profiles, the disjoint union of their trimmed machines, the
-    state where each member starts in it and, compiled on first use, the
-    union's bitset kernel.  ``generated_states`` and
+    state where each member starts in it and, built on first use, the
+    union's bitset kernel and its proof machine.  ``generated_states`` and
     ``generated_transitions`` total the members as generated, before
     ``trim`` drops their dead states.
 
@@ -632,6 +634,18 @@ class FamilyRuntime:
     @cached_property
     def kernel(self) -> _BitsetStepper:
         return compile_nfa(self.union)
+
+    @cached_property
+    def proof_machine(self) -> Nfa:
+        """The union's bisimulation quotient, which accepts the same words
+        with far fewer states, so inclusion on it decides the family's
+        theorem.  Both stages are re-checked by :mod:`proofcheck` first,
+        which raises :class:`RuntimeError` if one does not keep the
+        language."""
+        collapsed = quotient(self.union)
+        check_forward(self.union, collapsed.middle, collapsed.forward)
+        check_backward(collapsed.middle, collapsed.machine, collapsed.backward)
+        return collapsed.machine
 
     def profile_at(self, state: int) -> Profile:
         """The profile of the member that owns a state of the union."""

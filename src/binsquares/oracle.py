@@ -118,6 +118,9 @@ def two_squares_density(m: int) -> Fraction:
     """|{x : 1 <= x <= m, x is a sum of two binary squares}| / m, exactly."""
     if m < 1:
         raise ValueError("m must be positive")
+    if m >= MAX_BOUND:
+        # the table below covers [0, m], one more than m values
+        raise ValueError(f"m {m} exceeds the supported maximum 2**24 - 1")
     member = sumset_table(GroundSetKind.BINARY_SQUARE, m + 1, 2).reach[2]
     return Fraction(bin(member >> 1).count("1"), m)  # drop x = 0
 

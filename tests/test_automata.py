@@ -23,11 +23,13 @@ from binsquares.automata import (
     includes,
     intersect,
     is_empty,
+    quotient,
     to_automata_script,
     to_dot,
     trim,
     union,
 )
+from binsquares.proofcheck import check_backward, check_forward
 
 X0 = Symbol("x", (0,))
 X1 = Symbol("x", (1,))
@@ -519,3 +521,79 @@ def test_includes_reports_the_mean_subset_popcount():
     accept_empty.mark_final("q")
     res = includes(c.build(), accept_empty.build())
     assert (res.holds, res.subset_popcount_mean) == (False, 0.0)
+
+
+TRIPLE = Alphabet([X0, X1, Symbol("y", (0,))])
+
+
+@st.composite
+def triple_machines(draw):
+    """Random machines of up to 12 states over three symbols."""
+    n = draw(st.integers(1, 12))
+    state = st.integers(0, n - 1)
+    transitions = []
+    for _ in range(n):
+        row = {sym_id: tuple(sorted(draw(st.sets(state, max_size=3)))) for sym_id in range(3)}
+        transitions.append({sym_id: d for sym_id, d in row.items() if d})
+    return Nfa(
+        alphabet=TRIPLE,
+        num_states=n,
+        initial=frozenset(draw(st.sets(state, max_size=3))),
+        final=frozenset(draw(st.sets(state))),
+        transitions=transitions,
+    )
+
+
+def naive_blocks(rows, marked):
+    """Coarsest stable partition by re-signing every state each round,
+    blocks numbered by first occurrence."""
+    block = [int(q in marked) for q in range(len(rows))]
+    while True:
+        ids = {}
+        refined = [
+            ids.setdefault(
+                (block[q], frozenset((s, frozenset(block[d] for d in ds)) for s, ds in row.items())),
+                len(ids),
+            )
+            for q, row in enumerate(rows)
+        ]
+        if len(ids) == len(set(block)):
+            return refined
+        block = refined
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(triple_machines())
+def test_quotient_keeps_the_language(nfa):
+    collapsed = quotient(nfa)
+    machine, middle = collapsed.machine, collapsed.middle
+    for word in words_shortlex(TRIPLE, 6):
+        assert machine.accepts(word) == nfa.accepts(word)
+    again = quotient(machine).machine
+    assert (again.num_states, again.num_transitions()) == (
+        machine.num_states,
+        machine.num_transitions(),
+    )
+    check_forward(nfa, middle, collapsed.forward)
+    check_backward(middle, machine, collapsed.backward)
+    # the worklist refinement finds the partitions a full re-sign finds
+    assert list(collapsed.forward) == naive_blocks(nfa.transitions, nfa.final)
+    predecessors = [{} for _ in range(middle.num_states)]
+    for src, sym_id, dst in middle.walk():
+        predecessors[dst].setdefault(sym_id, set()).add(src)
+    assert list(collapsed.backward) == naive_blocks(predecessors, middle.initial)
+
+
+def test_quotient_merges_states_with_the_same_future():
+    # two branches that accept x1 after x0 collapse into one chain
+    b = NfaBuilder(BITS)
+    b.mark_initial("s")
+    for branch in "ab":
+        b.add_edge("s", X0, branch)
+        b.add_edge(branch, X1, branch + "!")
+        b.mark_final(branch + "!")
+    nfa = b.build()
+    collapsed = quotient(nfa)
+    assert (nfa.num_states, collapsed.machine.num_states) == (5, 3)
+    assert collapsed.machine.num_transitions() == 2
+    assert collapsed.machine.edge_data == {}

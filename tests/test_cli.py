@@ -141,10 +141,13 @@ def test_verify_generalized_odd_holds(capsys):
     assert record["states"] == 312
     assert (record["generated_states"], record["generated_transitions"]) == (530, 4238)
     assert "counterexample" not in record
-    assert record["explored"] == 173
-    assert record["subset_steps"] == 788
-    assert record["antichain_peak"] == 65
+    # inclusion runs on the union's bisimulation quotient
+    assert (record["proof_states"], record["proof_transitions"]) == (77, 714)
+    assert record["explored"] == 36
+    assert record["subset_steps"] == 161
+    assert record["antichain_peak"] == 14
     assert 0 <= record["build_seconds"] <= record["wall_seconds"]
+    assert 0 <= record["quotient_seconds"] <= record["wall_seconds"]
     assert 0 <= record["inclusion_seconds"] <= record["wall_seconds"]
 
 
@@ -209,9 +212,9 @@ def test_optimality_rejects_max_n_out_of_range(capsys, max_n):
 def test_verify_reports_the_mean_subset_popcount(capsys):
     code, out, _ = run(capsys, "--json", "verify", "generalized-odd")
     assert code == 0
-    assert records(out)[0]["subset_popcount_mean"] == 14.39
+    assert records(out)[0]["subset_popcount_mean"] == 8.83
     code, out, _ = run(capsys, "verify", "generalized-odd")
-    assert "subsets      14.39 states mean" in out.splitlines()
+    assert "subsets      8.83 states mean" in out.splitlines()
 
 
 @pytest.mark.parametrize(
@@ -266,6 +269,14 @@ def test_bound_above_the_table_limit_exits_three(capsys, command):
     assert code == 3
     assert out == ""
     assert "exceeds" in err
+
+
+def test_density_names_its_own_bound(capsys):
+    # the table behind it covers [0, m], so m = 2**24 is one value too many
+    code, out, err = run(capsys, "density", "--bound", str(1 << 24))
+    assert code == 3
+    assert out == ""
+    assert err == "error: m 16777216 exceeds the supported maximum 2**24 - 1\n"
 
 
 def test_decompose_json_reports_the_frontier(capsys):

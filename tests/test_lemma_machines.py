@@ -8,7 +8,7 @@ import hashlib
 
 import pytest
 
-from binsquares.automata import includes, trim
+from binsquares.automata import includes, quotient, trim
 from binsquares.folding import fold, syntax_checker, unfold
 from binsquares.lemma_machines import (
     FAMILY_NAMES,
@@ -281,6 +281,31 @@ def test_family_misses_a_word_below_its_gate(name, parity, gate, explored, value
     assert not res.holds
     assert res.explored == explored
     assert unfold(res.counterexample) == value
+
+
+@pytest.mark.parametrize(
+    "name,parity,gate,explored,value",
+    [
+        ("a-odd", "odd", 11, 150, 1550),
+        ("a-even", "even", 16, 773, 55328),
+    ],
+)
+def test_quotient_misses_the_same_word_below_the_gate(name, parity, gate, explored, value):
+    # a container with the same language keeps the shortlex-least counterexample
+    res = includes(quotient(family_union(name)).machine, syntax_checker(parity, gate))
+    assert not res.holds
+    assert res.explored == explored
+    assert unfold(res.counterexample) == value
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_proof_machine_accepts_what_the_union_accepts(name):
+    runtime = family_runtime(name)
+    parity = runtime.profiles[0].parity
+    for n in (13, 15) if parity == "odd" else (12, 14):
+        expected = accept_set(runtime.union, parity, n)
+        assert expected
+        assert accept_set(runtime.proof_machine, parity, n) == expected
 
 
 def test_manifest_shape():

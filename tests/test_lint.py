@@ -34,3 +34,17 @@ def test_imports_only_the_standard_library(path):
         if name.partition(".")[0] not in sys.stdlib_module_names | {"binsquares"}
     }
     assert not outside, f"{path.name}: imports {sorted(outside)}"
+
+
+def test_proofcheck_imports_only_the_machine_type():
+    # the quotient checks must share no code with the refinement they check
+    path = PACKAGE / "proofcheck.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names if alias.name.startswith("binsquares")]
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("binsquares")):
+            module = "." * node.level + (node.module or "")
+            imported += [f"{module}:{alias.name}" for alias in node.names]
+    assert imported == [".automata:Nfa"], imported
