@@ -28,7 +28,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 # array typecodes of unsigned ints of 32 and 64 bits, in native byte order
@@ -100,18 +100,14 @@ class Alphabet:
 
 @dataclass
 class Nfa:
-    """Nondeterministic finite automaton with interned symbols.
-
-    ``edge_data`` optionally annotates edges (src, symbol id, dst) with the
-    guesses that produced them; path decoders use it to rebuild summands.
-    """
+    """Nondeterministic finite automaton with interned symbols.  An edge
+    carries nothing but its symbol."""
 
     alphabet: Alphabet
     num_states: int
     initial: frozenset[int]
     final: frozenset[int]
     transitions: list[dict[int, tuple[int, ...]]]
-    edge_data: dict[tuple[int, int, int], tuple] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(self.transitions) != self.num_states:
@@ -159,7 +155,6 @@ class NfaBuilder:
         self._edges: list[dict[int, set[int]]] = []
         self._initial: set[int] = set()
         self._final: set[int] = set()
-        self._edge_data: dict[tuple[int, int, int], tuple] = {}
         # the last source key and its id: a generator adds a state's edges
         # one after another, so its key is interned once, not once per edge
         self._src: tuple[object, int] = (object(), -1)
@@ -174,15 +169,17 @@ class NfaBuilder:
     def known(self, key: object) -> bool:
         return key in self._ids
 
+    def keys(self) -> list[object]:
+        """The state keys, indexed by state id."""
+        return list(self._ids)
+
     def mark_initial(self, key: object) -> None:
         self._initial.add(self.state(key))
 
     def mark_final(self, key: object) -> None:
         self._final.add(self.state(key))
 
-    def add_edge(
-        self, src: object, symbol: Symbol | int, dst: object, data: tuple | None = None
-    ) -> None:
+    def add_edge(self, src: object, symbol: Symbol | int, dst: object) -> None:
         """Add the edge src -> dst on ``symbol``, a letter of the alphabet or
         its id, interning new state keys."""
         last, s = self._src
@@ -199,14 +196,6 @@ class NfaBuilder:
             row[sym_id] = {d}
         else:
             dsts.add(d)
-        if data is not None:
-            key = (s, sym_id, d)
-            stored = self._edge_data.setdefault(key, data)
-            if stored is not data and stored != data:
-                # an edge decodes to one guess vector or path replay is junk
-                raise ValueError(
-                    f"conflicting annotations on edge {key}: {stored} vs {data}"
-                )
 
     def build(self) -> Nfa:
         n = len(self._ids)
@@ -220,7 +209,6 @@ class NfaBuilder:
             initial=frozenset(self._initial),
             final=frozenset(self._final),
             transitions=table,
-            edge_data=dict(self._edge_data),
         )
 
 
@@ -234,23 +222,17 @@ def _renumber(nfa: Nfa, keep: list[int]) -> Nfa:
             if kept:
                 row[sym_id] = kept
         table.append(row)
-    edge_data = {
-        (remap[s], sym, remap[d]): v
-        for (s, sym, d), v in nfa.edge_data.items()
-        if s in remap and d in remap
-    }
     return Nfa(
         alphabet=nfa.alphabet,
         num_states=len(keep),
         initial=frozenset(remap[q] for q in nfa.initial if q in remap),
         final=frozenset(remap[q] for q in nfa.final if q in remap),
         transitions=table,
-        edge_data=edge_data,
     )
 
 
-def trim(nfa: Nfa) -> Nfa:
-    """Restrict to states both reachable and co-reachable, renumbered densely."""
+def live_states(nfa: Nfa) -> list[int]:
+    """The states both reachable and co-reachable, in increasing order."""
     transitions = nfa.transitions
     forward: set[int] = set(nfa.initial)
     queue = deque(forward)
@@ -275,7 +257,12 @@ def trim(nfa: Nfa) -> Nfa:
             if p not in backward:
                 backward.add(p)
                 stack.append(p)
-    return _renumber(nfa, sorted(backward))
+    return sorted(backward)
+
+
+def trim(nfa: Nfa) -> Nfa:
+    """Restrict to the live states, renumbered densely in their order."""
+    return _renumber(nfa, live_states(nfa))
 
 
 def union(machines: list[Nfa]) -> Nfa:
@@ -289,7 +276,6 @@ def union(machines: list[Nfa]) -> Nfa:
     table: list[dict[int, tuple[int, ...]]] = []
     initial: set[int] = set()
     final: set[int] = set()
-    edge_data: dict[tuple[int, int, int], tuple] = {}
     offset = 0
     for m in machines:
         for row in m.transitions:
@@ -298,8 +284,6 @@ def union(machines: list[Nfa]) -> Nfa:
             )
         initial.update(q + offset for q in m.initial)
         final.update(q + offset for q in m.final)
-        for (s, sym, d), v in m.edge_data.items():
-            edge_data[(s + offset, sym, d + offset)] = v
         offset += m.num_states
     return Nfa(
         alphabet=alphabet,
@@ -307,7 +291,6 @@ def union(machines: list[Nfa]) -> Nfa:
         initial=frozenset(initial),
         final=frozenset(final),
         transitions=table,
-        edge_data=edge_data,
     )
 
 
@@ -396,8 +379,7 @@ def quotient(nfa: Nfa) -> Quotient:
     same words.  The backward stage does the mirror on the result, over
     predecessors and initiality, so merged states are reached by the same
     words.  Each stage keeps the language, and the second often merges
-    states the first could not.  ``edge_data`` is dropped, since a merged
-    edge no longer names one guess.
+    states the first could not.
     """
     forward = _refine(nfa.transitions, nfa.final)
     middle = Nfa(
@@ -438,11 +420,10 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
             builder.mark_final((qa, qb))
         row_a, row_b = a.transitions[qa], b.transitions[qb]
         for sym_id in row_a.keys() & row_b.keys():
-            symbol = a.alphabet.symbols[sym_id]
             for da in row_a[sym_id]:
                 for db in row_b[sym_id]:
                     key = (da, db)
-                    builder.add_edge((qa, qb), symbol, key)
+                    builder.add_edge((qa, qb), sym_id, key)
                     if key not in seen:
                         seen.add(key)
                         queue.append(key)
@@ -519,7 +500,7 @@ class _BitsetStepper:
         self._chunks = (nfa.num_states + chunk_bits - 1) // chunk_bits
         self._num_bytes = self._chunks * chunk_bits // 8
         self._tables = self._empty_tables()
-        self._predecessors: list[dict[int, list[int]]] | None = None
+        self._predecessors: list[dict[int, tuple[int, ...]]] | None = None
         self._back_tables: list[list[dict[int, int]]] = []
         self.steps = 0
 
@@ -564,12 +545,7 @@ class _BitsetStepper:
     def back(self, mask: int, sym_id: int) -> int:
         """The states that reach some state of ``mask`` on the symbol."""
         if self._predecessors is None:
-            predecessors: list[dict[int, list[int]]] = [{} for _ in self.transitions]
-            for q, row in enumerate(self.transitions):
-                for sym, dsts in row.items():
-                    for d in dsts:
-                        predecessors[d].setdefault(sym, []).append(q)
-            self._predecessors = predecessors
+            self._predecessors = _reverse(self.transitions)
             self._back_tables = self._empty_tables()
         return self._apply(self._predecessors, sym_id, self._back_tables[sym_id], mask)
 

@@ -13,8 +13,9 @@ Subcommands:
     export <machine>          DOT or automata-script rendering of a machine
 
 Exit codes: 0 success / assertion holds, 1 assertion failed, 2 not
-representable, 3 usage error.  `--json` switches every command to
-line-delimited JSON records carrying the same content as the text output.
+representable, 3 usage error, 4 internal check failed.  `--json` switches
+every command to line-delimited JSON records carrying the same content as
+the text output.
 """
 
 from __future__ import annotations
@@ -514,6 +515,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (RuntimeError, AssertionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

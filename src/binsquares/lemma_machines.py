@@ -28,8 +28,12 @@ so one machine covers every source length at or above the layout minimum
 (11 for odd, 12 for even).  Fixed-length ones key on step indices and reach
 the short layouts the uniform rules cannot express.
 
+A move carries a guess record: per summand the digits guessed and their
+sites ("lo", "hi", "top"), plus the powers of two injected.  Machines keep no
+records: a runtime re-expands the source key of a path edge to decode it.
+
 Generation memoises the product of a pair column.  The guess combinations a
-column offers, with their digit sums, new slots and edge annotations, depend
+column offers, with their digit sums, new slots and guess records, depend
 on the phase, the slots, the tag and the powers used so far, never on the two
 carries.  So each product is computed once per machine, and a state that
 shares it only adds its carries to the sums.
@@ -48,14 +52,15 @@ from .automata import (
     _BitsetStepper,
     _renumber,
     compile_nfa,
+    live_states,
     quotient,
-    trim,
     union,
 )
-from .folding import PAIR_TAGS, SINGLE_TAGS, SPAN, alphabet_for, pair_count, pair_tags
+from .folding import PAIR_TAGS, SINGLE_TAGS, SPAN, FoldedWord, alphabet_for, pair_count, pair_tags
 from .proofcheck import check_backward, check_forward
 
 TOP_KINDS = ("exact", "free", "zero")
+_ACCEPT = ("ACC",)
 
 
 def digit_step(addends: tuple[int, ...], carry_in: int) -> tuple[int, int]:
@@ -165,7 +170,6 @@ class _Generator:
                 if a > 0 and self.i < a:
                     raise ValueError(f"offset {s.offset} needs more pair columns")
         self.alphabet = alphabet_for(parity)
-        self.builder = NfaBuilder(self.alphabet)
         self.letters = {(s.tag, s.bits): i for i, s in enumerate(self.alphabet.symbols)}
         # symbol id of the pair letter [hi, lo] under a tag: pair_ids[tag][hi][lo]
         self.pair_ids = {
@@ -173,30 +177,36 @@ class _Generator:
             for tag in PAIR_TAGS
         }
         # pair moves by (pos, slots, tag, used), shared by every carry pair;
-        # dropped when build() returns
+        # dropped when build() returns, refilled by the keys decoding expands
         self._moves: dict[tuple, list] = {}
 
     # State layout: (pos, slots, c_lo, c_hi, used) where pos is a phase
     # name (uniform) or step index (fixed), slots holds per-summand
     # bookkeeping, and used counts placed power injections.
 
-    def build(self) -> Nfa:
+    def build(self) -> tuple[Nfa, list[tuple]]:
+        """The machine and the generator key of each of its states."""
+        builder = NfaBuilder(self.alphabet)
         start_pos: object = "P0" if self.i is None else 0
         slots = tuple(((), ()) if a else () for a in self.aligns)
         start = (start_pos, slots, 0, self.carry, 0)
-        self.builder.mark_initial(start)
+        builder.mark_initial(start)
         seen = {start}
         work = [start]
         while work:
             key = work.pop()
-            for new_key in self._expand(key):
+            for sym_id, new_key, _ in self.successors(key):
+                builder.add_edge(key, sym_id, new_key)
                 if new_key not in seen:
                     seen.add(new_key)
                     work.append(new_key)
+        if builder.known(_ACCEPT):
+            builder.mark_final(_ACCEPT)
         self._moves = {}
-        return self.builder.build()
+        return builder.build(), builder.keys()
 
-    def _expand(self, key: tuple) -> list[tuple]:
+    def successors(self, key: tuple) -> list[tuple[int, tuple, tuple]]:
+        """Every (symbol id, successor key, guess record) move of a state."""
         pos = key[0]
         if self.i is None:
             phases = _ODD_PHASES if self.parity == "odd" else _EVEN_PHASES
@@ -222,14 +232,13 @@ class _Generator:
 
     def _pair_edges(
         self, key: tuple, tag: str, next_pos: object, step: int | None
-    ) -> list[tuple]:
+    ) -> list[tuple[int, tuple, tuple]]:
         pos, slots, c_lo, c_hi, used = key
         memo = (pos, slots, tag, used)
         moves = self._moves.get(memo)
         if moves is None:
             moves = self._moves[memo] = self._pair_moves(slots, tag, step, used)
         ids = self.pair_ids[tag]
-        add_edge = self.builder.add_edge
         at_seam = tag == "e"
         out = []
         for add_lo, add_hi, new_slots, used2, data in moves:
@@ -240,14 +249,13 @@ class _Generator:
                     continue
                 nc_lo = 0
             new_key = (next_pos, new_slots, nc_lo, total_hi >> 1, used2)
-            add_edge(key, ids[total_hi & 1][total_lo & 1], new_key, data)
-            out.append(new_key)
+            out.append((ids[total_hi & 1][total_lo & 1], new_key, data))
         return out
 
     def _pair_moves(
         self, slots: tuple, tag: str, step: int | None, used: int
     ) -> list[tuple[int, int, tuple, int, tuple]]:
-        """Every (low add, high add, new slots, new used, edge data) a pair
+        """Every (low add, high add, new slots, new used, guess record) a pair
         column offers, before the carries: one per guess combination and
         power injection."""
         per_summand = [
@@ -257,10 +265,9 @@ class _Generator:
         injections = self._injections(used)
         out = []
         for combo in iproduct(*per_summand):
-            base_lo = sum(c[0] for c in combo)
-            base_hi = sum(c[1] for c in combo)
-            new_slots = tuple(c[2] for c in combo)
-            guesses = tuple(c[3] for c in combo)
+            # a profile without summands has one empty combination
+            lows, highs, new_slots, guesses = zip(*combo) if combo else ((),) * 4
+            base_lo, base_hi = sum(lows), sum(highs)
             for used2, inj_lo, inj_hi in injections:
                 data = (guesses, inj_lo, inj_hi)
                 out.append((base_lo + inj_lo, base_hi + inj_hi, new_slots, used2, data))
@@ -403,7 +410,7 @@ class _Generator:
 
     # -- tail singles ------------------------------------------------------
 
-    def _single_edges(self, key: tuple, tau: int) -> list[tuple]:
+    def _single_edges(self, key: tuple, tau: int) -> list[tuple[int, tuple, tuple]]:
         """One tail column: the high-track carry chains through, and the
         last column must produce a bare 1."""
         pos, slots, _, c_hi, used = key
@@ -421,16 +428,12 @@ class _Generator:
             bit, carry = digit_step((*adds, inj), c_hi)
             data = (no_guesses, inj, 0)
             if final:
-                if bit != 1 or carry:
-                    continue
-                self.builder.add_edge(key, self.letters[tag, (1,)], ("ACC",), data)
-                self.builder.mark_final(("ACC",))
-                out.append(("ACC",))
+                if bit == 1 and not carry:
+                    out.append((self.letters[tag, (1,)], _ACCEPT, data))
             else:
                 next_pos = ("S", tau) if self.i is None else pos + 1
                 nk = (next_pos, tuple(new_slots), 0, carry, used2)
-                self.builder.add_edge(key, self.letters[tag, (bit,)], nk, data)
-                out.append(nk)
+                out.append((self.letters[tag, (bit,)], nk, data))
         return out
 
     def _single_value(self, align: int, slot: tuple, tau: int) -> tuple[int, tuple]:
@@ -454,7 +457,7 @@ def uniform_machine(
 ) -> Nfa:
     """Tag-keyed recognizer valid for every source length of the parity at
     or above the layout minimum (11 odd, 12 even)."""
-    return _Generator(parity, summands, carry, max_powers, None).build()
+    return _Generator(parity, summands, carry, max_powers, None).build()[0]
 
 
 def fixed_machine(
@@ -466,7 +469,7 @@ def fixed_machine(
 ) -> Nfa:
     """Step-keyed recognizer for one source length, usable below the
     uniform layout minimum."""
-    return _Generator(parity, summands, carry, max_powers, source_length).build()
+    return _Generator(parity, summands, carry, max_powers, source_length).build()[0]
 
 
 def build_profile_machine(profile: Profile) -> Nfa:
@@ -597,10 +600,10 @@ def family_members(name: str) -> tuple[tuple[Profile, Nfa], ...]:
 
 class FamilyRuntime:
     """A family's profiles, the disjoint union of their trimmed machines, the
-    state where each member starts in it and, built on first use, the
-    union's bitset kernel and its proof machine.  ``generated_states`` and
-    ``generated_transitions`` total the members as generated, before
-    ``trim`` drops their dead states.
+    state where each member starts in it, the generator key of each union
+    state and, built on first use, the union's bitset kernel and its proof
+    machine.  ``generated_states`` and ``generated_transitions`` total the
+    members as generated, before ``trim`` drops their dead states.
 
     The members are trimmed, so their union is trim as it stands and its
     states number the members one after another.  Only the union is kept:
@@ -609,18 +612,22 @@ class FamilyRuntime:
 
     def __init__(self, name: str):
         self.profiles = family_profiles(name)
-        members, self.generated_states, self.generated_transitions = [], 0, 0
-        for profile in self.profiles:
-            nfa = build_profile_machine(profile)
+        members, starts, keys, self._generators = [], [], [], {}
+        self.generated_states = self.generated_transitions = 0
+        for p in self.profiles:
+            self._generators[p] = _Generator(p.parity, p.summands, p.carry, p.max_powers, None)
+            nfa, member_keys = self._generators[p].build()
             self.generated_states += nfa.num_states
             self.generated_transitions += nfa.num_transitions()
-            members.append(trim(nfa))
-        starts, total = [], 0
-        for nfa in members:
-            starts.append(total)
-            total += nfa.num_states
+            live = live_states(nfa)
+            members.append(_renumber(nfa, live))
+            starts.append(len(keys))
+            keys += [member_keys[q] for q in live]
         self.starts = tuple(starts)
         self.union = union(members)
+        self.keys = tuple(keys)
+        # guess records of the union edges decoded so far
+        self._records: dict[tuple[int, int, int], tuple] = {}
 
     @property
     def members(self) -> tuple[tuple[Profile, Nfa], ...]:
@@ -650,6 +657,54 @@ class FamilyRuntime:
     def profile_at(self, state: int) -> Profile:
         """The profile of the member that owns a state of the union."""
         return self.profiles[bisect_right(self.starts, state) - 1]
+
+    def edge_record(self, src: int, sym_id: int, dst: int) -> tuple:
+        """The guess record of a union edge: the move of the generator key
+        of ``src`` on the symbol to the key of ``dst``, in the same member.
+        Raises :class:`RuntimeError` unless exactly one record fits."""
+        edge = (src, sym_id, dst)
+        if edge not in self._records:
+            keys, n, profile = self.keys, len(self.keys), self.profile_at(src)
+            ours = 0 <= src < n and 0 <= dst < n and self.profile_at(dst) is profile
+            moves = self._generators[profile].successors(keys[src]) if ours else ()
+            found = {rec for sym, key, rec in moves if sym == sym_id and key == keys[dst]}
+            if len(found) != 1:
+                raise RuntimeError(f"union edge {edge} decodes to {len(found)} guess records")
+            self._records[edge] = found.pop()
+        return self._records[edge]
+
+    def replay(self, word: FoldedWord, ids: tuple[int, ...], states: list[int]) -> tuple:
+        """The profile, squares and powers of two of an accepting path of
+        the union over a folded word, which stays inside one member.  Its
+        guess records fill each summand's digit stream, and each stream
+        unstacks into that summand's squares."""
+        profile = self.profile_at(states[0])
+        generator = self._generators[profile]
+        i = word.pair_count
+        digits = [[0] * (i + a) for a in generator.aligns]
+        power_columns: list[int] = []
+        # the word's i pair columns come first, then its tail singles
+        for k, edge in enumerate(zip(states, ids, states[1:])):
+            guesses, inj_lo, inj_hi = self._records.get(edge) or self.edge_record(*edge)
+            if k < i:
+                for stream, align, sites in zip(digits, generator.aligns, guesses):
+                    for site, value in sites:
+                        if site == "lo":
+                            stream[k] = value
+                        elif site == "hi":
+                            stream[k - align] = value
+                        else:
+                            stream[i + k] = value
+                power_columns += [k] * inj_lo + [i + k] * inj_hi
+            else:
+                power_columns += [k + i] * inj_lo
+        squares = [
+            int("".join(["1" if d > r else "0" for d in reversed(stream)]), 2)
+            * ((1 << len(stream)) + 1)
+            for s, stream in zip(generator.active, digits)
+            for r in range(s.count)
+        ]
+        return profile, squares, [1 << c for c in power_columns]
 
 
 @lru_cache(maxsize=None)

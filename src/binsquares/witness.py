@@ -6,10 +6,9 @@ compiled once per family into the bitset kernel of :mod:`automata`:
 a forward pass keeps one state mask per word position, a backward pass
 keeps the states that still reach the chosen final state, and a greedy
 walk takes the lowest such state at each step.  The accepting path lands
-inside exactly one member, the per-edge guess records along that path
-rebuild each summand's digit stream, and unstacking the streams gives the
-parts.  Every returned decomposition is re-verified by predicate and sum
-before it leaves this module."""
+inside exactly one member, which the family runtime decodes into squares and
+powers of two.  Every returned decomposition is re-verified by predicate and
+sum before it leaves this module."""
 
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 from .automata import AcceptingPath, accepting_path
 from .folding import fold
-from .lemma_machines import alignment, family_runtime
+from .lemma_machines import family_runtime
 from .numberforms import (
     GroundSetKind,
     is_binary_square,
@@ -87,39 +86,6 @@ class Decomposition:
 # -- machine-path plumbing -------------------------------------------------
 
 
-def _replay(profile, nfa, word, ids, states):
-    """Decode one accepting path into digit streams and power columns."""
-    i = word.pair_count
-    active = [s for s in profile.summands if s.count]
-    aligns = [alignment(profile.parity, s.offset) for s in active]
-    digits = [[0] * (i + a) for a in aligns]
-    power_columns: list[int] = []
-    for k, (sym, sid) in enumerate(zip(word.symbols, ids)):
-        guesses, inj_lo, inj_hi = nfa.edge_data[(states[k], sid, states[k + 1])]
-        if sym.is_pair:
-            for idx, records in enumerate(guesses):
-                for site, value in records:
-                    if site == "lo":
-                        digits[idx][k] = value
-                    elif site == "hi":
-                        digits[idx][k - aligns[idx]] = value
-                    else:
-                        digits[idx][i + k] = value
-            power_columns += [k] * inj_lo + [i + k] * inj_hi
-        else:
-            power_columns += [k + i] * inj_lo
-    squares: list[int] = []
-    for s, a, stream in zip(active, aligns, digits):
-        h = i + a
-        for r in range(s.count):
-            root = 0
-            for j, d in enumerate(stream):
-                if d > r:
-                    root |= 1 << j
-            squares.append(root * ((1 << h) + 1))
-    return squares, [1 << c for c in power_columns]
-
-
 def _machine_decompose(value: int, family: str):
     word = fold(value)
     runtime = family_runtime(family)
@@ -127,9 +93,7 @@ def _machine_decompose(value: int, family: str):
     path = accepting_path(runtime.kernel, ids)
     if path.states is None:
         raise NotRepresentable(value, family)
-    # a disjoint-union path stays inside one member from start to finish
-    profile = runtime.profile_at(path.states[0])
-    squares, powers = _replay(profile, runtime.union, word, ids, path.states)
+    profile, squares, powers = runtime.replay(word, ids, path.states)
     return squares, powers, profile.label, path
 
 

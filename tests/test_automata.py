@@ -407,28 +407,6 @@ def test_empty_counterexample_word():
     assert res.counterexample == ()
 
 
-def test_edge_annotations_survive_union_and_trim():
-    b1 = NfaBuilder(BITS)
-    b1.mark_initial(0)
-    b1.mark_final(1)
-    b1.add_edge(0, X1, 1, data=("first", 7))
-    m1 = b1.build()
-    b2 = NfaBuilder(BITS)
-    b2.mark_initial(0)
-    b2.mark_final(1)
-    b2.add_edge(0, X0, 1, data=("second", 9))
-    b2.add_edge(1, X0, 2, data=("dead", 0))
-    m2 = b2.build()
-    u = union([m1, m2])
-    sym0, sym1 = BITS.id_of(X0), BITS.id_of(X1)
-    assert u.edge_data[(0, sym1, 1)] == ("first", 7)
-    assert u.edge_data[(m1.num_states, sym0, m1.num_states + 1)] == ("second", 9)
-    t = trim(u)
-    assert sorted(t.edge_data.values()) == [("first", 7), ("second", 9)]
-    for (src, sym_id, dst), _ in t.edge_data.items():
-        assert dst in t.transitions[src][sym_id]
-
-
 def test_dot_export_shape():
     text = to_dot(even_ones_machine(), name="parity")
     assert text.startswith("digraph parity {")
@@ -596,4 +574,3 @@ def test_quotient_merges_states_with_the_same_future():
     collapsed = quotient(nfa)
     assert (nfa.num_states, collapsed.machine.num_states) == (5, 3)
     assert collapsed.machine.num_transitions() == 2
-    assert collapsed.machine.edge_data == {}

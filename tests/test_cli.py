@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from binsquares import cli
+from binsquares import automata, cli, lemma_machines, witness
 
 GOLDEN = Path(__file__).parent / "data" / "four_squares_exceptions.txt"
 
@@ -149,6 +149,53 @@ def test_verify_generalized_odd_holds(capsys):
     assert 0 <= record["build_seconds"] <= record["wall_seconds"]
     assert 0 <= record["quotient_seconds"] <= record["wall_seconds"]
     assert 0 <= record["inclusion_seconds"] <= record["wall_seconds"]
+
+
+def test_failed_quotient_check_exits_four(capsys, monkeypatch):
+    def no_initial(nfa):
+        collapsed = automata.quotient(nfa)
+        machine = automata.Nfa(
+            collapsed.machine.alphabet,
+            collapsed.machine.num_states,
+            frozenset(),
+            collapsed.machine.final,
+            collapsed.machine.transitions,
+        )
+        return collapsed._replace(machine=machine)
+
+    monkeypatch.setattr(lemma_machines, "quotient", no_initial)
+    # a fresh runtime, so no proof machine cached by another test is reused
+    monkeypatch.setattr(cli, "family_runtime", lemma_machines.FamilyRuntime)
+    code, out, err = run(capsys, "verify", "generalized-odd")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: backward quotient check failed")
+    assert err.count("\n") == 1
+
+
+def test_failed_witness_self_check_exits_four(capsys, monkeypatch):
+    replay = lemma_machines.FamilyRuntime.replay
+
+    def off_by_one(self, word, ids, states):
+        profile, squares, powers = replay(self, word, ids, states)
+        return profile, [squares[0] + 1, *squares[1:]], powers
+
+    monkeypatch.setattr(lemma_machines.FamilyRuntime, "replay", off_by_one)
+    code, out, err = run(capsys, "decompose", str(1 << 40))
+    assert (code, out) == (4, "")
+    assert err == f"error: parts do not sum to {1 << 40}\n"
+
+
+def test_failed_edge_decoding_exits_four(capsys, monkeypatch):
+    def shifted_keys(name):
+        runtime = lemma_machines.FamilyRuntime(name)
+        runtime.keys = runtime.keys[1:] + runtime.keys[:1]
+        return runtime
+
+    monkeypatch.setattr(witness, "family_runtime", shifted_keys)
+    code, out, err = run(capsys, "decompose", "--mode", "generalized", str(1 << 40))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: union edge (")
+    assert err.endswith("decodes to 0 guess records\n")
 
 
 def test_export_dot_and_ats(capsys, tmp_path):

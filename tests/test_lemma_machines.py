@@ -8,6 +8,7 @@ import hashlib
 
 import pytest
 
+from binsquares import lemma_machines
 from binsquares.automata import includes, quotient, trim
 from binsquares.folding import fold, syntax_checker, unfold
 from binsquares.lemma_machines import (
@@ -331,10 +332,11 @@ def test_manifest_shape():
 
 def test_edge_annotations_route_to_known_sites():
     for name in ("a-odd", "generalized-even", "square-power-odd"):
-        for profile, nfa in family_members(name):
+        runtime = family_runtime(name)
+        for (profile, nfa), start in zip(runtime.members, runtime.starts):
             seen = 0
             for src, sym_id, dst in nfa.walk():
-                data = nfa.edge_data.get((src, sym_id, dst))
+                data = runtime.edge_record(start + src, sym_id, start + dst)
                 assert data is not None
                 guesses, inj_lo, inj_hi = data
                 assert len(guesses) == sum(
@@ -349,6 +351,40 @@ def test_edge_annotations_route_to_known_sites():
                         assert 0 <= value <= summand.count
                 seen += 1
             assert seen == nfa.num_transitions()
+
+
+def test_decoding_an_edge_the_union_lacks_raises():
+    runtime = family_runtime("generalized-odd")
+    union = runtime.union
+    # an edge into a member's accepting state; every member has one, and
+    # they all have the same generator key
+    src, sym_id, dst = next(e for e in union.walk() if e[2] in union.final)
+    owner = runtime.profile_at(dst)
+    elsewhere = next(q for q in union.final if runtime.profile_at(q) is not owner)
+    missing = next(s for s in range(len(union.alphabet)) if s not in union.transitions[src])
+    for edge in (
+        (src, missing, dst),
+        (src, sym_id, elsewhere),
+        (src, sym_id, src),
+        (src, sym_id, union.num_states),
+        (-1, sym_id, dst),
+    ):
+        with pytest.raises(RuntimeError, match="decodes to 0 guess records"):
+            runtime.edge_record(*edge)
+    assert runtime.edge_record(src, sym_id, dst)
+
+
+def test_decoding_an_edge_with_two_guess_records_raises(monkeypatch):
+    successors = lemma_machines._Generator.successors
+
+    def with_twins(self, key):
+        moves = successors(self, key)
+        return moves + [(sym, new, rec + ("twin",)) for sym, new, rec in moves]
+
+    runtime = lemma_machines.FamilyRuntime("generalized-odd")
+    monkeypatch.setattr(lemma_machines._Generator, "successors", with_twins)
+    with pytest.raises(RuntimeError, match="decodes to 2 guess records"):
+        runtime.edge_record(*next(runtime.union.walk()))
 
 
 UNION_STATES = {
@@ -370,7 +406,6 @@ def test_family_union_of_trimmed_members_is_trim(name):
     trimmed = trim(combined)
     assert trimmed.num_states == combined.num_states
     assert trimmed.transitions == combined.transitions
-    assert trimmed.edge_data == combined.edge_data
     assert (trimmed.initial, trimmed.final) == (combined.initial, combined.final)
     # the member offsets partition the union's states in member order; a
     # member whose language is empty trims to no states and owns none
@@ -381,7 +416,9 @@ def test_family_union_of_trimmed_members_is_trim(name):
 
 # sha256 over each family's members, in order, and then its union; the first
 # 16 hex digits.  Any change to state numbering, transitions, initial or
-# final sets or edge annotations moves them.
+# final sets or the guess records decoded for the edges moves them.  They
+# were pinned when the records were stored on the edges, so they show that
+# decoding recovers every stored record.
 GOLDEN_MACHINES = {
     "a-odd": "3f3cab502ad953e1",
     "a-even": "12c004216f435ffc",
@@ -392,14 +429,18 @@ GOLDEN_MACHINES = {
 }
 
 
-def machine_bytes(nfa):
+def machine_bytes(nfa, runtime, start):
+    """``nfa`` is the union or a member starting at union state ``start``."""
     return repr(
         (
             nfa.num_states,
             sorted(nfa.initial),
             sorted(nfa.final),
             [sorted(row.items()) for row in nfa.transitions],
-            sorted(nfa.edge_data.items()),
+            sorted(
+                ((src, sym, dst), runtime.edge_record(start + src, sym, start + dst))
+                for src, sym, dst in nfa.walk()
+            ),
         )
     ).encode()
 
@@ -408,9 +449,9 @@ def machine_bytes(nfa):
 def test_family_machines_match_golden_digests(name):
     runtime = family_runtime(name)
     digest = hashlib.sha256()
-    for _, nfa in runtime.members:
-        digest.update(machine_bytes(nfa))
-    digest.update(machine_bytes(runtime.union))
+    for (_, nfa), start in zip(runtime.members, runtime.starts):
+        digest.update(machine_bytes(nfa, runtime, start))
+    digest.update(machine_bytes(runtime.union, runtime, 0))
     assert digest.hexdigest()[:16] == GOLDEN_MACHINES[name]
 
 

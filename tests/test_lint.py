@@ -36,9 +36,9 @@ def test_imports_only_the_standard_library(path):
     assert not outside, f"{path.name}: imports {sorted(outside)}"
 
 
-def test_proofcheck_imports_only_the_machine_type():
-    # the quotient checks must share no code with the refinement they check
-    path = PACKAGE / "proofcheck.py"
+def package_imports(name):
+    """The names a module imports from the package, as module:name."""
+    path = PACKAGE / name
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imported = []
     for node in ast.walk(tree):
@@ -47,4 +47,15 @@ def test_proofcheck_imports_only_the_machine_type():
         elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("binsquares")):
             module = "." * node.level + (node.module or "")
             imported += [f"{module}:{alias.name}" for alias in node.names]
-    assert imported == [".automata:Nfa"], imported
+    return imported
+
+
+def test_proofcheck_imports_only_the_machine_type():
+    # the quotient checks must share no code with the refinement they check
+    assert package_imports("proofcheck.py") == [".automata:Nfa"]
+
+
+def test_automata_imports_nothing_from_the_package():
+    # the NFA kit stays generic: what a machine's edges mean is known only
+    # to the module that generates it
+    assert package_imports("automata.py") == []

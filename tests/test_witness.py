@@ -233,6 +233,26 @@ def family_of(prefix, bits):
     return f"{prefix}-{'odd' if bits % 2 else 'even'}"
 
 
+# sha256 of machine_path_lines(), pinned when guesses were still recorded on
+# the machines' edges; decoding them from the generator must agree
+MACHINE_PATH_DIGEST = "53f5c3e3b05ef5106277594e299a97cf876a4b92620aba4ad6a410dc0eb0ca2e"
+
+
+def machine_path_lines():
+    rng = random.Random(2001)
+    for mode, (fn, _) in MODES.items():
+        for _ in range(30):
+            bits = rng.randrange(18, 2002)
+            value = rng.randrange(1 << (bits - 1), 1 << bits)
+            d = fn(value)
+            yield repr((mode, value, d.parts, d.profile, d.states_visited, d.frontier_max))
+
+
+def test_machine_path_witnesses_are_pinned():
+    text = "\n".join(machine_path_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == MACHINE_PATH_DIGEST
+
+
 @st.composite
 def folded_inputs(draw):
     """A family and a word for it: the folded word of a random value, or
