@@ -91,9 +91,6 @@ class Alphabet:
         except KeyError:
             raise KeyError(f"symbol {symbol.render()} not in alphabet") from None
 
-    def encode(self, word: Iterable[Symbol]) -> tuple[int, ...]:
-        return tuple(self.id_of(s) for s in word)
-
     def decode(self, ids: Iterable[int]) -> tuple[Symbol, ...]:
         return tuple(self.symbols[i] for i in ids)
 

@@ -10,6 +10,12 @@ leading bit as the single 1f.  Even lengths n = 2i+4 fold the low 2i bits
 into pairs tagged a b c...c d e and keep four singles f g h i, the last
 being the leading 1.  Short words truncate the tag runs: the interior run
 (a for odd, c for even) empties first, then b drops, then a.
+
+This module is the only one that knows the folded word.  Letters travel as
+ids: one ``(tag, bits) -> id`` table per parity (:func:`letter_ids`) numbers
+them, and :func:`fold` reads a value's bits straight into that table.  One
+layout table (:func:`fold_layout`) gives the tag moves of each position, and
+drives both the syntax checkers and the machine generators.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ SINGLE_TAGS = {"odd": ("f",), "even": ("f", "g", "h", "i")}
 # source bits outside the pair block, one per single: an n-bit word of the
 # parity has (n - SPAN[parity]) / 2 pairs
 SPAN = {parity: len(tags) for parity, tags in SINGLE_TAGS.items()}
+# the interior run absorbs the slack between lengths; the looping chain
+# starts where the fold has an a pair (odd) or an a and a b pair (even)
+INTERIOR = {"odd": "a", "even": "c"}
+LOOP_MIN = {"odd": 11, "even": 12}
 
 
 def pair_count(parity: str, length: int) -> int:
@@ -59,10 +69,6 @@ def pair_tags(parity: str, pair_count: int) -> tuple[str, ...]:
     raise ValueError(f"unknown parity {parity!r}")
 
 
-def _pair_symbols(tag: str) -> tuple[Symbol, ...]:
-    return tuple(Symbol(tag, (hi, lo)) for hi in (0, 1) for lo in (0, 1))
-
-
 @lru_cache(maxsize=None)
 def alphabet_for(parity: str) -> Alphabet:
     """Full symbol set for one parity.
@@ -70,9 +76,7 @@ def alphabet_for(parity: str) -> Alphabet:
     Final singles exist only with bit 1: a canonical number always has a
     leading 1, so 0f (odd) and 0i (even) label no word at all.
     """
-    symbols: list[Symbol] = []
-    for tag in PAIR_TAGS:
-        symbols.extend(_pair_symbols(tag))
+    symbols = [Symbol(tag, (hi, lo)) for tag in PAIR_TAGS for hi in (0, 1) for lo in (0, 1)]
     if parity == "odd":
         symbols.append(Symbol("f", (1,)))
     elif parity == "even":
@@ -85,14 +89,50 @@ def alphabet_for(parity: str) -> Alphabet:
     return Alphabet(symbols)
 
 
+@lru_cache(maxsize=None)
+def letter_ids(parity: str) -> dict[tuple[str, tuple[int, ...]], int]:
+    """The id of each letter of the parity's alphabet, by (tag, bits)."""
+    return {(s.tag, s.bits): k for k, s in enumerate(alphabet_for(parity).symbols)}
+
+
+@lru_cache(maxsize=None)
+def fold_layout(parity: str, source_length: int, loop: bool) -> tuple[tuple[tuple[str, int], ...], ...]:
+    """The tag chain of the folds of a length: the (tag, next position)
+    moves of each position, pairs first, then the tail singles; the last
+    position ends the word and has none.
+
+    With ``loop`` the position that reads the tag after the interior run
+    also loops on the interior tag, so the chain reads every longer fold of
+    the parity as well: the syntax checker's graph, and at ``LOOP_MIN`` the
+    positions of the uniform machines.
+    """
+    i = pair_count(parity, source_length)
+    tags = pair_tags(parity, i) + SINGLE_TAGS[parity]
+    moves = [[(tag, k + 1)] for k, tag in enumerate(tags)] + [[]]
+    if loop:
+        if source_length < LOOP_MIN[parity]:
+            raise ValueError(f"a looping {parity} chain needs a length of at least {LOOP_MIN[parity]}")
+        interior = INTERIOR[parity]
+        at = sum(tag <= interior for tag in tags[:i])
+        moves[at].insert(0, (interior, at))
+    return tuple(map(tuple, moves))
+
+
 @dataclass(frozen=True)
 class FoldedWord:
+    """A folded number as letter ids of its parity's alphabet."""
+
     parity: str
-    symbols: tuple[Symbol, ...]
+    ids: tuple[int, ...]
+
+    @property
+    def symbols(self) -> tuple[Symbol, ...]:
+        """The letters the ids stand for, for text and for tests."""
+        return alphabet_for(self.parity).decode(self.ids)
 
     @property
     def pair_count(self) -> int:
-        return len(self.symbols) - len(SINGLE_TAGS[self.parity])
+        return len(self.ids) - len(SINGLE_TAGS[self.parity])
 
     @property
     def source_length(self) -> int:
@@ -110,15 +150,10 @@ def fold(value: int) -> FoldedWord:
     bits = to_bits(value)
     parity = "odd" if len(bits) % 2 else "even"
     i = pair_count(parity, len(bits))
-    tags = pair_tags(parity, i)
-    symbols = [
-        Symbol(tags[k], (bits[i + k], bits[k])) for k in range(i)
-    ]
-    symbols.extend(
-        Symbol(tag, (bits[2 * i + t],))
-        for t, tag in enumerate(SINGLE_TAGS[parity])
-    )
-    return FoldedWord(parity, tuple(symbols))
+    letters = letter_ids(parity)
+    ids = [letters[tag, (bits[i + k], bits[k])] for k, tag in enumerate(pair_tags(parity, i))]
+    ids += [letters[tag, (bits[2 * i + t],)] for t, tag in enumerate(SINGLE_TAGS[parity])]
+    return FoldedWord(parity, tuple(ids))
 
 
 def unfold(symbols: Iterable[Symbol]) -> int:
@@ -159,37 +194,16 @@ def syntax_checker(parity: str, min_source_length: int) -> Nfa:
     The interior tag run absorbs the slack: every extra two bits of source
     add one more interior pair, so one looping state covers all lengths.
     """
-    alphabet = alphabet_for(parity)
-    builder = NfaBuilder(alphabet)
-    mandatory = pair_count(parity, min_source_length) - 4
-    if parity == "odd":
-        if mandatory < 1:
-            raise ValueError("odd checker needs an odd bound of at least 11")
-        chain = ["a"] * mandatory + ["b", "c", "d", "e"]
-        loop_at, loop_tag = mandatory, "a"
-        tail = [("f", (1,))]
-    else:
-        if mandatory < 0:
-            raise ValueError("even checker needs an even bound of at least 12")
-        chain = ["a", "b"] + ["c"] * mandatory + ["d", "e"]
-        loop_at, loop_tag = 2 + mandatory, "c"
-        tail = [("f", (0,)), ("f", (1,)), ("g", (0,)), ("g", (1,)),
-                ("h", (0,)), ("h", (1,)), ("i", (1,))]
+    layout = fold_layout(parity, min_source_length, True)
+    letters = letter_ids(parity)
+    builder = NfaBuilder(alphabet_for(parity))
     builder.mark_initial(0)
-    for step, tag in enumerate(chain):
-        for symbol in _pair_symbols(tag):
-            builder.add_edge(step, symbol, step + 1)
-    for symbol in _pair_symbols(loop_tag):
-        builder.add_edge(loop_at, symbol, loop_at)
-    state = len(chain)
-    singles: dict[str, list[tuple[int, ...]]] = {}
-    for tag, bits in tail:
-        singles.setdefault(tag, []).append(bits)
-    for tag in SINGLE_TAGS[parity]:
-        for bits in singles[tag]:
-            builder.add_edge(state, Symbol(tag, bits), state + 1)
-        state += 1
-    builder.mark_final(state)
+    for pos, moves in enumerate(layout):
+        for tag, nxt in moves:
+            for (letter_tag, _), sym_id in letters.items():
+                if letter_tag == tag:
+                    builder.add_edge(pos, sym_id, nxt)
+    builder.mark_final(len(layout) - 1)
     return builder.build()
 
 

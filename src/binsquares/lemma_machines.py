@@ -23,10 +23,14 @@ consistent only when the low chain ends by producing exactly that seam
 carry.  Optional powers of two enter as single-column injections counted
 against a budget.
 
-Machines come in two builds.  Uniform ones key their rules on tags alone,
-so one machine covers every source length at or above the layout minimum
-(11 for odd, 12 for even).  Fixed-length ones key on step indices and reach
-the short layouts the uniform rules cannot express.
+Machines come in two builds, and both walk a layout table of
+:mod:`folding`.  Uniform ones walk the looping chain of the minimal syntax
+checker (11 bits for odd, 12 for even) and key their rules on tags alone:
+the position in each state key is a state of that checker, so a machine's
+language lies inside the checker's, and one machine covers every source
+length at or above the minimum.  Fixed-length ones walk the loop-free chain
+of one length, key on step indices and reach the short layouts the uniform
+rules cannot express.
 
 A move carries a guess record: per summand the digits guessed and their
 sites ("lo", "hi", "top"), plus the powers of two injected.  Machines keep no
@@ -34,8 +38,8 @@ records: a runtime re-expands the source key of a path edge to decode it.
 
 Generation memoises the product of a pair column.  The guess combinations a
 column offers, with their digit sums, new slots and guess records, depend
-on the phase, the slots, the tag and the powers used so far, never on the two
-carries.  So each product is computed once per machine, and a state that
+on the position, the slots, the tag and the powers used so far, never on the
+two carries.  So each product is computed once per machine, and a state that
 shares it only adds its carries to the sums.
 """
 
@@ -56,11 +60,20 @@ from .automata import (
     quotient,
     union,
 )
-from .folding import PAIR_TAGS, SINGLE_TAGS, SPAN, FoldedWord, alphabet_for, pair_count, pair_tags
+from .folding import (
+    LOOP_MIN,
+    SINGLE_TAGS,
+    SPAN,
+    FoldedWord,
+    alphabet_for,
+    fold_layout,
+    letter_ids,
+    pair_count,
+    pair_tags,
+)
 from .proofcheck import check_backward, check_forward
 
 TOP_KINDS = ("exact", "free", "zero")
-_ACCEPT = ("ACC",)
 
 
 def digit_step(addends: tuple[int, ...], carry_in: int) -> tuple[int, int]:
@@ -119,21 +132,6 @@ def alignment(parity: str, offset: int) -> int:
     return align
 
 
-_ODD_PHASES = {
-    "P0": (("a", "PA"),),
-    "PA": (("a", "PA"), ("b", "PB")),
-    "PB": (("c", "PC"),),
-    "PC": (("d", "PD"),),
-    "PD": (("e", "PE"),),
-}
-_EVEN_PHASES = {
-    "P0": (("a", "PA"),),
-    "PA": (("b", "PB"),),
-    "PB": (("c", "PB"), ("d", "PC")),
-    "PC": (("e", "PE"),),
-}
-
-
 class _Generator:
     """Worklist expansion of one machine's reachable state graph."""
 
@@ -161,35 +159,33 @@ class _Generator:
                 raise ValueError("a wider odd summand only fits with a zero top")
         if source_length is None:
             self.i = None
+            self.layout = fold_layout(parity, LOOP_MIN[parity], True)
         else:
             self.i = pair_count(parity, source_length)
-            self.tags = pair_tags(parity, self.i)
+            self.layout = fold_layout(parity, source_length, False)
             for s, a in zip(self.active, self.aligns):
                 if a < 0 and self.i < -2 * a:
                     raise ValueError(f"offset {s.offset} needs more pair columns")
                 if a > 0 and self.i < a:
                     raise ValueError(f"offset {s.offset} needs more pair columns")
-        self.alphabet = alphabet_for(parity)
-        self.letters = {(s.tag, s.bits): i for i, s in enumerate(self.alphabet.symbols)}
-        # symbol id of the pair letter [hi, lo] under a tag: pair_ids[tag][hi][lo]
-        self.pair_ids = {
-            tag: tuple(tuple(self.letters[tag, (hi, lo)] for lo in (0, 1)) for hi in (0, 1))
-            for tag in PAIR_TAGS
-        }
+        self.letters = letter_ids(parity)
+        # every word ends at the layout's last position, in one accept state
+        self.accept = (len(self.layout) - 1,)
         # pair moves by (pos, slots, tag, used), shared by every carry pair;
         # dropped when build() returns, refilled by the keys decoding expands
         self._moves: dict[tuple, list] = {}
 
-    # State layout: (pos, slots, c_lo, c_hi, used) where pos is a phase
-    # name (uniform) or step index (fixed), slots holds per-summand
-    # bookkeeping, and used counts placed power injections.
+    # State layout: (pos, slots, c_lo, c_hi, used) where pos is a position
+    # of the fold layout (a state of the minimal syntax checker, uniform, or
+    # a step index, fixed), slots holds per-summand bookkeeping, and used
+    # counts placed power injections.  The accept key holds only the last
+    # position.
 
     def build(self) -> tuple[Nfa, list[tuple]]:
         """The machine and the generator key of each of its states."""
-        builder = NfaBuilder(self.alphabet)
-        start_pos: object = "P0" if self.i is None else 0
+        builder = NfaBuilder(alphabet_for(self.parity))
         slots = tuple(((), ()) if a else () for a in self.aligns)
-        start = (start_pos, slots, 0, self.carry, 0)
+        start = (0, slots, 0, self.carry, 0)
         builder.mark_initial(start)
         seen = {start}
         work = [start]
@@ -200,45 +196,34 @@ class _Generator:
                 if new_key not in seen:
                     seen.add(new_key)
                     work.append(new_key)
-        if builder.known(_ACCEPT):
-            builder.mark_final(_ACCEPT)
+        if builder.known(self.accept):
+            builder.mark_final(self.accept)
         self._moves = {}
         return builder.build(), builder.keys()
 
     def successors(self, key: tuple) -> list[tuple[int, tuple, tuple]]:
         """Every (symbol id, successor key, guess record) move of a state."""
         pos = key[0]
-        if self.i is None:
-            phases = _ODD_PHASES if self.parity == "odd" else _EVEN_PHASES
-            if pos in phases:
-                out: list[tuple] = []
-                for tag, nxt in phases[pos]:
-                    out.extend(self._pair_edges(key, tag, nxt, None))
-                return out
-            if pos == "PE":
-                return self._single_edges(key, 0)
-            if isinstance(pos, tuple) and pos and pos[0] == "S":
-                return self._single_edges(key, pos[1] + 1)
-            return []
-        if not isinstance(pos, int):
-            return []
-        if pos < self.i:
-            return self._pair_edges(key, self.tags[pos], pos + 1, pos)
-        if pos < self.i + len(self.singles):
-            return self._single_edges(key, pos - self.i)
-        return []
+        step = None if self.i is None else pos
+        out: list[tuple] = []
+        for tag, nxt in self.layout[pos]:
+            if tag in self.singles:
+                out.extend(self._single_edges(key, self.singles.index(tag), nxt))
+            else:
+                out.extend(self._pair_edges(key, tag, nxt, step))
+        return out
 
     # -- pair steps --------------------------------------------------------
 
     def _pair_edges(
-        self, key: tuple, tag: str, next_pos: object, step: int | None
+        self, key: tuple, tag: str, next_pos: int, step: int | None
     ) -> list[tuple[int, tuple, tuple]]:
         pos, slots, c_lo, c_hi, used = key
         memo = (pos, slots, tag, used)
         moves = self._moves.get(memo)
         if moves is None:
             moves = self._moves[memo] = self._pair_moves(slots, tag, step, used)
-        ids = self.pair_ids[tag]
+        letters = self.letters
         at_seam = tag == "e"
         out = []
         for add_lo, add_hi, new_slots, used2, data in moves:
@@ -249,7 +234,7 @@ class _Generator:
                     continue
                 nc_lo = 0
             new_key = (next_pos, new_slots, nc_lo, total_hi >> 1, used2)
-            out.append((ids[total_hi & 1][total_lo & 1], new_key, data))
+            out.append((letters[tag, (total_hi & 1, total_lo & 1)], new_key, data))
         return out
 
     def _pair_moves(
@@ -410,10 +395,10 @@ class _Generator:
 
     # -- tail singles ------------------------------------------------------
 
-    def _single_edges(self, key: tuple, tau: int) -> list[tuple[int, tuple, tuple]]:
+    def _single_edges(self, key: tuple, tau: int, next_pos: int) -> list[tuple[int, tuple, tuple]]:
         """One tail column: the high-track carry chains through, and the
         last column must produce a bare 1."""
-        pos, slots, _, c_hi, used = key
+        _, slots, _, c_hi, used = key
         final = tau == len(self.singles) - 1
         tag = self.singles[tau]
         adds = []
@@ -429,9 +414,8 @@ class _Generator:
             data = (no_guesses, inj, 0)
             if final:
                 if bit == 1 and not carry:
-                    out.append((self.letters[tag, (1,)], _ACCEPT, data))
+                    out.append((self.letters[tag, (1,)], self.accept, data))
             else:
-                next_pos = ("S", tau) if self.i is None else pos + 1
                 nk = (next_pos, tuple(new_slots), 0, carry, used2)
                 out.append((self.letters[tag, (bit,)], nk, data))
         return out
@@ -470,12 +454,6 @@ def fixed_machine(
     """Step-keyed recognizer for one source length, usable below the
     uniform layout minimum."""
     return _Generator(parity, summands, carry, max_powers, source_length).build()[0]
-
-
-def build_profile_machine(profile: Profile) -> Nfa:
-    return uniform_machine(
-        profile.parity, profile.summands, profile.carry, profile.max_powers
-    )
 
 
 # -- shipped machine families ---------------------------------------------
@@ -673,7 +651,7 @@ class FamilyRuntime:
             self._records[edge] = found.pop()
         return self._records[edge]
 
-    def replay(self, word: FoldedWord, ids: tuple[int, ...], states: list[int]) -> tuple:
+    def replay(self, word: FoldedWord, states: list[int]) -> tuple:
         """The profile, squares and powers of two of an accepting path of
         the union over a folded word, which stays inside one member.  Its
         guess records fill each summand's digit stream, and each stream
@@ -684,7 +662,7 @@ class FamilyRuntime:
         digits = [[0] * (i + a) for a in generator.aligns]
         power_columns: list[int] = []
         # the word's i pair columns come first, then its tail singles
-        for k, edge in enumerate(zip(states, ids, states[1:])):
+        for k, edge in enumerate(zip(states, word.ids, states[1:])):
             guesses, inj_lo, inj_hi = self._records.get(edge) or self.edge_record(*edge)
             if k < i:
                 for stream, align, sites in zip(digits, generator.aligns, guesses):
@@ -745,17 +723,18 @@ def accept_set(nfa: Nfa, parity: str, source_length: int) -> set[int]:
     first, so prefixes share their work and the stack grows with the length
     alone."""
     i = pair_count(parity, source_length)
-    ids = {(s.tag, s.bits): k for k, s in enumerate(nfa.alphabet.symbols)}
-    # per word position, the value bits and letter of each symbol it may hold
-    letters = [
-        [((hi << i | lo) << k, (tag, (hi, lo))) for hi in (0, 1) for lo in (0, 1)]
+    if nfa.alphabet.symbols != alphabet_for(parity).symbols:
+        raise ValueError(f"the machine does not read {parity} folds")
+    letters = letter_ids(parity)
+    # per word position, the value bits and letter id of each letter it may
+    # hold; the leading 0f and 0i are no letters and label no word
+    columns = [
+        [((hi << i | lo) << k, letters[tag, (hi, lo)]) for hi in (0, 1) for lo in (0, 1)]
         for k, tag in enumerate(pair_tags(parity, i))
     ] + [
-        [(bit << 2 * i + t, (tag, (bit,))) for bit in (0, 1)]
+        [(bit << 2 * i + t, letters[tag, (bit,)]) for bit in (0, 1) if (tag, (bit,)) in letters]
         for t, tag in enumerate(SINGLE_TAGS[parity])
     ]
-    # letters the alphabet lacks, the leading 0f and 0i among them, label no word
-    columns = [[(bits, ids[key]) for bits, key in column if key in ids] for column in letters]
     kernel = compile_nfa(nfa)
     found: set[int] = set()
     stack = [(0, kernel.initial, 0)]

@@ -89,11 +89,10 @@ class Decomposition:
 def _machine_decompose(value: int, family: str):
     word = fold(value)
     runtime = family_runtime(family)
-    ids = runtime.union.alphabet.encode(word.symbols)
-    path = accepting_path(runtime.kernel, ids)
+    path = accepting_path(runtime.kernel, word.ids)
     if path.states is None:
         raise NotRepresentable(value, family)
-    profile, squares, powers = runtime.replay(word, ids, path.states)
+    profile, squares, powers = runtime.replay(word, path.states)
     return squares, powers, profile.label, path
 
 

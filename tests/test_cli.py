@@ -175,8 +175,8 @@ def test_failed_quotient_check_exits_four(capsys, monkeypatch):
 def test_failed_witness_self_check_exits_four(capsys, monkeypatch):
     replay = lemma_machines.FamilyRuntime.replay
 
-    def off_by_one(self, word, ids, states):
-        profile, squares, powers = replay(self, word, ids, states)
+    def off_by_one(self, word, states):
+        profile, squares, powers = replay(self, word, states)
         return profile, [squares[0] + 1, *squares[1:]], powers
 
     monkeypatch.setattr(lemma_machines.FamilyRuntime, "replay", off_by_one)

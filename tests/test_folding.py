@@ -1,5 +1,6 @@
 """Folding round trips, tag layouts, and the chain syntax checkers."""
 
+import hashlib
 import random
 
 import pytest
@@ -224,3 +225,47 @@ def test_folded_word_properties():
     assert w.parity == "even"
     assert w.source_length == 18
     assert w.pair_count == 7
+    assert w.symbols == alphabet_for("even").decode(w.ids)
+
+
+# sha256 of fold_id_lines() and checker_lines(), pinned while fold still
+# built Symbols and the alphabet encoded them, and while syntax_checker
+# wrote out its own chain: the letter table and the layout table must
+# reproduce both byte for byte
+FOLD_IDS_DIGEST = "530dabb7a2fba0f5189570ca9e956ecbed867612049a1e2bd391c88ee34bbcb3"
+CHECKERS_DIGEST = "8dbe49aa1cefbae26fd3a6586ac3171a3e0a94754f81e1d68507481de472c12e"
+
+
+def fold_id_lines():
+    values = []
+    for value in range(1 << 12):
+        try:
+            fold(value)
+        except ValueError:
+            continue
+        values.append(value)
+    rng = random.Random(4001)
+    for _ in range(40):
+        bits = rng.randrange(64, 4002)
+        values.append(rng.randrange(1 << (bits - 1), 1 << bits))
+    assert len(values) == 4124
+    for value in values:
+        yield repr((value, fold(value).ids))
+
+
+def checker_lines():
+    for parity, lengths in (("odd", range(11, 42, 2)), ("even", range(12, 43, 2))):
+        for length in lengths:
+            nfa = syntax_checker(parity, length)
+            rows = [sorted((sym, sorted(dsts)) for sym, dsts in row.items()) for row in nfa.transitions]
+            yield repr((parity, length, nfa.num_states, sorted(nfa.initial), sorted(nfa.final), rows))
+
+
+def test_fold_ids_are_pinned():
+    text = "\n".join(fold_id_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == FOLD_IDS_DIGEST
+
+
+def test_checkers_are_pinned():
+    text = "\n".join(checker_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == CHECKERS_DIGEST

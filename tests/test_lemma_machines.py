@@ -10,14 +10,13 @@ import pytest
 
 from binsquares import lemma_machines
 from binsquares.automata import includes, quotient, trim
-from binsquares.folding import fold, syntax_checker, unfold
+from binsquares.folding import LOOP_MIN, fold, syntax_checker, unfold
 from binsquares.lemma_machines import (
     FAMILY_NAMES,
     Profile,
     Summand,
     accept_set,
     alignment,
-    build_profile_machine,
     digit_step,
     even_square_profiles,
     family_members,
@@ -124,7 +123,7 @@ def test_generalized_exact(parity, n, pairs):
     expect = window(profile_sum_mask(pairs, 1 << (n + 2), generalized=True), n)
     got = set()
     for p in generalized_profiles(parity):
-        got |= accept_set(build_profile_machine(p), parity, n)
+        got |= accept_set(uniform_machine(p.parity, p.summands, p.carry, p.max_powers), parity, n)
     assert got == expect
     # three free halves reach every value of these lengths
     assert len(got) == 1 << (n - 1)
@@ -153,7 +152,7 @@ def test_square_power_family_exact(parity, n):
     expect = window(expect_mask, n)
     got = set()
     for p in square_power_profiles(parity):
-        got |= accept_set(build_profile_machine(p), parity, n)
+        got |= accept_set(uniform_machine(p.parity, p.summands, p.carry, p.max_powers), parity, n)
     assert got == expect
 
 
@@ -455,6 +454,23 @@ def test_family_machines_match_golden_digests(name):
     assert digest.hexdigest()[:16] == GOLDEN_MACHINES[name]
 
 
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_members_move_in_lockstep_with_the_minimal_checker(name):
+    # the position of a uniform generator key is a state of the minimal
+    # syntax checker, and every move of a member steps the checker on the
+    # same letter, so each member's language lies inside the checker's
+    runtime = family_runtime(name)
+    parity = runtime.profiles[0].parity
+    checker = syntax_checker(parity, LOOP_MIN[parity])
+    position = [key[0] for key in runtime.keys]
+    assert {position[q] for q in runtime.union.initial} <= checker.initial
+    for src, sym, dst in runtime.union.walk():
+        assert position[dst] in checker.transitions[position[src]].get(sym, ())
+        # only the accept key sits at the checker's final state
+        assert (dst in runtime.union.final) == (position[dst] in checker.final)
+        assert (dst in runtime.union.final) == (len(runtime.keys[dst]) == 1)
+
+
 # member totals as generated, before trim drops the dead states
 GENERATED = {
     "a-odd": (7180, 74265),
@@ -521,3 +537,11 @@ def test_lengths_without_a_fold_layout_are_rejected():
     for value in (0, 1, 3, 8, 15):
         with pytest.raises(ValueError, match="length"):
             fold(value)
+
+
+def test_accept_set_rejects_a_machine_of_the_other_parity():
+    # letter ids come from the parity's table, so a machine that reads the
+    # other parity's alphabet would be stepped on letters it does not know
+    nfa = fixed_machine("odd", 11, (Summand(1, 1),), 0)
+    with pytest.raises(ValueError, match="even folds"):
+        accept_set(nfa, "even", 12)

@@ -59,3 +59,20 @@ def test_automata_imports_nothing_from_the_package():
     # the NFA kit stays generic: what a machine's edges mean is known only
     # to the module that generates it
     assert package_imports("automata.py") == []
+
+
+@pytest.mark.parametrize("name", ["witness.py", "lemma_machines.py"])
+def test_letters_reach_the_machine_side_only_as_ids(name):
+    # folding owns the folded word: these modules never build a Symbol or
+    # turn one into its id, so letters arrive as fold's ids
+    path = PACKAGE / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "Symbol":
+                calls.append((node.lineno, "Symbol"))
+            elif isinstance(func, ast.Attribute) and func.attr in ("Symbol", "encode", "id_of"):
+                calls.append((node.lineno, func.attr))
+    assert not calls, f"{name}: letter encoding at {calls}"

@@ -262,7 +262,7 @@ def folded_inputs(draw):
     runtime = family_runtime(family_of(MODES[mode][1], bits))
     if draw(st.integers(0, 4)):
         value = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
-        ids = runtime.union.alphabet.encode(fold(value).symbols)
+        ids = fold(value).ids
     else:
         size = len(runtime.union.alphabet)
         ids = tuple(draw(st.lists(st.integers(0, size - 1), max_size=40)))
@@ -297,7 +297,7 @@ def test_frontier_max_is_the_widest_layer():
     for fn, prefix in MODES.values():
         d = fn(value)
         runtime = family_runtime(family_of(prefix, value.bit_length()))
-        ids = runtime.union.alphabet.encode(fold(value).symbols)
+        ids = fold(value).ids
         _, visited, widest = reference_accepting_path(runtime.union, ids)
         assert (d.states_visited, d.frontier_max) == (visited, widest)
     assert decompose((1 << 17) - 1).frontier_max == 0
