@@ -166,10 +166,6 @@ class NfaBuilder:
     def known(self, key: object) -> bool:
         return key in self._ids
 
-    def keys(self) -> list[object]:
-        """The state keys, indexed by state id."""
-        return list(self._ids)
-
     def mark_initial(self, key: object) -> None:
         self._initial.add(self.state(key))
 
@@ -242,12 +238,22 @@ def live_states(nfa: Nfa) -> list[int]:
                     queue.append(d)
     # successors of reachable states are reachable, so the co-reachable
     # ones among them are found by walking back over their edges alone
+    return co_reachable(transitions, forward.intersection(nfa.final), forward)
+
+
+def co_reachable(
+    transitions: Sequence[Mapping[int, Iterable[int]]],
+    targets: Iterable[int],
+    sources: Iterable[int] | None = None,
+) -> list[int]:
+    """The states with a path to one of ``targets``, in increasing order,
+    walking back over the edges of ``sources`` (every state by default)."""
     reverse: list[list[int]] = [[] for _ in transitions]
-    for src in forward:
+    for src in range(len(transitions)) if sources is None else sources:
         for dsts in transitions[src].values():
             for d in dsts:
                 reverse[d].append(src)
-    backward: set[int] = forward.intersection(nfa.final)
+    backward = set(targets)
     stack = list(backward)
     while stack:
         for p in reverse[stack.pop()]:

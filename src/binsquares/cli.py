@@ -117,6 +117,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "transitions": edges,
         "generated_states": runtime.generated_states,
         "generated_transitions": runtime.generated_transitions,
+        "generator_nodes": runtime.generator_nodes,
         "proof_states": proof.num_states,
         "proof_transitions": proof.num_transitions(),
         "checker_states": checker.num_states,
@@ -136,7 +137,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"states       {states}",
         f"transitions  {edges}",
         f"generated    {runtime.generated_states} states, "
-        f"{runtime.generated_transitions} transitions before trim",
+        f"{runtime.generated_transitions} transitions before trim, "
+        f"from {runtime.generator_nodes} generator nodes",
         f"proof        {proof.num_states} states, "
         f"{record['proof_transitions']} transitions after quotient",
         f"checker      {record['checker_states']} states",
@@ -280,6 +282,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "states_visited": result.states_visited,
         "frontier_max": result.frontier_max,
     }
+    # only a machine-backed result has stages to time
+    record.update({f"{stage}_seconds": round(s, 6) for stage, s in result.stage_seconds.items()})
     lines = [f"{result.target} = " + " + ".join(str(v) for v in result.values())]
     lines.extend(f"  {text}" for text in rendered)
     if result.profile:

@@ -36,11 +36,15 @@ A move carries a guess record: per summand the digits guessed and their
 sites ("lo", "hi", "top"), plus the powers of two injected.  Machines keep no
 records: a runtime re-expands the source key of a path edge to decode it.
 
-Generation memoises the product of a pair column.  The guess combinations a
-column offers, with their digit sums, new slots and guess records, depend
-on the position, the slots, the tag and the powers used so far, never on the
-two carries.  So each product is computed once per machine, and a state that
-shares it only adds its carries to the sums.
+Generation computes the moves of a pair column once per summand shape.  The
+guess combinations a column offers, with their digit sums, new slots and
+output letters, depend on the position, the slots and the powers used so
+far, never on the two carries or the seam carry.  So a shape's table
+interns each (position, slots, used) as one node and expands it once, and
+every member of the shape walks states (node, low carry, high carry) that
+only add their carries to the sums.  A family walks each member into raw
+rows, keeps the states that can still reach acceptance, and writes only
+those straight into its union.
 """
 
 from __future__ import annotations
@@ -52,13 +56,11 @@ from itertools import product as iproduct
 
 from .automata import (
     Nfa,
-    NfaBuilder,
     _BitsetStepper,
     _renumber,
+    co_reachable,
     compile_nfa,
-    live_states,
     quotient,
-    union,
 )
 from .folding import (
     LOOP_MIN,
@@ -74,12 +76,6 @@ from .folding import (
 from .proofcheck import check_backward, check_forward
 
 TOP_KINDS = ("exact", "free", "zero")
-
-
-def digit_step(addends: tuple[int, ...], carry_in: int) -> tuple[int, int]:
-    """One column of multi-operand binary addition: (bit out, carry out)."""
-    total = sum(addends) + carry_in
-    return total & 1, total >> 1
 
 
 @dataclass(frozen=True)
@@ -132,23 +128,31 @@ def alignment(parity: str, offset: int) -> int:
     return align
 
 
-class _Generator:
-    """Worklist expansion of one machine's reachable state graph."""
+# the one accept state of a member, as a (node, c_lo, c_hi) state
+_ACCEPT = (-1, 0, 0)
+
+
+class _ShapeTable:
+    """The interned nodes of one summand shape and their moves.
+
+    A shape is a parity, its summands, a power budget and, for a fixed
+    machine, a source length; the seam carry is left out, so every member
+    that differs only in it shares the table.  A node is a (pos, slots,
+    used) triple: pos is a position of the fold layout (a state of the
+    minimal syntax checker, uniform, or a step index, fixed), slots holds
+    per-summand bookkeeping and used counts placed power injections.
+    """
 
     def __init__(
         self,
         parity: str,
         summands: tuple[Summand, ...],
-        carry: int,
         max_powers: int,
         source_length: int | None,
     ) -> None:
         if parity not in ("odd", "even"):
             raise ValueError("parity must be 'odd' or 'even'")
-        if carry < 0:
-            raise ValueError("seam carry must be >= 0")
         self.parity = parity
-        self.carry = carry
         self.max_powers = max_powers
         self.active = tuple(s for s in summands if s.count > 0)
         self.aligns = tuple(alignment(parity, s.offset) for s in self.active)
@@ -169,73 +173,143 @@ class _Generator:
                 if a > 0 and self.i < a:
                     raise ValueError(f"offset {s.offset} needs more pair columns")
         self.letters = letter_ids(parity)
-        # every word ends at the layout's last position, in one accept state
-        self.accept = (len(self.layout) - 1,)
-        # pair moves by (pos, slots, tag, used), shared by every carry pair;
-        # dropped when build() returns, refilled by the keys decoding expands
-        self._moves: dict[tuple, list] = {}
-
-    # State layout: (pos, slots, c_lo, c_hi, used) where pos is a position
-    # of the fold layout (a state of the minimal syntax checker, uniform, or
-    # a step index, fixed), slots holds per-summand bookkeeping, and used
-    # counts placed power injections.  The accept key holds only the last
-    # position.
-
-    def build(self) -> tuple[Nfa, list[tuple]]:
-        """The machine and the generator key of each of its states."""
-        builder = NfaBuilder(alphabet_for(self.parity))
+        # every word ends in one accept state, whose key holds only the
+        # last position
+        self.accept_key = (len(self.layout) - 1,)
+        self.node_keys: list[tuple] = []
+        self._node_ids: dict[tuple, int] = {}
+        # move lists by node while members are walked, and the (moves,
+        # records) of each node an edge decode has expanded
+        self._moves: dict[int, list] = {}
+        self._decoded: dict[int, tuple[list, list]] = {}
         slots = tuple(((), ()) if a else () for a in self.aligns)
-        start = (0, slots, 0, self.carry, 0)
-        builder.mark_initial(start)
-        seen = {start}
-        work = [start]
-        while work:
-            key = work.pop()
-            for sym_id, new_key, _ in self.successors(key):
-                builder.add_edge(key, sym_id, new_key)
-                if new_key not in seen:
-                    seen.add(new_key)
-                    work.append(new_key)
-        if builder.known(self.accept):
-            builder.mark_final(self.accept)
-        self._moves = {}
-        return builder.build(), builder.keys()
+        self._node((0, slots, 0))
 
-    def successors(self, key: tuple) -> list[tuple[int, tuple, tuple]]:
-        """Every (symbol id, successor key, guess record) move of a state."""
-        pos = key[0]
+    def _node(self, key: tuple) -> int:
+        node = self._node_ids.get(key)
+        if node is None:
+            node = self._node_ids[key] = len(self.node_keys)
+            self.node_keys.append(key)
+        return node
+
+    def key(self, state: tuple[int, int, int]) -> tuple:
+        """The generator key (pos, slots, c_lo, c_hi, used) of a state
+        (node, c_lo, c_hi), or the accept key."""
+        node, c_lo, c_hi = state
+        if node < 0:
+            return self.accept_key
+        pos, slots, used = self.node_keys[node]
+        return (pos, slots, c_lo, c_hi, used)
+
+    def _state(self, key: tuple) -> tuple[int, int, int] | None:
+        if key == self.accept_key:
+            return _ACCEPT
+        if len(key) != 5:
+            return None
+        pos, slots, c_lo, c_hi, used = key
+        node = self._node_ids.get((pos, slots, used))
+        return None if node is None else (node, c_lo, c_hi)
+
+    def expand(self, node: int) -> tuple[list[tuple], list[tuple]]:
+        """Every move of a node, with the guess record of each.
+
+        A move is (low add, high add, target node, check, letters).  check is
+        1 at the seam, where the low chain must produce the seam carry and
+        restart from zero, and 2 on the last single, which must read a bare 1
+        into the accept state.  letters holds the letter id of each (high
+        bit, low bit) output, indexed by 2 * high + low."""
+        pos, slots, used = self.node_keys[node]
         step = None if self.i is None else pos
-        out: list[tuple] = []
+        moves: list[tuple] = []
+        records: list[tuple] = []
         for tag, nxt in self.layout[pos]:
             if tag in self.singles:
-                out.extend(self._single_edges(key, self.singles.index(tag), nxt))
+                self._single_moves(slots, used, self.singles.index(tag), nxt, moves, records)
+                continue
+            letters = tuple(self.letters[tag, (hi, lo)] for hi in (0, 1) for lo in (0, 1))
+            check = 1 if tag == "e" else 0
+            for add_lo, add_hi, new_slots, used2, data in self._pair_moves(slots, tag, step, used):
+                moves.append((add_lo, add_hi, self._node((nxt, new_slots, used2)), check, letters))
+                records.append(data)
+        return moves, records
+
+    @staticmethod
+    def landings(moves: list[tuple], state: tuple[int, int, int], carry: int) -> list:
+        """Where each move takes a state in the member with this seam carry:
+        (symbol id, successor state), or None when the carries rule the move
+        out."""
+        _, c_lo, c_hi = state
+        out = []
+        for add_lo, add_hi, target, check, letters in moves:
+            total_lo, total_hi = add_lo + c_lo, add_hi + c_hi
+            if not check:
+                dst = (target, total_lo >> 1, total_hi >> 1)
+            elif check == 1 and total_lo >> 1 == carry:
+                dst = (target, 0, total_hi >> 1)
+            elif check == 2 and total_hi == 1:
+                dst = _ACCEPT
             else:
-                out.extend(self._pair_edges(key, tag, nxt, step))
+                out.append(None)
+                continue
+            out.append((letters[(total_hi & 1) << 1 | total_lo & 1], dst))
         return out
+
+    def walk(self, carry: int) -> tuple[list[dict[int, set[int]]], list[tuple], int | None]:
+        """One member's reachable states, numbered in worklist order: its
+        rows (symbol id -> successor ids), the state of each id, and the id
+        of the accept state if a word reaches it."""
+        if carry < 0:
+            raise ValueError("seam carry must be >= 0")
+        moves_of, expand, landings = self._moves, self.expand, self.landings
+        states = [(0, 0, carry)]  # the low chain starts at zero
+        ids = {states[0]: 0}
+        rows: list[dict[int, set[int]]] = [{}]
+        work = [0]
+        while work:
+            q = work.pop()
+            state = states[q]
+            node = state[0]
+            if node < 0:
+                continue  # the accept state has no moves
+            moves = moves_of.get(node)
+            if moves is None:
+                moves = moves_of[node] = expand(node)[0]
+            row = rows[q]
+            for landing in landings(moves, state, carry):
+                if landing is None:
+                    continue
+                sym, dst = landing
+                d = ids.get(dst)
+                if d is None:
+                    d = ids[dst] = len(states)
+                    states.append(dst)
+                    rows.append({})
+                    work.append(d)
+                dsts = row.get(sym)
+                if dsts is None:
+                    row[sym] = {d}
+                else:
+                    dsts.add(d)
+        return rows, states, ids.get(_ACCEPT)
+
+    def decode(self, key: tuple, sym_id: int, dst_key: tuple, carry: int) -> set[tuple]:
+        """The guess records of the moves that take the state with generator
+        key ``key`` over ``sym_id`` to ``dst_key`` in the member with this
+        seam carry."""
+        src, dst = self._state(key), self._state(dst_key)
+        if src is None or src[0] < 0 or dst is None:
+            return set()
+        if src[0] not in self._decoded:
+            self._decoded[src[0]] = self.expand(src[0])
+        moves, records = self._decoded[src[0]]
+        landings = self.landings(moves, src, carry)
+        return {rec for rec, landing in zip(records, landings) if landing == (sym_id, dst)}
+
+    def drop_moves(self) -> None:
+        """Drop the move lists the walks kept; decodes expand their own."""
+        self._moves = {}
 
     # -- pair steps --------------------------------------------------------
-
-    def _pair_edges(
-        self, key: tuple, tag: str, next_pos: int, step: int | None
-    ) -> list[tuple[int, tuple, tuple]]:
-        pos, slots, c_lo, c_hi, used = key
-        memo = (pos, slots, tag, used)
-        moves = self._moves.get(memo)
-        if moves is None:
-            moves = self._moves[memo] = self._pair_moves(slots, tag, step, used)
-        letters = self.letters
-        at_seam = tag == "e"
-        out = []
-        for add_lo, add_hi, new_slots, used2, data in moves:
-            total_lo, total_hi = add_lo + c_lo, add_hi + c_hi
-            nc_lo = total_lo >> 1
-            if at_seam:
-                if nc_lo != self.carry:
-                    continue
-                nc_lo = 0
-            new_key = (next_pos, new_slots, nc_lo, total_hi >> 1, used2)
-            out.append((letters[tag, (total_hi & 1, total_lo & 1)], new_key, data))
-        return out
 
     def _pair_moves(
         self, slots: tuple, tag: str, step: int | None, used: int
@@ -395,30 +469,29 @@ class _Generator:
 
     # -- tail singles ------------------------------------------------------
 
-    def _single_edges(self, key: tuple, tau: int, next_pos: int) -> list[tuple[int, tuple, tuple]]:
+    def _single_moves(
+        self, slots: tuple, used: int, tau: int, next_pos: int, moves: list, records: list
+    ) -> None:
         """One tail column: the high-track carry chains through, and the
-        last column must produce a bare 1."""
-        _, slots, _, c_hi, used = key
+        last column must produce a bare 1.  The seam restarted the low
+        chain at zero, so a single reads its bit as the high one."""
         final = tau == len(self.singles) - 1
         tag = self.singles[tau]
-        adds = []
+        add = 0
         new_slots = []
         for a, slot in zip(self.aligns, slots):
             value, slot2 = self._single_value(a, slot, tau)
-            adds.append(value)
+            add += value
             new_slots.append(slot2)
         no_guesses = tuple(() for _ in self.active)
-        out = []
+        letters = (self.letters.get((tag, (0,))), None, self.letters[tag, (1,)], None)
         for used2, inj in self._single_injections(used):
-            bit, carry = digit_step((*adds, inj), c_hi)
-            data = (no_guesses, inj, 0)
             if final:
-                if bit == 1 and not carry:
-                    out.append((self.letters[tag, (1,)], self.accept, data))
+                moves.append((0, add + inj, _ACCEPT[0], 2, letters))
             else:
-                nk = (next_pos, tuple(new_slots), 0, carry, used2)
-                out.append((self.letters[tag, (bit,)], nk, data))
-        return out
+                target = self._node((next_pos, tuple(new_slots), used2))
+                moves.append((0, add + inj, target, 0, letters))
+            records.append((no_guesses, inj, 0))
 
     def _single_value(self, align: int, slot: tuple, tau: int) -> tuple[int, tuple]:
         """A wider summand's last columns land on the tail: FIFO remainder
@@ -433,6 +506,18 @@ class _Generator:
         return 0, slot
 
 
+def _walked_machine(table: _ShapeTable, carry: int) -> Nfa:
+    """The member of a shape with this seam carry, dead states included."""
+    rows, _, accept = table.walk(carry)
+    return Nfa(
+        alphabet=alphabet_for(table.parity),
+        num_states=len(rows),
+        initial=frozenset({0}),
+        final=frozenset(() if accept is None else (accept,)),
+        transitions=[{sym: tuple(sorted(dsts)) for sym, dsts in row.items()} for row in rows],
+    )
+
+
 def uniform_machine(
     parity: str,
     summands: tuple[Summand, ...],
@@ -441,7 +526,7 @@ def uniform_machine(
 ) -> Nfa:
     """Tag-keyed recognizer valid for every source length of the parity at
     or above the layout minimum (11 odd, 12 even)."""
-    return _Generator(parity, summands, carry, max_powers, None).build()[0]
+    return _walked_machine(_ShapeTable(parity, summands, max_powers, None), carry)
 
 
 def fixed_machine(
@@ -453,7 +538,7 @@ def fixed_machine(
 ) -> Nfa:
     """Step-keyed recognizer for one source length, usable below the
     uniform layout minimum."""
-    return _Generator(parity, summands, carry, max_powers, source_length).build()[0]
+    return _walked_machine(_ShapeTable(parity, summands, max_powers, source_length), carry)
 
 
 # -- shipped machine families ---------------------------------------------
@@ -576,33 +661,70 @@ def family_members(name: str) -> tuple[tuple[Profile, Nfa], ...]:
     return family_runtime(name).members
 
 
+def _shape_tables(profiles: tuple[Profile, ...]) -> dict[Profile, _ShapeTable]:
+    """One uniform table per summand shape, mapped from each profile that
+    has the shape."""
+    tables: dict[tuple, _ShapeTable] = {}
+    for p in profiles:
+        shape = (p.parity, p.summands, p.max_powers)
+        if shape not in tables:
+            tables[shape] = _ShapeTable(*shape, None)
+    return {p: tables[p.parity, p.summands, p.max_powers] for p in profiles}
+
+
 class FamilyRuntime:
     """A family's profiles, the disjoint union of their trimmed machines, the
     state where each member starts in it, the generator key of each union
     state and, built on first use, the union's bitset kernel and its proof
     machine.  ``generated_states`` and ``generated_transitions`` total the
-    members as generated, before ``trim`` drops their dead states.
+    members as generated, before their dead states are dropped, and
+    ``generator_nodes`` counts the nodes their shape tables interned.
 
-    The members are trimmed, so their union is trim as it stands and its
-    states number the members one after another.  Only the union is kept:
-    ``members`` cuts each member back out of it on request.
+    Each member is walked into raw rows, and only its live states, those
+    that can still reach acceptance, are written into the union, so the
+    union is trim as it stands and its states number the members one after
+    another.  Only the union is kept: ``members`` cuts each member back out
+    of it on request.
     """
 
     def __init__(self, name: str):
         self.profiles = family_profiles(name)
-        members, starts, keys, self._generators = [], [], [], {}
+        self._tables = _shape_tables(self.profiles)
+        rows: list[dict[int, tuple[int, ...]]] = []
+        starts, keys, initial, final = [], [], [], []
         self.generated_states = self.generated_transitions = 0
         for p in self.profiles:
-            self._generators[p] = _Generator(p.parity, p.summands, p.carry, p.max_powers, None)
-            nfa, member_keys = self._generators[p].build()
-            self.generated_states += nfa.num_states
-            self.generated_transitions += nfa.num_transitions()
-            live = live_states(nfa)
-            members.append(_renumber(nfa, live))
-            starts.append(len(keys))
-            keys += [member_keys[q] for q in live]
+            table = self._tables[p]
+            raw, states, accept = table.walk(p.carry)
+            self.generated_states += len(raw)
+            self.generated_transitions += sum(len(d) for row in raw for d in row.values())
+            live = co_reachable(raw, () if accept is None else (accept,))
+            offset = len(rows)
+            remap = dict(zip(live, range(offset, offset + len(live))))
+            for q in live:
+                row = {}
+                for sym, dsts in raw[q].items():
+                    kept = sorted(remap[d] for d in dsts if d in remap)
+                    if kept:
+                        row[sym] = tuple(kept)
+                rows.append(row)
+            if live:
+                initial.append(offset)
+                final.append(remap[accept])
+            starts.append(offset)
+            keys += [table.key(states[q]) for q in live]
+        self.generator_nodes = 0
+        for table in set(self._tables.values()):
+            table.drop_moves()
+            self.generator_nodes += len(table.node_keys)
         self.starts = tuple(starts)
-        self.union = union(members)
+        self.union = Nfa(
+            alphabet=alphabet_for(self.profiles[0].parity),
+            num_states=len(rows),
+            initial=frozenset(initial),
+            final=frozenset(final),
+            transitions=rows,
+        )
         self.keys = tuple(keys)
         # guess records of the union edges decoded so far
         self._records: dict[tuple[int, int, int], tuple] = {}
@@ -644,8 +766,8 @@ class FamilyRuntime:
         if edge not in self._records:
             keys, n, profile = self.keys, len(self.keys), self.profile_at(src)
             ours = 0 <= src < n and 0 <= dst < n and self.profile_at(dst) is profile
-            moves = self._generators[profile].successors(keys[src]) if ours else ()
-            found = {rec for sym, key, rec in moves if sym == sym_id and key == keys[dst]}
+            table = self._tables[profile]
+            found = table.decode(keys[src], sym_id, keys[dst], profile.carry) if ours else set()
             if len(found) != 1:
                 raise RuntimeError(f"union edge {edge} decodes to {len(found)} guess records")
             self._records[edge] = found.pop()
@@ -657,15 +779,15 @@ class FamilyRuntime:
         guess records fill each summand's digit stream, and each stream
         unstacks into that summand's squares."""
         profile = self.profile_at(states[0])
-        generator = self._generators[profile]
+        table = self._tables[profile]
         i = word.pair_count
-        digits = [[0] * (i + a) for a in generator.aligns]
+        digits = [[0] * (i + a) for a in table.aligns]
         power_columns: list[int] = []
         # the word's i pair columns come first, then its tail singles
         for k, edge in enumerate(zip(states, word.ids, states[1:])):
             guesses, inj_lo, inj_hi = self._records.get(edge) or self.edge_record(*edge)
             if k < i:
-                for stream, align, sites in zip(digits, generator.aligns, guesses):
+                for stream, align, sites in zip(digits, table.aligns, guesses):
                     for site, value in sites:
                         if site == "lo":
                             stream[k] = value
@@ -679,7 +801,7 @@ class FamilyRuntime:
         squares = [
             int("".join(["1" if d > r else "0" for d in reversed(stream)]), 2)
             * ((1 << len(stream)) + 1)
-            for s, stream in zip(generator.active, digits)
+            for s, stream in zip(table.active, digits)
             for r in range(s.count)
         ]
         return profile, squares, [1 << c for c in power_columns]

@@ -26,6 +26,9 @@ from .numberforms import (
 # each level is a bound-bit int and a sweep shifts it once per ground-set
 # member, so larger bounds would exhaust memory and time
 MAX_BOUND = 1 << 24
+# each summand adds one such level, so a count must be capped as well; the
+# package sums at most 4 and crossvalidate's profiles at most 8
+MAX_SUMMANDS = 8
 
 
 def _shift_or_level(prev: int, ground: list[int], mask: int) -> int:
@@ -82,6 +85,8 @@ def sumset_table(
     ground set, turning level k into sums of exactly k positive members."""
     if bound <= 0 or max_k < 0:
         raise ValueError("bound must be positive and max_k non-negative")
+    if max_k > MAX_SUMMANDS:
+        raise ValueError(f"max_k {max_k} exceeds the supported maximum {MAX_SUMMANDS}")
     if bound > MAX_BOUND:
         raise ValueError(f"bound {bound} exceeds the supported maximum 2**24")
     ground = ground_set_upto(kind, bound)
@@ -257,12 +262,15 @@ def decompose_brute(value: int, kind: GroundSetKind, k: int) -> list[int] | None
 
     Searches greedily from the largest member, guided by the cached table of
     ``value``'s bit length so dead branches are never entered; reach bits up
-    to ``value`` do not depend on the table's bound.  Works up to 2**24.
+    to ``value`` do not depend on the table's bound.  Works up to 2**24
+    and ``MAX_SUMMANDS`` summands.
     """
     if value < 0 or value >= 1 << 24:
         raise ValueError("value must lie in [0, 2**24)")
     if k < 0:
         raise ValueError("k must be non-negative")
+    if k > MAX_SUMMANDS:
+        raise ValueError(f"k {k} exceeds the supported maximum {MAX_SUMMANDS}")
     table, members = _search_tables(kind, k, max(value.bit_length(), 1))
     levels = table.reach
     if not levels[k] >> value & 1:

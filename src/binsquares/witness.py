@@ -12,9 +12,10 @@ sum before it leaves this module."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
-from .automata import AcceptingPath, accepting_path
+from .automata import accepting_path
 from .folding import fold
 from .lemma_machines import family_runtime
 from .numberforms import (
@@ -53,9 +54,12 @@ class Decomposition:
     """A target with its certified parts, each tagged by role.
 
     Machine-backed results name the member profile that accepted, the
-    states the path search visited summed over word positions, and
-    ``frontier_max``, the most states alive at any one position; table-backed
-    results leave all three empty.
+    states the path search visited summed over word positions,
+    ``frontier_max``, the most states alive at any one position, and
+    ``stage_seconds``, the seconds of each stage by name: "fold" the value,
+    find the accepting "path", "replay" it into summands and "verify" the
+    result.  Table-backed results leave all of these empty.  The stage
+    seconds take no part in comparisons.
     """
 
     target: int
@@ -63,6 +67,7 @@ class Decomposition:
     profile: str = ""
     states_visited: int = 0
     frontier_max: int = 0
+    stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
     def values(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.parts)
@@ -87,23 +92,38 @@ class Decomposition:
 
 
 def _machine_decompose(value: int, family: str):
-    word = fold(value)
+    """The squares and powers of two on an accepting path, with the path's
+    statistics and stage seconds as :class:`Decomposition` fields."""
     runtime = family_runtime(family)
+    started = time.perf_counter()
+    word = fold(value)
+    folded = time.perf_counter()
     path = accepting_path(runtime.kernel, word.ids)
     if path.states is None:
         raise NotRepresentable(value, family)
+    found = time.perf_counter()
     profile, squares, powers = runtime.replay(word, path.states)
-    return squares, powers, profile.label, path
+    seconds = {"fold": folded - started, "path": found - folded, "replay": time.perf_counter() - found}
+    stats = {
+        "profile": profile.label,
+        "states_visited": path.visited,
+        "frontier_max": path.frontier_max,
+        "stage_seconds": seconds,
+    }
+    return squares, powers, stats
 
 
-def _final(target, raw_parts, role, profile="", path=None) -> Decomposition:
-    return _certified(target, tuple((v, role) for v in raw_parts), profile, path)
+def _final(target, raw_parts, role, stats: dict | None = None) -> Decomposition:
+    return _certified(target, tuple((v, role) for v in raw_parts), stats)
 
 
-def _certified(target, parts, profile="", path: AcceptingPath | None = None):
-    visited, widest = (path.visited, path.frontier_max) if path else (0, 0)
-    dec = Decomposition(target, parts, profile, visited, widest)
+def _certified(target, parts, stats: dict | None = None) -> Decomposition:
+    dec = Decomposition(target, parts, **(stats or {}))
+    started = time.perf_counter()
     dec.verify()
+    if stats is not None:
+        # the result's own dict, completed before the result is returned
+        dec.stage_seconds["verify"] = time.perf_counter() - started
     return dec
 
 
@@ -125,11 +145,11 @@ def decompose(value: int) -> Decomposition:
             raise AssertionError(f"{value} unexpectedly unrepresentable")
         return _final(value, parts, ROLE_SQUARE)
     family = "a-odd" if value.bit_length() % 2 else "a-even"
-    squares, powers, label, path = _machine_decompose(value, family)
+    squares, powers, stats = _machine_decompose(value, family)
     if powers:
         raise AssertionError("four-squares mode must produce no powers of two")
     squares += [0] * (4 - len(squares))
-    dec = _final(value, squares, ROLE_SQUARE, label, path)
+    dec = _final(value, squares, ROLE_SQUARE, stats)
     if len(dec.parts) != 4:
         raise AssertionError("four-squares mode must produce four parts")
     return dec
@@ -156,9 +176,9 @@ def decompose_square_power(value: int) -> Decomposition:
             return _certified(value, tuple(parts))
         raise NotRepresentable(value, "two squares and two powers")
     family = f"square-power-{'odd' if value.bit_length() % 2 else 'even'}"
-    squares, powers, label, path = _machine_decompose(value, family)
+    squares, powers, stats = _machine_decompose(value, family)
     parts = [(v, ROLE_SQUARE) for v in squares] + [(p, ROLE_POWER) for p in powers]
-    return _certified(value, tuple(parts), label, path)
+    return _certified(value, tuple(parts), stats)
 
 
 def decompose_generalized(value: int) -> Decomposition:
@@ -171,10 +191,10 @@ def decompose_generalized(value: int) -> Decomposition:
             raise NotRepresentable(value, "three generalized binary squares")
         return _final(value, parts, ROLE_GENERALIZED)
     family = f"generalized-{'odd' if value.bit_length() % 2 else 'even'}"
-    squares, powers, label, path = _machine_decompose(value, family)
+    squares, powers, stats = _machine_decompose(value, family)
     if powers or len(squares) != 3:
         raise AssertionError("generalized mode must produce three squares")
-    return _final(value, squares, ROLE_GENERALIZED, label, path)
+    return _final(value, squares, ROLE_GENERALIZED, stats)
 
 
 def render_part(value: int, role: str) -> str:

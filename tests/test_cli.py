@@ -140,6 +140,7 @@ def test_verify_generalized_odd_holds(capsys):
     assert record["members"] == 3
     assert record["states"] == 312
     assert (record["generated_states"], record["generated_transitions"]) == (530, 4238)
+    assert record["generator_nodes"] == 31
     assert "counterexample" not in record
     # inclusion runs on the union's bisimulation quotient
     assert (record["proof_states"], record["proof_transitions"]) == (77, 714)
@@ -334,6 +335,17 @@ def test_decompose_json_reports_the_frontier(capsys):
     assert 0 < record["frontier_max"] <= record["states_visited"]
     code, out, _ = run(capsys, "--json", "decompose", "687")
     assert records(out)[0]["frontier_max"] == 0
+
+
+def test_decompose_json_times_the_stages_of_machine_results(capsys):
+    stages = ("fold_seconds", "path_seconds", "replay_seconds", "verify_seconds")
+    code, out, _ = run(capsys, "--json", "decompose", str((1 << 40) + 3))
+    assert code == 0
+    (record,) = records(out)
+    assert all(record[stage] >= 0 for stage in stages)
+    assert sum(record[stage] for stage in stages) > 0
+    code, out, _ = run(capsys, "--json", "decompose", "687")
+    assert not set(stages) & set(records(out)[0])
 
 
 def test_flags_accepted_after_subcommand(capsys):

@@ -15,11 +15,12 @@ from binsquares.lemma_machines import (
     FAMILY_NAMES,
     Profile,
     Summand,
+    _ShapeTable,
     accept_set,
     alignment,
-    digit_step,
     even_square_profiles,
     family_members,
+    family_profiles,
     family_runtime,
     family_union,
     fixed_machine,
@@ -45,12 +46,6 @@ def union_accepts(parity, summands, carries, n, max_powers=0, fixed=False):
             nfa = uniform_machine(parity, summands, m, max_powers)
         got |= accept_set(nfa, parity, n)
     return got
-
-
-def test_digit_step():
-    assert digit_step((0,), 0) == (0, 0)
-    assert digit_step((1, 1, 1), 1) == (0, 2)
-    assert digit_step((2, 3), 2) == (1, 3)
 
 
 def test_alignment_mapping():
@@ -374,14 +369,14 @@ def test_decoding_an_edge_the_union_lacks_raises():
 
 
 def test_decoding_an_edge_with_two_guess_records_raises(monkeypatch):
-    successors = lemma_machines._Generator.successors
+    expand = lemma_machines._ShapeTable.expand
 
-    def with_twins(self, key):
-        moves = successors(self, key)
-        return moves + [(sym, new, rec + ("twin",)) for sym, new, rec in moves]
+    def with_twins(self, node):
+        moves, records = expand(self, node)
+        return moves + moves, records + [rec + ("twin",) for rec in records]
 
     runtime = lemma_machines.FamilyRuntime("generalized-odd")
-    monkeypatch.setattr(lemma_machines._Generator, "successors", with_twins)
+    monkeypatch.setattr(lemma_machines._ShapeTable, "expand", with_twins)
     with pytest.raises(RuntimeError, match="decodes to 2 guess records"):
         runtime.edge_record(*next(runtime.union.walk()))
 
@@ -444,14 +439,17 @@ def machine_bytes(nfa, runtime, start):
     ).encode()
 
 
-@pytest.mark.parametrize("name", FAMILY_NAMES)
-def test_family_machines_match_golden_digests(name):
-    runtime = family_runtime(name)
+def family_digest(runtime):
     digest = hashlib.sha256()
     for (_, nfa), start in zip(runtime.members, runtime.starts):
         digest.update(machine_bytes(nfa, runtime, start))
     digest.update(machine_bytes(runtime.union, runtime, 0))
-    assert digest.hexdigest()[:16] == GOLDEN_MACHINES[name]
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_family_machines_match_golden_digests(name):
+    assert family_digest(family_runtime(name)) == GOLDEN_MACHINES[name]
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -545,3 +543,74 @@ def test_accept_set_rejects_a_machine_of_the_other_parity():
     nfa = fixed_machine("odd", 11, (Summand(1, 1),), 0)
     with pytest.raises(ValueError, match="even folds"):
         accept_set(nfa, "even", 12)
+
+
+# -- one shape table per summand shape --------------------------------------
+
+# interned (pos, slots, used) nodes over the family's shape tables: one table
+# per summand shape, shared by the members that differ only in seam carry
+GENERATOR_NODES = {
+    "a-odd": 332,
+    "a-even": 154,
+    "square-power-odd": 128,
+    "square-power-even": 330,
+    "generalized-odd": 31,
+    "generalized-even": 241,
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_generator_nodes_count_each_shape_once(name):
+    runtime = family_runtime(name)
+    assert runtime.generator_nodes == GENERATOR_NODES[name]
+    shapes = {(p.parity, p.summands, p.max_powers) for p in runtime.profiles}
+    assert len(set(map(id, runtime._tables.values()))) == len(shapes) < len(runtime.profiles)
+
+
+def member_bytes(runtime):
+    """Each member's machine_bytes, with its generator keys, by label."""
+    stops = runtime.starts[1:] + (runtime.union.num_states,)
+    return {
+        profile.label: (machine_bytes(nfa, runtime, start), runtime.keys[start:stop])
+        for (profile, nfa), start, stop in zip(runtime.members, runtime.starts, stops)
+    }
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_members_do_not_depend_on_build_order(name, monkeypatch):
+    # the shared tables intern nodes in another order, which must not reach
+    # a member's numbering, its keys or the records decoded for its edges
+    expected = member_bytes(family_runtime(name))
+    reverse = family_profiles(name)[::-1]
+    monkeypatch.setattr(lemma_machines, "family_profiles", lambda _: reverse)
+    runtime = lemma_machines.FamilyRuntime(name)
+    assert runtime.profiles == reverse
+    assert member_bytes(runtime) == expected
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_members_do_not_depend_on_sharing_a_table(name, monkeypatch):
+    def fresh_tables(profiles):
+        return {p: _ShapeTable(p.parity, p.summands, p.max_powers, None) for p in profiles}
+
+    shared = family_runtime(name)
+    monkeypatch.setattr(lemma_machines, "_shape_tables", fresh_tables)
+    runtime = lemma_machines.FamilyRuntime(name)
+    assert len(set(map(id, runtime._tables.values()))) == len(runtime.profiles)
+    assert runtime.generator_nodes > shared.generator_nodes
+    assert runtime.keys == shared.keys and runtime.starts == shared.starts
+    counts = (runtime.generated_states, runtime.generated_transitions)
+    assert counts == (shared.generated_states, shared.generated_transitions)
+    assert family_digest(runtime) == GOLDEN_MACHINES[name]
+
+
+@pytest.mark.parametrize("shape", sorted(FIXED_SHAPES))
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_fixed_members_on_one_table_match_one_member_builds(shape, parity):
+    summands, _, max_powers = FIXED_SHAPES[shape][parity]
+    carries = range(sum(s.count for s in summands) + max_powers, -1, -1)
+    for n in range(5 if parity == "odd" else 6, 15, 2):
+        table = _ShapeTable(parity, summands, max_powers, n)
+        for carry in carries:
+            alone = fixed_machine(parity, n, summands, carry, max_powers)
+            assert lemma_machines._walked_machine(table, carry) == alone

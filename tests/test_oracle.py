@@ -14,6 +14,7 @@ from binsquares.numberforms import (
 )
 from binsquares.oracle import (
     MAX_BOUND,
+    MAX_SUMMANDS,
     congruence_two_solutions,
     decompose_brute,
     density_floor_holds,
@@ -257,6 +258,30 @@ def test_table_level_outside_max_k_rejected(method, k):
 def test_decompose_brute_negative_k_rejected(k):
     with pytest.raises(ValueError, match="non-negative"):
         decompose_brute(0, GroundSetKind.BINARY_SQUARE, k)
+
+
+@pytest.mark.parametrize("k", [MAX_SUMMANDS + 1, 300])
+def test_summand_counts_above_the_cap_are_rejected_before_any_table(k, monkeypatch):
+    # one bound-bit level per summand: 300 levels at 2**24 ran for minutes
+    def no_tables(*args):
+        raise AssertionError("a table was built for a rejected count")
+
+    monkeypatch.setattr(oracle, "ground_set_upto", no_tables)
+    oracle._search_tables.cache_clear()
+    with pytest.raises(ValueError, match=f"k {k} exceeds the supported maximum 8"):
+        decompose_brute((1 << 23) + 1, GroundSetKind.BINARY_SQUARE, k)
+    with pytest.raises(ValueError, match=f"max_k {k} exceeds the supported maximum 8"):
+        sumset_table(GroundSetKind.BINARY_SQUARE, MAX_BOUND, k)
+    assert oracle._search_tables.cache_info().currsize == 0
+
+
+def test_summand_count_at_the_cap_is_served():
+    assert MAX_SUMMANDS >= 8  # crossvalidate sums up to 8 squares
+    table = sumset_table(GroundSetKind.BINARY_SQUARE, 64, MAX_SUMMANDS)
+    assert len(table.reach) == MAX_SUMMANDS + 1
+    parts = decompose_brute(63, GroundSetKind.POWER_OF_TWO, MAX_SUMMANDS)
+    assert len(parts) == MAX_SUMMANDS and sum(parts) == 63
+    assert all(p & (p - 1) == 0 for p in parts)
 
 
 @pytest.mark.parametrize("lo", [0, -5])

@@ -301,3 +301,14 @@ def test_frontier_max_is_the_widest_layer():
         _, visited, widest = reference_accepting_path(runtime.union, ids)
         assert (d.states_visited, d.frontier_max) == (visited, widest)
     assert decompose((1 << 17) - 1).frontier_max == 0
+
+
+def test_machine_results_time_their_stages():
+    value = (1 << 300) + 987654321
+    for fn, _ in MODES.values():
+        d = fn(value)
+        assert list(d.stage_seconds) == ["fold", "path", "replay", "verify"]
+        assert min(d.stage_seconds.values()) >= 0 and d.stage_seconds["path"] > 0
+        # the timings take no part in comparing results
+        assert d == fn(value)
+    assert decompose((1 << 17) - 1).stage_seconds == {}
