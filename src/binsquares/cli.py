@@ -316,16 +316,20 @@ def cmd_exceptions(args: argparse.Namespace) -> int:
 def cmd_counts(args: argparse.Namespace) -> int:
     if args.bound < 1:
         raise ValueError("bound must be positive")
+    started = time.perf_counter()
     counts = four_squares_counts(args.bound)
-    record = {"kind": "counts", "bound": args.bound, "counts": counts}
+    seconds = round(time.perf_counter() - started, 3)
+    record = {"kind": "counts", "bound": args.bound, "counts": counts, "seconds": seconds}
     lines = [f"{k} {count}" for k, count in enumerate(counts, start=1)]
     _emit(args, record, lines)
     return 0
 
 
 def cmd_density(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     pointwise = two_squares_density(args.bound)
     window_min = lower_density_estimate(args.bound)
+    seconds = round(time.perf_counter() - started, 3)
     record = {
         "kind": "density",
         "bound": args.bound,
@@ -333,6 +337,7 @@ def cmd_density(args: argparse.Namespace) -> int:
         "pointwise_float": float(pointwise),
         "window_min": [window_min.numerator, window_min.denominator],
         "window_min_float": float(window_min),
+        "seconds": seconds,
     }
     lines = [
         f"pointwise   {pointwise} ~ {float(pointwise):.6f}",
@@ -364,7 +369,9 @@ def cmd_optimality(args: argparse.Namespace) -> int:
 
 
 def cmd_uniqueness(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     size = sumset_uniqueness(args.n)
+    seconds = round(time.perf_counter() - started, 3)
     expected = 1 << (2 * args.n - 1)
     holds = size == expected
     record = {
@@ -373,6 +380,7 @@ def cmd_uniqueness(args: argparse.Namespace) -> int:
         "size": size,
         "expected": expected,
         "holds": holds,
+        "seconds": seconds,
     }
     lines = [f"n={args.n} size={size} expected={expected} holds={holds}"]
     _emit(args, record, lines)

@@ -14,7 +14,6 @@ a(2**p + 1) with 0 <= a < 2**p.
 from __future__ import annotations
 
 import enum
-from typing import Iterator
 
 
 class GroundSetKind(enum.Enum):
@@ -82,8 +81,9 @@ def is_power_of_two(value: int) -> bool:
     return value > 0 and value & (value - 1) == 0
 
 
-def squares_of_length(two_n: int) -> list[int]:
-    """All binary squares of canonical length exactly ``two_n`` (even, >= 2).
+def length_progression(two_n: int) -> tuple[int, int, int]:
+    """The binary squares of canonical length exactly ``two_n`` (even, >= 2)
+    as a ``(first, step, count)`` arithmetic progression.
 
     These are a(2**n + 1) for the 2**(n-1) half-blocks a with leading 1.
     """
@@ -91,42 +91,49 @@ def squares_of_length(two_n: int) -> list[int]:
         raise ValueError("length must be a positive even integer")
     n = two_n // 2
     factor = (1 << n) + 1
-    return [a * factor for a in range(1 << (n - 1), 1 << n)]
+    return factor << (n - 1), factor, 1 << (n - 1)
 
 
-def _generalized_upto(bound: int) -> Iterator[int]:
-    seen = set()
-    p = 1
-    while (1 << p) + 1 <= bound or p == 1:
-        factor = (1 << p) + 1
-        for a in range(1 << p):
-            v = a * factor
-            if v >= bound:
-                break
-            if v not in seen:
-                seen.add(v)
-                yield v
-        if factor >= bound:
-            break
-        p += 1
+def expand(progression: tuple[int, int, int]) -> range:
+    """The terms of a ``(first, step, count)`` progression, in order."""
+    first, step, count = progression
+    return range(first, first + step * count, step)
+
+
+def squares_of_length(two_n: int) -> list[int]:
+    """All binary squares of canonical length exactly ``two_n``, ascending."""
+    return list(expand(length_progression(two_n)))
+
+
+def ground_progressions(kind: GroundSetKind, bound: int) -> list[tuple[int, int, int]]:
+    """The ground set in [0, bound) as ``(first, step, count)`` progressions.
+
+    Zero, a member of both square kinds, is a term of its own.  Binary
+    squares of length 2n start at 2**(n-1)(2**n + 1) with step 2**n + 1;
+    generalized squares of width p are a(2**p + 1) for 1 <= a < 2**p;
+    powers of two are single terms.  No member appears twice: a positive
+    generalized square has one width, since for widths p < q the low q
+    bits of a(2**p + 1) exceed its top bits a >> (q - p).
+    """
+    if bound <= 0:
+        return []
+    if kind is GroundSetKind.POWER_OF_TWO:
+        return [(1 << e, 1, 1) for e in range(bound.bit_length()) if (1 << e) < bound]
+    if kind is GroundSetKind.BINARY_SQUARE:
+        lengths = range(2, bound.bit_length() + 1, 2)
+        raw = [length_progression(two_n) for two_n in lengths]
+    elif kind is GroundSetKind.GENERALIZED_BINARY_SQUARE:
+        widths = range(1, bound.bit_length() + 1)
+        raw = [((1 << p) + 1, (1 << p) + 1, (1 << p) - 1) for p in widths]
+    else:
+        raise ValueError(f"unknown ground set kind: {kind!r}")
+    out = [(0, 1, 1)]
+    for first, step, count in raw:
+        if first < bound:
+            out.append((first, step, min(count, (bound - 1 - first) // step + 1)))
+    return out
 
 
 def ground_set_upto(kind: GroundSetKind, bound: int) -> list[int]:
     """Sorted members of the ground set in [0, bound)."""
-    if bound <= 0:
-        return []
-    if kind is GroundSetKind.BINARY_SQUARE:
-        members = [0]
-        two_n = 2
-        while True:
-            block = [v for v in squares_of_length(two_n) if v < bound]
-            if not block:
-                break
-            members.extend(block)
-            two_n += 2
-        return members
-    if kind is GroundSetKind.GENERALIZED_BINARY_SQUARE:
-        return sorted(_generalized_upto(bound))
-    if kind is GroundSetKind.POWER_OF_TWO:
-        return [1 << e for e in range(bound.bit_length()) if (1 << e) < bound]
-    raise ValueError(f"unknown ground set kind: {kind!r}")
+    return sorted(v for progression in ground_progressions(kind, bound) for v in expand(progression))

@@ -3,7 +3,11 @@
 Reachability tables are big-integer bitmasks: bit N of ``reach[k]`` is set
 when N is a sum of at most k ground-set members (exactly k once the ground
 set contains 0, as it does for both square kinds).  Building a level is a
-shift-or sweep over the ground set, so bounds around 2**17 cost milliseconds.
+shift-or sweep over the ground set's arithmetic progressions: a block that
+covers 2**i terms of a progression doubles by OR-ing itself shifted 2**i
+steps, so each progression costs about 2 log2(count) shifts of one
+bound-bit int, whatever its length.  Bounds around 2**17 cost
+milliseconds, and a level at 2**24 a fraction of a second.
 
 Everything here is deliberately independent of the automata modules; these
 tables are the oracle the machine constructions are validated against.
@@ -17,24 +21,50 @@ from functools import lru_cache
 
 from .numberforms import (
     GroundSetKind,
+    ground_progressions,
     ground_set_upto,
     is_binary_square,
+    length_progression,
     squares_of_length,
 )
 
 
-# each level is a bound-bit int and a sweep shifts it once per ground-set
-# member, so larger bounds would exhaust memory and time
+# each level is a bound-bit int (2 MB at 2**24) and a sweep holds a few
+# more beside it while it shifts, so memory per level is the limit
 MAX_BOUND = 1 << 24
 # each summand adds one such level, so a count must be capped as well; the
 # package sums at most 4 and crossvalidate's profiles at most 8
 MAX_SUMMANDS = 8
+# decompose_brute keeps the tables of the witness small paths, which stay
+# below 2**17; a table for a larger value is built for that call alone
+_CACHED_BITS = 17
 
 
-def _shift_or_level(prev: int, ground: list[int], mask: int) -> int:
+def _shift_or_level(prev: int, progressions: list[tuple[int, int, int]], bound: int) -> int:
+    """The OR of ``prev << g`` over the terms g of the progressions, cut
+    to [0, bound).
+
+    ``block`` covers the first ``size`` terms of a progression and doubles
+    each round; the set bits of the term count pick which blocks to add,
+    each shifted past the terms already added.
+    """
+    mask = (1 << bound) - 1
     acc = 0
-    for g in ground:
-        acc |= prev << g
+    for first, step, count in progressions:
+        if first >= bound:
+            continue
+        count = min(count, (bound - 1 - first) // step + 1)
+        block = (prev << first) & mask
+        done = 0
+        size = 1
+        while True:
+            if count & size:
+                acc |= block << done * step
+                done += size
+            if 2 * size > count:
+                break
+            block = (block | block << size * step) & mask
+            size *= 2
     return acc & mask
 
 
@@ -89,13 +119,12 @@ def sumset_table(
         raise ValueError(f"max_k {max_k} exceeds the supported maximum {MAX_SUMMANDS}")
     if bound > MAX_BOUND:
         raise ValueError(f"bound {bound} exceeds the supported maximum 2**24")
-    ground = ground_set_upto(kind, bound)
+    ground = ground_progressions(kind, bound)
     if not include_zero:
-        ground = [g for g in ground if g]
-    mask = (1 << bound) - 1
+        ground = [p for p in ground if p[0]]  # zero is a term of its own
     levels = [1]  # only the empty sum
     for _ in range(max_k):
-        levels.append(_shift_or_level(levels[-1], ground, mask))
+        levels.append(_shift_or_level(levels[-1], ground, bound))
     return SumsetTable(kind=kind, bound=bound, max_k=max_k, reach=tuple(levels))
 
 
@@ -130,19 +159,22 @@ def two_squares_density(m: int) -> Fraction:
     return Fraction(bin(member >> 1).count("1"), m)  # drop x = 0
 
 
-def _window_minimum(lo: int, hi: int) -> tuple[int, int]:
-    """(|S2 cap [1, m]|, m) for the first m in [lo, hi) with the least ratio;
-    needs 1 <= lo < hi."""
-    member = sumset_table(GroundSetKind.BINARY_SQUARE, hi, 2).reach[2]
+def _window_minimum(member: int, lo: int, hi: int) -> tuple[int, int]:
+    """(|S cap [1, m]|, m) for the first m in [lo, hi) with the least ratio
+    |S cap [1, m]| / m, where bit x of ``member`` marks x in S; needs
+    1 <= lo < hi."""
     count = bin(member & ((1 << (lo + 1)) - 2)).count("1")
     best_count, best_m = count, lo
-    # a member at m cannot lower the ratio (count <= m - 1 before it), a gap can
+    # a member at m cannot lower the ratio (count <= m - 1 before it); in a
+    # run of gaps the count is fixed and m grows, so only a run's last m can
+    # set a new minimum.  Gap run i follows the window's first i members.
     window = format(member >> (lo + 1), "b")[::-1].ljust(hi - lo - 1, "0")
-    for m, bit in enumerate(window[: hi - lo - 1], start=lo + 1):
-        if bit == "1":
-            count += 1
-        elif count * best_m < best_count * m:
-            best_count, best_m = count, m
+    m = lo
+    for members_before, gaps in enumerate(window[: hi - lo - 1].split("1")):
+        m += len(gaps)
+        if gaps and (count + members_before) * best_m < best_count * m:
+            best_count, best_m = count + members_before, m
+        m += 1  # the member that ends the run
     return best_count, best_m
 
 
@@ -156,7 +188,8 @@ def lower_density_estimate(bound: int) -> Fraction:
     """
     if bound < 8:
         raise ValueError("bound too small for a full period")
-    return Fraction(*_window_minimum(bound // 4, bound))
+    member = sumset_table(GroundSetKind.BINARY_SQUARE, bound, 2).reach[2]
+    return Fraction(*_window_minimum(member, bound // 4, bound))
 
 
 def density_floor_holds(lo: int, hi: int, ratio: Fraction) -> bool:
@@ -165,20 +198,47 @@ def density_floor_holds(lo: int, hi: int, ratio: Fraction) -> bool:
         raise ValueError("lo must be positive")
     if lo >= hi:
         return True
-    count, m = _window_minimum(lo, hi)
+    member = sumset_table(GroundSetKind.BINARY_SQUARE, hi, 2).reach[2]
+    count, m = _window_minimum(member, lo, hi)
     return count * ratio.denominator >= ratio.numerator * m
+
+
+def _distinct_sums(left: list[int], right: list[int], modulus: int) -> int:
+    """|{s + t : s in left, t in right}|, counted one residue class of
+    s + t mod ``modulus`` at a time.
+
+    Equal sums share a class, so the per-class counts add up exactly, and
+    only one class's sums are held at once.
+    """
+    left_classes: dict[int, list[int]] = {}
+    for s in left:
+        left_classes.setdefault(s % modulus, []).append(s)
+    right_classes: dict[int, list[int]] = {}
+    for t in right:
+        right_classes.setdefault(t % modulus, []).append(t)
+    total = 0
+    for r in range(modulus):
+        sums: set[int] = set()
+        for s_class, ss in left_classes.items():
+            for t in right_classes.get((r - s_class) % modulus, ()):
+                sums.update([s + t for s in ss])
+        total += len(sums)
+    return total
 
 
 def sumset_uniqueness(n: int) -> int:
     """Cardinality of {s + t : s a square of length 2n, t of length 2n+2}.
 
-    Distinctness of all pairwise sums makes this 2**(2n-1).
+    Distinctness of all pairwise sums makes this 2**(2n-1).  The sums are
+    counted per class mod 2**n + 1: every left square a(2**n + 1) lies in
+    class 0, and the right squares' classes all differ, so a class holds
+    at most 2**(n-1) sums.
     """
     if not 1 <= n <= 12:
         raise ValueError("n must be in [1, 12]")
     left = squares_of_length(2 * n)
     right = squares_of_length(2 * n + 2)
-    return len({s + t for s in left for t in right})
+    return _distinct_sums(left, right, (1 << n) + 1)
 
 
 def residue_formula(m: int, g: int, c: int) -> int:
@@ -260,10 +320,11 @@ def _search_tables(
 def decompose_brute(value: int, kind: GroundSetKind, k: int) -> list[int] | None:
     """One length-k summand list over the ground set, or None.
 
-    Searches greedily from the largest member, guided by the cached table of
+    Searches greedily from the largest member, guided by the table of
     ``value``'s bit length so dead branches are never entered; reach bits up
-    to ``value`` do not depend on the table's bound.  Works up to 2**24
-    and ``MAX_SUMMANDS`` summands.
+    to ``value`` do not depend on the table's bound.  Tables up to
+    ``_CACHED_BITS`` bits are cached; larger ones live for the call only.
+    Works up to 2**24 and ``MAX_SUMMANDS`` summands.
     """
     if value < 0 or value >= 1 << 24:
         raise ValueError("value must lie in [0, 2**24)")
@@ -271,7 +332,9 @@ def decompose_brute(value: int, kind: GroundSetKind, k: int) -> list[int] | None
         raise ValueError("k must be non-negative")
     if k > MAX_SUMMANDS:
         raise ValueError(f"k {k} exceeds the supported maximum {MAX_SUMMANDS}")
-    table, members = _search_tables(kind, k, max(value.bit_length(), 1))
+    bits = max(value.bit_length(), 1)
+    search = _search_tables if bits <= _CACHED_BITS else _search_tables.__wrapped__
+    table, members = search(kind, k, bits)
     levels = table.reach
     if not levels[k] >> value & 1:
         return None
@@ -298,18 +361,17 @@ def profile_sum_mask(
 
     ``length_counts`` pairs are (canonical length, count) with even lengths.
     """
-    mask = (1 << bound) - 1
     acc = 1
     for two_n, count in length_counts:
         if two_n % 2 or two_n <= 0:
             raise ValueError("summand lengths must be positive and even")
         n = two_n // 2
         if generalized:
-            block = [a * ((1 << n) + 1) for a in range(1 << n)]
+            block = [(0, (1 << n) + 1, 1 << n)]  # every half-block a < 2**n
         else:
-            block = squares_of_length(two_n)
+            block = [length_progression(two_n)]
         for _ in range(count):
-            acc = _shift_or_level(acc, block, mask)
+            acc = _shift_or_level(acc, block, bound)
             if not acc:
                 break
     return acc
@@ -318,13 +380,12 @@ def profile_sum_mask(
 def square_power_mask(bound: int, max_squares: int = 2, max_powers: int = 2) -> int:
     """Bitmask of sums of at most ``max_squares`` binary squares plus at most
     ``max_powers`` powers of two."""
-    mask = (1 << bound) - 1
     acc = sumset_table(GroundSetKind.BINARY_SQUARE, bound, max_squares).reach[
         max_squares
     ]
-    powers = ground_set_upto(GroundSetKind.POWER_OF_TWO, bound)
+    powers = ground_progressions(GroundSetKind.POWER_OF_TWO, bound)
     for _ in range(max_powers):
-        acc |= _shift_or_level(acc, powers, mask)
+        acc |= _shift_or_level(acc, powers, bound)
     return acc
 
 

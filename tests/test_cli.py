@@ -240,6 +240,34 @@ def test_uniqueness_holds(capsys):
     assert record["size"] == record["expected"] == 128
 
 
+@pytest.mark.parametrize(
+    "argv, fields, text",
+    [
+        (("counts", "--bound", "64"), {"kind", "bound", "counts"}, ["1 8", "2 21", "3 34", "4 44"]),
+        (
+            ("density", "--bound", "14"),
+            {"kind", "bound", "pointwise", "pointwise_float", "window_min", "window_min_float"},
+            ["pointwise   2/7 ~ 0.285714", "window-min  1/5 ~ 0.200000"],
+        ),
+        (
+            ("uniqueness", "--n", "3"),
+            {"kind", "n", "size", "expected", "holds"},
+            ["n=3 size=32 expected=32 holds=True"],
+        ),
+    ],
+    ids=["counts", "density", "uniqueness"],
+)
+def test_oracle_records_report_their_seconds(capsys, argv, fields, text):
+    # the oracle call's wall time joins the JSON record; the text is as before
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    (record,) = records(out)
+    assert set(record) == fields | {"seconds"}
+    assert record["seconds"] >= 0 and round(record["seconds"], 3) == record["seconds"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines() == text
+
+
 def test_optimality_only_nine(capsys):
     code, out, _ = run(capsys, "--json", "optimality", "--max-n", "11")
     assert code == 0

@@ -76,3 +76,16 @@ def test_letters_reach_the_machine_side_only_as_ids(name):
             elif isinstance(func, ast.Attribute) and func.attr in ("Symbol", "encode", "id_of"):
                 calls.append((node.lineno, func.attr))
     assert not calls, f"{name}: letter encoding at {calls}"
+
+
+@pytest.mark.parametrize("name", ["oracle.py", "numberforms.py"])
+def test_oracle_imports_nothing_from_the_machine_side(name):
+    # the oracle is what the machine constructions are validated against,
+    # so it shares no code with them
+    machine_side = {"automata", "lemma_machines", "folding", "witness", "proofcheck"}
+    modules = set()
+    for entry in package_imports(name):
+        module, _, imported = entry.partition(":")
+        module = module.lstrip(".").removeprefix("binsquares").lstrip(".")
+        modules.add(module.partition(".")[0] or imported)  # `from . import x` names x
+    assert not modules & machine_side, f"{name}: imports {sorted(modules & machine_side)}"

@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binsquares.numberforms import (
     GroundSetKind,
+    expand,
     from_bits,
+    ground_progressions,
     ground_set_upto,
     is_binary_square,
     is_generalized_binary_square,
@@ -116,3 +120,40 @@ def test_square_count_below_2_17():
 def test_powers_of_two():
     assert ground_set_upto(GroundSetKind.POWER_OF_TWO, 64) == [1, 2, 4, 8, 16, 32]
     assert not is_power_of_two(0)
+
+
+def reference_ground_set(kind, bound):
+    """The ground set enumerated member by member, duplicates dropped."""
+    if bound <= 0:
+        return []
+    if kind is GroundSetKind.POWER_OF_TWO:
+        return [1 << e for e in range(bound.bit_length()) if (1 << e) < bound]
+    members = {0}
+    width = 1
+    while (1 << width) + 1 < bound:
+        factor = (1 << width) + 1
+        low = 1 << (width - 1) if kind is GroundSetKind.BINARY_SQUARE else 1
+        members.update(a * factor for a in range(low, min(1 << width, (bound - 1) // factor + 1)))
+        width += 1
+    return sorted(members)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(list(GroundSetKind)), st.integers(-3, 1 << 14))
+def test_progressions_expand_to_the_member_by_member_ground_set(kind, bound):
+    progressions = ground_progressions(kind, bound)
+    terms = [v for p in progressions for v in expand(p)]
+    assert all(count >= 1 for _, _, count in progressions)
+    assert all(0 <= v < bound for v in terms)
+    assert sorted(terms) == ground_set_upto(kind, bound) == reference_ground_set(kind, bound)
+    assert len(terms) == len(set(terms))  # no member in two progressions
+
+
+def test_progressions_at_the_largest_bound():
+    bound = 1 << 24
+    for kind in GroundSetKind:
+        assert ground_set_upto(kind, bound) == reference_ground_set(kind, bound)
+    assert ground_progressions(GroundSetKind.BINARY_SQUARE, bound)[:3] == [(0, 1, 1), (3, 3, 1), (10, 5, 2)]
+    widths = ground_progressions(GroundSetKind.GENERALIZED_BINARY_SQUARE, bound)
+    assert widths[0] == (0, 1, 1) and len(widths) == 24  # zero, then widths 1..23
+    assert widths[-1] == ((1 << 23) + 1, (1 << 23) + 1, 1)

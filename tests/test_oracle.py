@@ -1,13 +1,18 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from binsquares import oracle
 from binsquares.numberforms import (
     GroundSetKind,
+    expand,
+    ground_progressions,
     ground_set_upto,
     is_binary_square,
     is_generalized_binary_square,
@@ -127,8 +132,32 @@ def test_sumset_bound_is_capped():
 
 
 def test_uniqueness_counts():
-    for n in range(1, 9):
+    for n in range(1, 12):
         assert sumset_uniqueness(n) == 1 << (2 * n - 1)
+
+
+def test_uniqueness_holds_one_residue_class_of_sums_at_once():
+    # all 2**17 sums in one set took 8.4 MB; a class holds at most 2**8
+    tracemalloc.start()
+    try:
+        size = sumset_uniqueness(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 1 << 17
+    assert peak < 1 << 20, f"traced peak {peak} bytes"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=12),
+    st.lists(st.integers(0, 40), min_size=1, max_size=12),
+    st.integers(1, 12),
+)
+def test_residue_class_count_matches_one_set_of_sums(left, right, modulus):
+    sums = [s + t for s in left for t in right]
+    assume(len(set(sums)) < len(sums))  # some sums collide
+    assert oracle._distinct_sums(left, right, modulus) == len(set(sums))
 
 
 def test_residue_formula_examples():
@@ -191,6 +220,81 @@ def test_decompose_brute_generalized():
     assert all(is_generalized_binary_square(p) for p in parts)
 
 
+def per_member_level(prev, members, bound):
+    """One sumset level the per-member way: prev shifted once per member."""
+    acc = 0
+    for g in members:
+        acc |= prev << g
+    return acc & ((1 << bound) - 1)
+
+
+def test_progression_shift_or_matches_per_member_levels():
+    for kind in GroundSetKind:
+        for bound in range(1, 301):
+            for include_zero in (True, False):
+                members = [g for g in ground_set_upto(kind, bound) if g or include_zero]
+                reach = sumset_table(kind, bound, 4, include_zero=include_zero).reach
+                level = 1
+                for k in range(1, 5):
+                    level = per_member_level(level, members, bound)
+                    assert reach[k] == level, (kind, bound, include_zero, k)
+    squares = ground_set_upto(GroundSetKind.BINARY_SQUARE, 300)
+    powers = ground_set_upto(GroundSetKind.POWER_OF_TWO, 300)
+    expected = per_member_level(per_member_level(1, squares, 300), squares, 300)
+    for _ in range(2):
+        expected |= per_member_level(expected, powers, 300)
+    assert square_power_mask(300) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 200), st.integers(1, 40), st.integers(1, 70)), max_size=4),
+    st.integers(0, (1 << 120) - 1),
+    st.integers(1, 300),
+)
+def test_shift_or_level_matches_per_member_loop(progressions, prev, bound):
+    # counts run past the bound and progressions overlap
+    prev &= (1 << bound) - 1
+    members = [g for p in progressions for g in expand(p)]
+    assert oracle._shift_or_level(prev, progressions, bound) == per_member_level(prev, members, bound)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 6).map(lambda n: 2 * n), st.integers(0, 3)), max_size=3),
+    st.integers(1, 3000),
+    st.booleans(),
+)
+def test_profile_sum_mask_matches_per_member_blocks(length_counts, bound, generalized):
+    expected = 1
+    for two_n, count in length_counts:
+        n = two_n // 2
+        halves = range(1 << n) if generalized else range(1 << (n - 1), 1 << n)
+        for _ in range(count):
+            expected = per_member_level(expected, [a * ((1 << n) + 1) for a in halves], bound)
+    assert profile_sum_mask(length_counts, bound, generalized) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 150),
+    st.integers(1, 150),
+    st.lists(st.integers(0, 320), max_size=160),
+    st.booleans(),
+)
+def test_window_minimum_matches_a_per_m_scan(lo, width, bits, dense):
+    hi = lo + width
+    member = sum(1 << b for b in set(bits))
+    if dense:
+        member ^= (1 << 320) - 1
+    best = None
+    for m in range(lo, hi):
+        count = bin(member & ((1 << (m + 1)) - 2)).count("1")
+        if best is None or count * best[1] < best[0] * m:  # ties keep the first m
+            best = (count, m)
+    assert oracle._window_minimum(member, lo, hi) == best
+
+
 def reference_decompose_brute(value, kind, k):
     """Greedy backtracking over levels built per call on [0, value] only."""
     if k == 0:
@@ -245,6 +349,18 @@ def test_decompose_brute_cache_stays_within_maxsize():
     assert oracle._search_tables.cache_info().currsize == info.maxsize
 
 
+def test_decompose_brute_caches_only_small_path_tables():
+    # a 2**24 table with 9 levels is 18 MB, so larger tables live for one call
+    oracle._search_tables.cache_clear()
+    decompose_brute((1 << 17) - 1, GroundSetKind.BINARY_SQUARE, 4)
+    assert oracle._search_tables.cache_info().currsize == 1
+    value = (1 << 20) + 7
+    parts = decompose_brute(value, GroundSetKind.BINARY_SQUARE, 4)
+    assert parts == reference_decompose_brute(value, GroundSetKind.BINARY_SQUARE, 4)
+    assert sum(parts) == value and all(is_binary_square(p) for p in parts)
+    assert oracle._search_tables.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("method", ["contains", "count", "missing"])
 @pytest.mark.parametrize("k", [-1, 3])
 def test_table_level_outside_max_k_rejected(method, k):
@@ -267,6 +383,7 @@ def test_summand_counts_above_the_cap_are_rejected_before_any_table(k, monkeypat
         raise AssertionError("a table was built for a rejected count")
 
     monkeypatch.setattr(oracle, "ground_set_upto", no_tables)
+    monkeypatch.setattr(oracle, "ground_progressions", no_tables)
     oracle._search_tables.cache_clear()
     with pytest.raises(ValueError, match=f"k {k} exceeds the supported maximum 8"):
         decompose_brute((1 << 23) + 1, GroundSetKind.BINARY_SQUARE, k)
