@@ -17,6 +17,10 @@ Accepting-path search runs a word through a compiled machine one state mask
 per position and recovers the lexicographically least run to the lowest
 reachable final state.  Accept-set enumeration in :mod:`lemma_machines`
 steps a compiled machine through every word of one length, depth first.
+The compiled machine of these two walks is also a lazily built subset
+automaton: it remembers each whole-mask step it takes, since the same
+frontiers come back word after word.  Inclusion's kernel remembers none,
+since its steps do not repeat (see :func:`compile_nfa`).
 
 :func:`quotient` merges the states of a machine by a forward and then a
 backward bisimulation; the result accepts the same words, and inclusion
@@ -38,12 +42,25 @@ _CHUNK_TYPECODES = {
 }
 _BIG_ENDIAN = sys.byteorder == "big"
 # Entries one (symbol, chunk) lookup table may hold; a full table is cleared
-# before its next insertion.  A perfbench certify pass (three rounds of 24
-# decompositions of 64 to 4001 bits) fills no 64-bit-chunk table past 144.
-# Inclusion's 32-bit-chunk tables fill up 12 times in the even-squares verify
-# (and in the a-even refutation at 16 bits), with the same result and counts
-# as uncapped tables.
+# before its next insertion.  Inclusion's 32-bit-chunk tables fill up 24 times
+# in the even-squares verify, 4 times in the square-power-even one and 12
+# times in the a-even refutation at 16 bits, with the same result and counts
+# as uncapped tables; a cap of 64 makes the even-squares inclusion about
+# twice as slow.
 _TABLE_LIMIT = 256
+# The same for a compiled path kernel's 64-bit-chunk tables, which see only
+# the steps its memo misses.  They fill up 480 times in a perfbench certify
+# pass.  Against 48 entries, 64 ran that pass about as fast with 0.4 MB more
+# peak memory, and 32 took 1.4 MB less but ran it 14 % slower.
+_PATH_TABLE_LIMIT = 48
+# Whole-mask steps a compiled path kernel remembers, forward and backward
+# together; a full memo is cleared before its next insertion.  A perfbench
+# certify pass (a warm-up and three rounds of 24 decompositions of 64 to 4001
+# bits) leaves at most 5 160, in square-power-even's kernel.  An entry holds
+# two masks of n bits, each about 28 + n / 7.5 bytes as a Python int, plus a
+# dict slot of under 100 bytes, so a full memo of the largest union (a-odd,
+# 2 856 states) takes at most about 7.5 MB.
+_MEMO_LIMIT = 8192
 
 
 @dataclass(frozen=True, order=True)
@@ -487,13 +504,19 @@ class _BitsetStepper:
     chunk).  An entry is built from the machine's successor tuples the first
     time its chunk pattern occurs, so compiling costs nothing up front and
     only patterns that occur take memory; a table that reaches
-    ``_TABLE_LIMIT`` entries starts over, so a long-lived machine's tables
-    stay bounded.  A backward step works the same
-    way on predecessor lists, built on the first backward step, so a machine
-    that only steps forward never pays for them.
+    ``table_limit`` entries starts over, so a long-lived machine's tables
+    stay bounded.  A backward step works the same way on predecessor lists,
+    built on the first backward step, so a machine that only steps forward
+    never pays for them.
+
+    With a nonzero ``memo_limit`` the stepper is also a lazily built subset
+    automaton: one dict per symbol and direction maps a whole mask to its
+    successor mask, and only a miss goes through the chunk tables.
+    ``memo_hits`` counts the steps the memo answered.  The memo starts over
+    when it holds ``memo_limit`` entries over both directions.
     """
 
-    def __init__(self, nfa: Nfa, chunk_bits: int):
+    def __init__(self, nfa: Nfa, chunk_bits: int, table_limit: int, memo_limit: int):
         self.transitions = nfa.transitions
         self._num_symbols = len(nfa.alphabet)
         self.initial = sum(1 << q for q in nfa.initial)
@@ -502,10 +525,18 @@ class _BitsetStepper:
         self._typecode = _CHUNK_TYPECODES[chunk_bits]
         self._chunks = (nfa.num_states + chunk_bits - 1) // chunk_bits
         self._num_bytes = self._chunks * chunk_bits // 8
+        self._table_limit = table_limit
         self._tables = self._empty_tables()
         self._predecessors: list[dict[int, tuple[int, ...]]] | None = None
         self._back_tables: list[list[dict[int, int]]] = []
+        self._memo_limit = memo_limit
+        self._memo_size = 0
+        # per symbol, the forward and then the backward steps remembered
+        self._memo: list[dict[int, int] | None] = [
+            {} if memo_limit else None for _ in range(2 * self._num_symbols)
+        ]
         self.steps = 0
+        self.memo_hits = 0
 
     def _empty_tables(self) -> list[list[dict[int, int]]]:
         return [[{} for _ in range(self._chunks)] for _ in range(self._num_symbols)]
@@ -515,9 +546,10 @@ class _BitsetStepper:
         adjacency: Sequence[Mapping[int, Sequence[int]]],
         sym_id: int,
         tables: list[dict[int, int]],
+        memo: dict[int, int] | None,
         mask: int,
     ) -> int:
-        width = self._chunk_bits
+        width, limit = self._chunk_bits, self._table_limit
         chunks = array(self._typecode, mask.to_bytes(self._num_bytes, "little"))
         if _BIG_ENDIAN:
             chunks.byteswap()
@@ -534,23 +566,40 @@ class _BitsetStepper:
                     for d in adjacency[base + low.bit_length() - 1].get(sym_id, ()):
                         part |= 1 << d
                     rest ^= low
-                if len(table) >= _TABLE_LIMIT:
+                if len(table) >= limit:
                     table.clear()
                 table[word] = part
             out |= part
+        if memo is not None:
+            if self._memo_size >= self._memo_limit:
+                for remembered in self._memo:
+                    remembered.clear()
+                self._memo_size = 0
+            memo[mask] = out
+            self._memo_size += 1
         return out
 
     def step(self, mask: int, sym_id: int) -> int:
         """The states some state of ``mask`` reaches on the symbol."""
         self.steps += 1
-        return self._apply(self.transitions, sym_id, self._tables[sym_id], mask)
+        memo = self._memo[sym_id]
+        out = memo.get(mask) if memo is not None else None
+        if out is not None:
+            self.memo_hits += 1
+            return out
+        return self._apply(self.transitions, sym_id, self._tables[sym_id], memo, mask)
 
     def back(self, mask: int, sym_id: int) -> int:
         """The states that reach some state of ``mask`` on the symbol."""
         if self._predecessors is None:
             self._predecessors = _reverse(self.transitions)
             self._back_tables = self._empty_tables()
-        return self._apply(self._predecessors, sym_id, self._back_tables[sym_id], mask)
+        memo = self._memo[self._num_symbols + sym_id]
+        out = memo.get(mask) if memo is not None else None
+        if out is not None:
+            self.memo_hits += 1
+            return out
+        return self._apply(self._predecessors, sym_id, self._back_tables[sym_id], memo, mask)
 
 
 def compile_nfa(nfa: Nfa) -> _BitsetStepper:
@@ -561,11 +610,19 @@ def compile_nfa(nfa: Nfa) -> _BitsetStepper:
     patterns per 64-state chunk, so 64-bit chunks take far fewer lookups
     than narrower ones.  Accept sets step narrow masks, a median of two
     states, and still run faster with 64-bit chunks than with 32-bit ones.
-    :func:`includes` compiles with 32-bit chunks: its many small subsets
-    fill wider tables with patterns seen once, and narrower ones cost more
-    lookups per step.
+    Path search meets the same frontiers again and again, so a path kernel
+    remembers whole-mask steps (up to ``_MEMO_LIMIT``), and its chunk
+    tables, which see only the memo's misses, hold at most
+    ``_PATH_TABLE_LIMIT`` entries each.
+
+    :func:`includes` compiles with 32-bit chunks and no memo: its many small
+    subsets fill wider tables with patterns seen once, and narrower ones
+    cost more lookups per step.  Its steps do not repeat: none of the
+    57 799 steps of the six family proofs and two refutations steps a
+    subset it stepped before on the same symbol, so a memo would only hold
+    entries that are never read.
     """
-    return _BitsetStepper(nfa, chunk_bits=64)
+    return _BitsetStepper(nfa, 64, _PATH_TABLE_LIMIT, _MEMO_LIMIT)
 
 
 class AcceptingPath(NamedTuple):
@@ -574,11 +631,14 @@ class AcceptingPath(NamedTuple):
     ``states`` is the state sequence of the path, one more than the symbols,
     or None when the word is rejected; ``visited`` sums the sizes of the
     forward layers and ``frontier_max`` is the largest of them.
+    ``memo_hits`` counts the forward and backward steps the kernel's memo
+    answered, which depends on what the kernel stepped before.
     """
 
     states: list[int] | None
     visited: int
     frontier_max: int
+    memo_hits: int
 
 
 def accepting_path(compiled: _BitsetStepper, symbol_ids: Sequence[int]) -> AcceptingPath:
@@ -592,6 +652,7 @@ def accepting_path(compiled: _BitsetStepper, symbol_ids: Sequence[int]) -> Accep
     from an initial state to f, the run that breadth-first simulation with
     first-found parent pointers also picks.
     """
+    hits = compiled.memo_hits
     layers = [compiled.initial]
     for sym_id in symbol_ids:
         if not layers[-1]:
@@ -601,7 +662,7 @@ def accepting_path(compiled: _BitsetStepper, symbol_ids: Sequence[int]) -> Accep
     visited, widest = sum(sizes), max(sizes)
     accepted = layers[-1] & compiled.final  # an early stop leaves an empty layer
     if not accepted:
-        return AcceptingPath(None, visited, widest)
+        return AcceptingPath(None, visited, widest, compiled.memo_hits - hits)
     alive = [0] * len(layers)
     alive[-1] = accepted & -accepted
     for k in range(len(symbol_ids) - 1, -1, -1):
@@ -610,7 +671,7 @@ def accepting_path(compiled: _BitsetStepper, symbol_ids: Sequence[int]) -> Accep
     for k, sym_id in enumerate(symbol_ids):
         dsts = compiled.transitions[states[-1]].get(sym_id, ())
         states.append(min(d for d in dsts if alive[k + 1] >> d & 1))
-    return AcceptingPath(states, visited, widest)
+    return AcceptingPath(states, visited, widest, compiled.memo_hits - hits)
 
 
 _Antichain = dict[int, dict[int, list[int]]]
@@ -664,7 +725,7 @@ def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> Inclusio
     """
     if container.alphabet.symbols != contained.alphabet.symbols:
         raise ValueError("inclusion requires a common alphabet")
-    stepper = _BitsetStepper(container, chunk_bits=32)
+    stepper = _BitsetStepper(container, 32, _TABLE_LIMIT, 0)
     everything = (1 << container.num_states) - 1
     start, final = stepper.initial, stepper.final
     visited: dict[tuple[int, int], tuple | None] = {}

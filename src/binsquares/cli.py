@@ -282,8 +282,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "states_visited": result.states_visited,
         "frontier_max": result.frontier_max,
     }
-    # only a machine-backed result has stages to time
+    # only a machine-backed result has stages to time and a path search
     record.update({f"{stage}_seconds": round(s, 6) for stage, s in result.stage_seconds.items()})
+    if result.path_memo_hits is not None:
+        record["path_memo_hits"] = result.path_memo_hits
     lines = [f"{result.target} = " + " + ".join(str(v) for v in result.values())]
     lines.extend(f"  {text}" for text in rendered)
     if result.profile:

@@ -5,7 +5,10 @@ into a tagged word and run through a machine family's disjoint union,
 compiled once per family into the bitset kernel of :mod:`automata`:
 a forward pass keeps one state mask per word position, a backward pass
 keeps the states that still reach the chosen final state, and a greedy
-walk takes the lowest such state at each step.  The accepting path lands
+walk takes the lowest such state at each step.  The kernel lives as long
+as the process and remembers the whole-mask steps it takes, so the
+frontiers that come back from word to word cost one dict lookup each
+after the first time.  The accepting path lands
 inside exactly one member, which the family runtime decodes into squares and
 powers of two.  Every returned decomposition is re-verified by predicate and
 sum before it leaves this module."""
@@ -55,11 +58,14 @@ class Decomposition:
 
     Machine-backed results name the member profile that accepted, the
     states the path search visited summed over word positions,
-    ``frontier_max``, the most states alive at any one position, and
+    ``frontier_max``, the most states alive at any one position,
     ``stage_seconds``, the seconds of each stage by name: "fold" the value,
     find the accepting "path", "replay" it into summands and "verify" the
-    result.  Table-backed results leave all of these empty.  The stage
-    seconds take no part in comparisons.
+    result, and ``path_memo_hits``, the path search's forward and backward
+    steps that the family kernel's memo answered.  Table-backed results
+    leave these empty, with ``path_memo_hits`` None.  The stage seconds
+    depend on the host and the memo hits on what the process decomposed
+    before, so neither takes part in comparisons.
     """
 
     target: int
@@ -68,6 +74,7 @@ class Decomposition:
     states_visited: int = 0
     frontier_max: int = 0
     stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
+    path_memo_hits: int | None = field(default=None, compare=False)
 
     def values(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.parts)
@@ -109,6 +116,7 @@ def _machine_decompose(value: int, family: str):
         "states_visited": path.visited,
         "frontier_max": path.frontier_max,
         "stage_seconds": seconds,
+        "path_memo_hits": path.memo_hits,
     }
     return squares, powers, stats
 

@@ -324,12 +324,34 @@ def test_kernel_steps_forward_and_back_across_chunks():
             backward = sum(
                 1 << q for q in range(200) if chosen & set(nfa.transitions[q].get(sym_id, ()))
             )
-            assert kernel.step(mask, sym_id) == forward
-            assert kernel.back(mask, sym_id) == backward
+            # the second answer of each pair comes from the memo
+            hits = kernel.memo_hits
+            assert [kernel.step(mask, sym_id) for _ in range(2)] == [forward] * 2
+            assert [kernel.back(mask, sym_id) for _ in range(2)] == [backward] * 2
+            assert kernel.memo_hits == hits + 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    machines(8),
+    st.lists(st.lists(st.integers(0, len(BITS) - 1), max_size=12), max_size=12),
+)
+def test_long_lived_kernel_finds_the_paths_of_fresh_ones(nfa, words):
+    # one kernel with the module's caps and one whose memo and tables start
+    # over every few entries, each stepping every word in turn
+    kernels = [compile_nfa(nfa), automata._BitsetStepper(nfa, 64, 1, 3)]
+    for word in words:
+        fresh = accepting_path(compile_nfa(nfa), word)
+        for kernel in kernels:
+            assert accepting_path(kernel, word)[:3] == fresh[:3]
 
 
 def _largest_table(kernel):
     return max(len(t) for tables in (kernel._tables, kernel._back_tables) for row in tables for t in row)
+
+
+def _memo_entries(kernel):
+    return sum(len(memo) for memo in kernel._memo if memo is not None)
 
 
 def test_capped_lookup_tables_change_no_result(monkeypatch):
@@ -346,20 +368,26 @@ def test_capped_lookup_tables_change_no_result(monkeypatch):
     def run_all():
         kernels = [compile_nfa(nfa) for nfa, _ in cases]
         paths = [
-            [accepting_path(kernel, word) for word in words]
+            # states, visited and frontier_max; memo hits follow the caps
+            [accepting_path(kernel, word)[:3] for word in words]
             for kernel, (_, words) in zip(kernels, cases)
         ]
         inclusions = [includes(a, b) for (a, _), (b, _) in zip(cases, cases[1:])]
         return kernels, paths, inclusions
 
     kernels, paths, inclusions = run_all()
-    limit = 3
-    assert max(map(_largest_table, kernels)) > limit  # the cap will bite
+    limit, memo_limit = 3, 5
+    # the caps will bite: on the chunk tables and on the memos
+    assert max(map(_largest_table, kernels)) > limit
+    assert min(map(_memo_entries, kernels)) > memo_limit
     monkeypatch.setattr(automata, "_TABLE_LIMIT", limit)
+    monkeypatch.setattr(automata, "_PATH_TABLE_LIMIT", limit)
+    monkeypatch.setattr(automata, "_MEMO_LIMIT", memo_limit)
     capped_kernels, capped_paths, capped_inclusions = run_all()
-    assert capped_paths == paths  # states, visited and frontier_max
+    assert capped_paths == paths
     assert capped_inclusions == inclusions
     assert max(map(_largest_table, capped_kernels)) <= limit
+    assert max(map(_memo_entries, capped_kernels)) <= memo_limit
 
 
 def test_includes_prunes_with_the_empty_subset():
@@ -467,8 +495,8 @@ def test_capped_lookup_tables_reach_the_inclusion_kernels(monkeypatch):
     built = []
 
     class Recording(automata._BitsetStepper):
-        def __init__(self, nfa, chunk_bits):
-            super().__init__(nfa, chunk_bits)
+        def __init__(self, *args):
+            super().__init__(*args)
             built.append(self)
 
     monkeypatch.setattr(automata, "_BitsetStepper", Recording)
@@ -477,6 +505,9 @@ def test_capped_lookup_tables_reach_the_inclusion_kernels(monkeypatch):
     assert len(inclusion) == 10  # five inclusions, uncapped and then capped
     assert max(map(_largest_table, inclusion[:5])) > 3
     assert max(map(_largest_table, inclusion[5:])) <= 3
+    # and they keep no step memo
+    assert all(memo is None for k in inclusion for memo in k._memo)
+    assert sum(k.memo_hits for k in inclusion) == 0
 
 
 def test_includes_reports_the_mean_subset_popcount():

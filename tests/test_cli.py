@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from binsquares import automata, cli, lemma_machines, witness
+from binsquares import automata, cli, folding, lemma_machines, witness
 
 GOLDEN = Path(__file__).parent / "data" / "four_squares_exceptions.txt"
 
@@ -374,6 +374,22 @@ def test_decompose_json_times_the_stages_of_machine_results(capsys):
     assert sum(record[stage] for stage in stages) > 0
     code, out, _ = run(capsys, "--json", "decompose", "687")
     assert not set(stages) & set(records(out)[0])
+
+
+def test_decompose_json_reports_the_path_memo_hits(capsys, monkeypatch):
+    value = (1 << 40) + 3
+    runtime = lemma_machines.family_runtime("a-odd")
+    runtime.kernel  # noqa: B018 -- cached, so that teardown restores it
+    monkeypatch.delitem(runtime.__dict__, "kernel")
+    hits = []
+    for _ in range(2):
+        code, out, _ = run(capsys, "--json", "decompose", str(value))
+        assert code == 0
+        hits.append(records(out)[0]["path_memo_hits"])
+    # the second search repeats every forward and backward step of the first
+    assert hits[0] < hits[1] == 2 * len(folding.fold(value).ids)
+    code, out, _ = run(capsys, "--json", "decompose", "687")
+    assert "path_memo_hits" not in records(out)[0]
 
 
 def test_flags_accepted_after_subcommand(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binsquares import automata
 from binsquares.automata import accepting_path
 from binsquares.folding import fold
 from binsquares.lemma_machines import family_runtime
@@ -312,3 +313,41 @@ def test_machine_results_time_their_stages():
         # the timings take no part in comparing results
         assert d == fn(value)
     assert decompose((1 << 17) - 1).stage_seconds == {}
+
+
+def _fresh_kernels(monkeypatch, families):
+    """Drop the families' cached kernels for the test, so that the next
+    decomposition compiles new ones under the module's caps as they stand;
+    the old kernels come back at teardown."""
+    for name in families:
+        runtime = family_runtime(name)
+        runtime.kernel  # noqa: B018 -- cached, so that teardown restores it
+        monkeypatch.delitem(runtime.__dict__, "kernel")
+    return [family_runtime(name) for name in families]
+
+
+def test_path_memo_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(automata, "_MEMO_LIMIT", 16)
+    families = [family_of(prefix, 300) for _, prefix in MODES.values()]
+    runtimes = _fresh_kernels(monkeypatch, families)
+    rng = random.Random(300)
+    for _ in range(60):
+        value = rng.randrange(1 << 299, 1 << 300)
+        for fn, _ in MODES.values():
+            fn(value).verify()
+    for runtime in runtimes:
+        memo = runtime.kernel._memo
+        assert runtime.kernel.memo_hits > 0
+        assert 0 < sum(map(len, memo)) <= 16
+
+
+def test_a_repeated_decomposition_is_answered_from_the_memo(monkeypatch):
+    value = (1 << 300) + 987654321
+    _fresh_kernels(monkeypatch, [family_of("a", value.bit_length())])
+    first, second = decompose(value), decompose(value)
+    # every forward and every backward step of the second search repeats one
+    # of the first, and the memo holds them all
+    assert second.path_memo_hits == 2 * len(fold(value).ids)
+    assert first.path_memo_hits < second.path_memo_hits
+    assert first == second
+    assert decompose((1 << 17) - 1).path_memo_hits is None
