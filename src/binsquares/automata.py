@@ -6,13 +6,16 @@ per-state dict from symbol id to a tuple of successors.  There are no epsilon
 moves.  Multiple initial states are allowed.
 
 One compiled form serves three walks: state sets as int bitsets,
-stepped a chunk of states at a time through lazily filled per-symbol tables
-of successor masks.  Language inclusion compiles the container into it with
+stepped a chunk of states at a time through lazily filled tables of
+successor masks.  Language inclusion compiles the container into it with
 32-bit chunks and runs a lazy subset construction interleaved with the
 contained machine, pruned by one antichain of subsets per contained state,
-indexed by the lowest and the highest state of each subset.  When inclusion
-fails it returns a shortest counterexample, the shortlex-least one when the
-contained machine is deterministic, so results are reproducible.
+indexed by the lowest and the highest state of each subset.  It steps a
+subset on every symbol of the contained state's row at once, through
+tables whose entries hold a chunk's successors on all those symbols.
+When inclusion fails it returns a shortest counterexample, the
+shortlex-least one when the contained machine is deterministic, so
+results are reproducible.
 Accepting-path search runs a word through a compiled machine one state mask
 per position and recovers the lexicographically least run to the lowest
 reachable final state.  Accept-set enumeration in :mod:`lemma_machines`
@@ -20,7 +23,7 @@ steps a compiled machine through every word of one length, depth first.
 The compiled machine of these two walks is also a lazily built subset
 automaton: it remembers each whole-mask step it takes, since the same
 frontiers come back word after word.  Inclusion's kernel remembers none,
-since its steps do not repeat (see :func:`compile_nfa`).
+since its row steps do not repeat (see :func:`compile_nfa`).
 
 :func:`quotient` merges the states of a machine by a forward and then a
 backward bisimulation; the result accepts the same words, and inclusion
@@ -32,7 +35,9 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 # array typecodes of unsigned ints of 32 and 64 bits, in native byte order
@@ -41,12 +46,12 @@ _CHUNK_TYPECODES = {
     64: "Q",
 }
 _BIG_ENDIAN = sys.byteorder == "big"
-# Entries one (symbol, chunk) lookup table may hold; a full table is cleared
-# before its next insertion.  Inclusion's 32-bit-chunk tables fill up 24 times
-# in the even-squares verify, 4 times in the square-power-even one and 12
-# times in the a-even refutation at 16 bits, with the same result and counts
-# as uncapped tables; a cap of 64 makes the even-squares inclusion about
-# twice as slow.
+# Entries one of inclusion's (symbol tuple, chunk) row tables may hold; a
+# full table is cleared before its next insertion.  The 32-bit-chunk row
+# tables fill up once in the square-power-even verify and once in the a-even
+# refutation at 16 bits, and never in the other four verifies, with the same
+# result and counts as uncapped tables; a cap of 64 makes the even-squares
+# inclusion about 1.8 times as slow.
 _TABLE_LIMIT = 256
 # The same for a compiled path kernel's 64-bit-chunk tables, which see only
 # the steps its memo misses.  They fill up 480 times in a perfbench certify
@@ -483,9 +488,12 @@ class InclusionResult:
 
     ``explored`` counts the (contained state, container subset) pairs stored,
     ``subset_steps`` the container subset successors computed,
-    ``antichain_peak`` the most subsets kept for any one contained state, and
+    ``antichain_peak`` the most subsets kept for any one contained state,
     ``subset_popcount_mean`` the mean number of container states in the
-    subsets kept (0.0 when none is kept).
+    subsets kept (0.0 when none is kept), and ``table_entries`` the chunk
+    table entries the search built.  A table that reaches its cap starts
+    over and builds again, so ``table_entries`` follows the cap and takes
+    no part in comparing results.
     """
 
     holds: bool
@@ -494,6 +502,7 @@ class InclusionResult:
     subset_steps: int
     antichain_peak: int
     subset_popcount_mean: float
+    table_entries: int = field(compare=False)
 
 
 class _BitsetStepper:
@@ -507,13 +516,19 @@ class _BitsetStepper:
     ``table_limit`` entries starts over, so a long-lived machine's tables
     stay bounded.  A backward step works the same way on predecessor lists,
     built on the first backward step, so a machine that only steps forward
-    never pays for them.
+    never pays for them.  Single steps go through a memo: one dict per
+    symbol and direction maps a whole mask to its successor mask, so the
+    stepper is also a lazily built subset automaton, and only a miss goes
+    through the chunk tables.  ``memo_hits`` counts the steps the memo
+    answered.  The memo starts over when it holds ``memo_limit`` entries
+    over both directions.
 
-    With a nonzero ``memo_limit`` the stepper is also a lazily built subset
-    automaton: one dict per symbol and direction maps a whole mask to its
-    successor mask, and only a miss goes through the chunk tables.
-    ``memo_hits`` counts the steps the memo answered.  The memo starts over
-    when it holds ``memo_limit`` entries over both directions.
+    A row step takes a whole tuple of symbols at once: it splits the mask
+    once and looks each chunk up once, in one table per (symbol tuple,
+    chunk) whose entries hold the chunk's successor mask on every symbol of
+    the tuple.  Inclusion steps rows only, so its stepper is compiled with
+    ``memo_limit`` 0 and keeps no memo and no per-symbol tables;
+    ``row_entries`` counts the row table entries built.
     """
 
     def __init__(self, nfa: Nfa, chunk_bits: int, table_limit: int, memo_limit: int):
@@ -526,17 +541,22 @@ class _BitsetStepper:
         self._chunks = (nfa.num_states + chunk_bits - 1) // chunk_bits
         self._num_bytes = self._chunks * chunk_bits // 8
         self._table_limit = table_limit
-        self._tables = self._empty_tables()
         self._predecessors: list[dict[int, tuple[int, ...]]] | None = None
         self._back_tables: list[list[dict[int, int]]] = []
         self._memo_limit = memo_limit
         self._memo_size = 0
-        # per symbol, the forward and then the backward steps remembered
-        self._memo: list[dict[int, int] | None] = [
-            {} if memo_limit else None for _ in range(2 * self._num_symbols)
-        ]
+        # per symbol, the forward and then the backward steps remembered; a
+        # stepper without a memo steps rows only and has no per-symbol tables
+        self._tables: list[list[dict[int, int]]] = []
+        self._memo: list[dict[int, int]] | None = None
+        if memo_limit:
+            self._tables = self._empty_tables()
+            self._memo = [{} for _ in range(2 * self._num_symbols)]
+        # per symbol tuple, one table per chunk of per-symbol successor masks
+        self._row_tables: dict[tuple[int, ...], list[dict[int, tuple[int, ...]]]] = {}
         self.steps = 0
         self.memo_hits = 0
+        self.row_entries = 0
 
     def _empty_tables(self) -> list[list[dict[int, int]]]:
         return [[{} for _ in range(self._chunks)] for _ in range(self._num_symbols)]
@@ -546,7 +566,7 @@ class _BitsetStepper:
         adjacency: Sequence[Mapping[int, Sequence[int]]],
         sym_id: int,
         tables: list[dict[int, int]],
-        memo: dict[int, int] | None,
+        memo: dict[int, int],
         mask: int,
     ) -> int:
         width, limit = self._chunk_bits, self._table_limit
@@ -570,20 +590,19 @@ class _BitsetStepper:
                     table.clear()
                 table[word] = part
             out |= part
-        if memo is not None:
-            if self._memo_size >= self._memo_limit:
-                for remembered in self._memo:
-                    remembered.clear()
-                self._memo_size = 0
-            memo[mask] = out
-            self._memo_size += 1
+        if self._memo_size >= self._memo_limit:
+            for remembered in self._memo:
+                remembered.clear()
+            self._memo_size = 0
+        memo[mask] = out
+        self._memo_size += 1
         return out
 
     def step(self, mask: int, sym_id: int) -> int:
         """The states some state of ``mask`` reaches on the symbol."""
         self.steps += 1
         memo = self._memo[sym_id]
-        out = memo.get(mask) if memo is not None else None
+        out = memo.get(mask)
         if out is not None:
             self.memo_hits += 1
             return out
@@ -595,11 +614,50 @@ class _BitsetStepper:
             self._predecessors = _reverse(self.transitions)
             self._back_tables = self._empty_tables()
         memo = self._memo[self._num_symbols + sym_id]
-        out = memo.get(mask) if memo is not None else None
+        out = memo.get(mask)
         if out is not None:
             self.memo_hits += 1
             return out
         return self._apply(self._predecessors, sym_id, self._back_tables[sym_id], memo, mask)
+
+    def step_row(self, mask: int, sym_ids: tuple[int, ...]) -> list[int]:
+        """The states some state of ``mask`` reaches on each of the symbols,
+        one mask per symbol in the order given."""
+        self.steps += len(sym_ids)
+        tables = self._row_tables.get(sym_ids)
+        if tables is None:
+            tables = self._row_tables[sym_ids] = [{} for _ in range(self._chunks)]
+        width, limit, adjacency = self._chunk_bits, self._table_limit, self.transitions
+        chunks = array(self._typecode, mask.to_bytes(self._num_bytes, "little"))
+        if _BIG_ENDIAN:
+            chunks.byteswap()
+        found = []
+        for chunk, word in enumerate(chunks):
+            if not word:
+                continue
+            table = tables[chunk]
+            parts = table.get(word)
+            if parts is None:
+                rows, base, rest = [], width * chunk, word
+                while rest:
+                    low = rest & -rest
+                    rows.append(adjacency[base + low.bit_length() - 1])
+                    rest ^= low
+                built = []
+                for sym_id in sym_ids:
+                    part = 0
+                    for row in rows:
+                        for d in row.get(sym_id, ()):
+                            part |= 1 << d
+                    built.append(part)
+                if len(table) >= limit:
+                    table.clear()
+                table[word] = parts = tuple(built)
+                self.row_entries += 1
+            found.append(parts)
+        if not found:
+            return [0] * len(sym_ids)
+        return [reduce(or_, column) for column in zip(*found)]
 
 
 def compile_nfa(nfa: Nfa) -> _BitsetStepper:
@@ -615,11 +673,12 @@ def compile_nfa(nfa: Nfa) -> _BitsetStepper:
     tables, which see only the memo's misses, hold at most
     ``_PATH_TABLE_LIMIT`` entries each.
 
-    :func:`includes` compiles with 32-bit chunks and no memo: its many small
-    subsets fill wider tables with patterns seen once, and narrower ones
-    cost more lookups per step.  Its steps do not repeat: none of the
-    57 799 steps of the six family proofs and two refutations steps a
-    subset it stepped before on the same symbol, so a memo would only hold
+    :func:`includes` compiles with 32-bit chunks and no memo, and steps
+    whole rows of symbols: its many small subsets fill wider tables with
+    patterns seen once, and narrower ones cost more lookups per step.  Its
+    row steps do not repeat: none of the 9 073 row steps (57 799 subset
+    successors) of the six family proofs and two refutations steps a subset
+    it stepped before on the same symbol tuple, so a memo would only hold
     entries that are never read.
     """
     return _BitsetStepper(nfa, 64, _PATH_TABLE_LIMIT, _MEMO_LIMIT)
@@ -709,7 +768,8 @@ def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> Inclusio
     The container is compiled once per call into the int-bitset kernel, so
     a subset of its states is a plain int mask.  The search explores pairs
     (state of contained, container subset) breadth-first from the initial
-    pairs, expanding each pair's symbols in sorted order.  A pair whose
+    pairs.  It steps a pair's subset on all the symbols of its contained
+    state's row at once, and expands them in sorted order.  A pair whose
     contained state is final while its subset holds no final container state
     ends the search, and the counterexample is rebuilt from stored parents.
     With ``antichain`` set, a pair is pruned when an already stored pair of
@@ -757,6 +817,7 @@ def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> Inclusio
                 if stored
                 else 0.0
             ),
+            table_entries=stepper.row_entries,
         )
 
     def store(node: tuple[int, int], parent: tuple | None) -> bool:
@@ -774,10 +835,15 @@ def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> Inclusio
         if node not in visited and store(node, None):
             return result(node)
 
+    # per contained state, its row's symbols in sorted order and their targets
+    rows = []
+    for row in contained.transitions:
+        sym_ids = tuple(sorted(row))
+        rows.append((sym_ids, [row[sym_id] for sym_id in sym_ids]))
     while queue:
         qb, mask = queue.popleft()
-        for sym_id, dsts in sorted(contained.transitions[qb].items()):
-            nmask = stepper.step(mask, sym_id)
+        sym_ids, targets = rows[qb]
+        for sym_id, dsts, nmask in zip(sym_ids, targets, stepper.step_row(mask, sym_ids)):
             for db in dsts:
                 node = (db, nmask)
                 if node in visited:

@@ -125,6 +125,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "subset_steps": result.subset_steps,
         "antichain_peak": result.antichain_peak,
         "subset_popcount_mean": round(result.subset_popcount_mean, 2),
+        "table_entries": result.table_entries,
         "build_seconds": round(built - started, 3),
         "quotient_seconds": round(collapsed - built, 3),
         "inclusion_seconds": round(finished - collapsed, 3),
@@ -146,6 +147,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"steps        {result.subset_steps} subset steps",
         f"antichain    {result.antichain_peak} subsets peak",
         f"subsets      {record['subset_popcount_mean']} states mean",
+        f"tables       {result.table_entries} entries built",
         f"build        {record['build_seconds']}s",
         f"quotient     {record['quotient_seconds']}s",
         f"inclusion    {record['inclusion_seconds']}s",

@@ -270,13 +270,25 @@ def congruence_two_solutions(max_m: int) -> list[tuple[int, int]]:
 
 def power_of_two_short_representations(n: int) -> list[tuple[int, ...]]:
     """All multisets of at most 3 positive binary squares summing to 2**n,
-    each sorted descending."""
+    each sorted descending.
+
+    The pairs of summands below 2**n grow about 4 times per step of n, so a
+    sweep first marks the sums of exactly two positive binary squares, and
+    a smallest summand a whose rest 2**n - a is not one of them is skipped
+    without trying its second summands.
+    """
     target = 1 << n
+    bound = target + 1
     positives = [
         v
-        for v in ground_set_upto(GroundSetKind.BINARY_SQUARE, target + 1)
+        for v in ground_set_upto(GroundSetKind.BINARY_SQUARE, bound)
         if 0 < v <= target
     ]
+    ground = [p for p in ground_progressions(GroundSetKind.BINARY_SQUARE, bound) if p[0]]
+    pairs = _shift_or_level(_shift_or_level(1, ground, bound), ground, bound)
+    # one byte string, since shifting a bound-bit int per summand costs more
+    # than the pair loop it saves
+    pair_bits = pairs.to_bytes((bound + 7) // 8, "little")
     members = set(positives)
     out = []
     if target in members:
@@ -285,10 +297,12 @@ def power_of_two_short_representations(n: int) -> list[tuple[int, ...]]:
         rest = target - a
         if rest < a:
             break
-        if rest in members and rest >= a:
+        if rest in members:
             out.append((rest, a))
+        if not pair_bits[rest >> 3] >> (rest & 7) & 1:
+            continue
         for b in positives[idx:]:
-            c = target - a - b
+            c = rest - b
             if c < b:
                 break
             if c in members:

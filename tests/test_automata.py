@@ -350,8 +350,12 @@ def _largest_table(kernel):
     return max(len(t) for tables in (kernel._tables, kernel._back_tables) for row in tables for t in row)
 
 
+def _largest_row_table(kernel):
+    return max((len(t) for tables in kernel._row_tables.values() for t in tables), default=0)
+
+
 def _memo_entries(kernel):
-    return sum(len(memo) for memo in kernel._memo if memo is not None)
+    return sum(map(len, kernel._memo))
 
 
 def test_capped_lookup_tables_change_no_result(monkeypatch):
@@ -503,11 +507,49 @@ def test_capped_lookup_tables_reach_the_inclusion_kernels(monkeypatch):
     test_capped_lookup_tables_change_no_result(monkeypatch)
     inclusion = [k for k in built if k._chunk_bits == 32]
     assert len(inclusion) == 10  # five inclusions, uncapped and then capped
-    assert max(map(_largest_table, inclusion[:5])) > 3
-    assert max(map(_largest_table, inclusion[5:])) <= 3
-    # and they keep no step memo
-    assert all(memo is None for k in inclusion for memo in k._memo)
+    assert max(map(_largest_row_table, inclusion[:5])) > 3
+    assert max(map(_largest_row_table, inclusion[5:])) <= 3
+    # they step rows only: no per-symbol tables and no step memo
+    assert all(k._tables == [] and k._back_tables == [] for k in inclusion)
+    assert all(k._memo is None for k in inclusion)
     assert sum(k.memo_hits for k in inclusion) == 0
+
+
+LETTERS = Alphabet([Symbol(tag, (0,)) for tag in "abcde"])
+
+
+@st.composite
+def row_cases(draw):
+    """A sparse machine over five letters with up to three 32-bit chunks of
+    states, some subsets of its states as masks and a sorted tuple of symbol
+    ids."""
+    n = draw(st.integers(1, 90))
+    state = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(state, st.integers(0, len(LETTERS) - 1), state), max_size=200))
+    builder = NfaBuilder(LETTERS)
+    for q in range(n):
+        builder.state(q)
+    for src, sym_id, dst in edges:
+        builder.add_edge(src, sym_id, dst)
+    nfa = builder.build()
+    chosen = draw(st.lists(st.sets(state), min_size=1, max_size=8))
+    masks = [sum(1 << q for q in states) for states in chosen]
+    sym_ids = tuple(sorted(draw(st.sets(st.integers(0, len(LETTERS) - 1)))))
+    return nfa, masks, sym_ids
+
+
+@pytest.mark.parametrize("limit", [automata._TABLE_LIMIT, 1])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(row_cases())
+def test_row_step_matches_successors_per_symbol(limit, case):
+    # a limit of 1 clears a table on every insertion
+    nfa, masks, sym_ids = case
+    kernel = automata._BitsetStepper(nfa, 32, limit, 0)
+    for mask in masks + masks:  # the second round finds entries or rebuilds them
+        chosen = frozenset(q for q in range(nfa.num_states) if mask >> q & 1)
+        want = [sum(1 << d for d in nfa.successors(chosen, s)) for s in sym_ids]
+        assert kernel.step_row(mask, sym_ids) == want
+    assert kernel.steps == 2 * len(masks) * len(sym_ids)
 
 
 def test_includes_reports_the_mean_subset_popcount():

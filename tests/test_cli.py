@@ -293,6 +293,15 @@ def test_verify_reports_the_mean_subset_popcount(capsys):
     assert "subsets      8.83 states mean" in out.splitlines()
 
 
+def test_verify_reports_the_table_entries(capsys):
+    # the chunk table entries the search built under the default cap
+    code, out, _ = run(capsys, "--json", "verify", "generalized-odd")
+    assert code == 0
+    assert records(out)[0]["table_entries"] == 58
+    code, out, _ = run(capsys, "verify", "generalized-odd")
+    assert "tables       58 entries built" in out.splitlines()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -245,6 +245,18 @@ EXPLORED = {
     "generalized-odd": 173,
     "generalized-even": 373,
 }
+# (subset_steps, antichain_peak) of the searches above and of the two
+# refutations below, by family and gate
+STEPS_AND_PEAK = {
+    ("a-odd", 13): (3596, 332),
+    ("a-even", 18): (14107, 1400),
+    ("square-power-odd", 11): (10670, 738),
+    ("square-power-even", 12): (62726, 5227),
+    ("generalized-odd", 11): (788, 65),
+    ("generalized-even", 12): (1235, 140),
+    ("a-odd", 11): (2842, 326),
+    ("a-even", 16): (11419, 1134),
+}
 
 
 @pytest.mark.parametrize(
@@ -262,6 +274,7 @@ def test_family_covers_all_long_words(name, parity, gate):
     res = includes(family_union(name), syntax_checker(parity, gate))
     assert res.holds, [s.render() for s in res.counterexample]
     assert res.explored == EXPLORED[name]
+    assert (res.subset_steps, res.antichain_peak) == STEPS_AND_PEAK[name, gate]
 
 
 @pytest.mark.parametrize(
@@ -275,6 +288,7 @@ def test_family_misses_a_word_below_its_gate(name, parity, gate, explored, value
     res = includes(family_union(name), syntax_checker(parity, gate))
     assert not res.holds
     assert res.explored == explored
+    assert (res.subset_steps, res.antichain_peak) == STEPS_AND_PEAK[name, gate]
     assert unfold(res.counterexample) == value
 
 

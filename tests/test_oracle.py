@@ -187,6 +187,13 @@ def test_congruence_two_only_solution():
     assert congruence_two_solutions(16) == [(4, 3)]
 
 
+def test_optimality_check_keeps_its_table():
+    # as the unfiltered pair loop returned it, order within a list included
+    expected = {n: [] for n in range(1, 24, 2)}
+    expected[9] = [(255, 221, 36), (238, 238, 36)]
+    assert optimality_check(23) == expected
+
+
 def test_optimality_of_four():
     reps = optimality_check(25)
     for n, found in reps.items():
