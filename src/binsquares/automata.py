@@ -25,9 +25,8 @@ automaton: it remembers each whole-mask step it takes, since the same
 frontiers come back word after word.  Inclusion's kernel remembers none,
 since its row steps do not repeat (see :func:`compile_nfa`).
 
-:func:`quotient` merges the states of a machine by a forward and then a
-backward bisimulation; the result accepts the same words, and inclusion
-proofs run on it.
+:func:`quotient` merges the states of a machine by a forward bisimulation;
+the result accepts the same words, and inclusion proofs run on it.
 """
 
 from __future__ import annotations
@@ -174,9 +173,6 @@ class NfaBuilder:
         self._edges: list[dict[int, set[int]]] = []
         self._initial: set[int] = set()
         self._final: set[int] = set()
-        # the last source key and its id: a generator adds a state's edges
-        # one after another, so its key is interned once, not once per edge
-        self._src: tuple[object, int] = (object(), -1)
 
     def state(self, key: object) -> int:
         q = self._ids.get(key)
@@ -184,9 +180,6 @@ class NfaBuilder:
             q = self._ids[key] = len(self._edges)
             self._edges.append({})
         return q
-
-    def known(self, key: object) -> bool:
-        return key in self._ids
 
     def mark_initial(self, key: object) -> None:
         self._initial.add(self.state(key))
@@ -197,20 +190,9 @@ class NfaBuilder:
     def add_edge(self, src: object, symbol: Symbol | int, dst: object) -> None:
         """Add the edge src -> dst on ``symbol``, a letter of the alphabet or
         its id, interning new state keys."""
-        last, s = self._src
-        if src is not last:
-            s = self.state(src)
-            self._src = (src, s)
-        d = self._ids.get(dst)
-        if d is None:
-            d = self.state(dst)
+        s, d = self.state(src), self.state(dst)
         sym_id = symbol if isinstance(symbol, int) else self.alphabet.id_of(symbol)
-        row = self._edges[s]
-        dsts = row.get(sym_id)
-        if dsts is None:
-            row[sym_id] = {d}
-        else:
-            dsts.add(d)
+        self._edges[s].setdefault(sym_id, set()).add(d)
 
     def build(self) -> Nfa:
         n = len(self._ids)
@@ -320,35 +302,31 @@ def union(machines: list[Nfa]) -> Nfa:
 
 
 class Quotient(NamedTuple):
-    """Result of :func:`quotient`: ``middle`` is the forward quotient of the
-    input and ``machine`` the backward quotient of ``middle``.  ``forward``
-    maps each input state to its ``middle`` state, ``backward`` each
-    ``middle`` state to its ``machine`` state."""
+    """Result of :func:`quotient`: ``machine`` is the forward quotient of the
+    input, and ``forward`` maps each input state to its ``machine`` state."""
 
     machine: Nfa
-    middle: Nfa
     forward: tuple[int, ...]
-    backward: tuple[int, ...]
 
 
 def _refine(rows: Sequence[Mapping[int, Sequence[int]]], marked: frozenset[int]) -> list[int]:
     """The coarsest stable partition of the states that separates ``marked``
-    from the rest: the states of a block have neighbours in the same blocks
-    on every symbol, where ``rows[q]`` maps a symbol to q's neighbours.
+    from the rest: the states of a block have successors in the same blocks
+    on every symbol, where ``rows[q]`` maps a symbol to q's successors.
     Blocks are numbered by first occurrence in state order.
 
     Signature refinement: a round splits each block it re-signs by its
-    members' sets of neighbour blocks per symbol.  A split is sound whenever
-    it happens, since states of one class have neighbours in the same
+    members' sets of successor blocks per symbol.  A split is sound whenever
+    it happens, since states of one class have successors in the same
     blocks of any coarser partition.  A signature changes only when a
-    neighbour changes block, so a round re-signs only the blocks holding a
+    successor changes block, so a round re-signs only the blocks holding a
     predecessor of a state that the last round moved.
     """
     items = [sorted(row.items()) for row in rows]
     predecessors: list[list[int]] = [[] for _ in rows]
     for q, row in enumerate(items):
-        for _, nbrs in row:
-            for d in nbrs:
+        for _, dsts in row:
+            for d in dsts:
                 predecessors[d].append(q)
     block = [int(q in marked) for q in range(len(rows))]
     members = [[q for q, b in enumerate(block) if b == side] for side in (0, 1)]
@@ -359,7 +337,7 @@ def _refine(rows: Sequence[Mapping[int, Sequence[int]]], marked: frozenset[int])
         for b in sorted(dirty):
             parts: dict[tuple, list[int]] = {}
             for q in members[b]:
-                key = tuple([(sym, frozenset(map(get, nbrs))) for sym, nbrs in items[q]])
+                key = tuple([(sym, frozenset(map(get, dsts))) for sym, dsts in items[q]])
                 parts.setdefault(key, []).append(q)
             members[b], *split = parts.values()
             for part in split:
@@ -370,20 +348,6 @@ def _refine(rows: Sequence[Mapping[int, Sequence[int]]], marked: frozenset[int])
         dirty = {block[p] for q in moved for p in predecessors[q]}
     ids: dict[int, int] = {}
     return [ids.setdefault(b, len(ids)) for b in block]
-
-
-def _collapse(
-    rows: Sequence[Mapping[int, Sequence[int]]], block: list[int]
-) -> list[dict[int, tuple[int, ...]]]:
-    """The rows of the machine on the blocks of a stable partition, read off
-    each block's first member, since the members agree on neighbour blocks."""
-    first: dict[int, int] = {}
-    for q, b in enumerate(block):
-        first.setdefault(b, q)
-    return [
-        {sym: tuple(sorted({block[d] for d in nbrs})) for sym, nbrs in sorted(rows[q].items())}
-        for q in first.values()
-    ]
 
 
 def _reverse(rows: Sequence[Mapping[int, Sequence[int]]]) -> list[dict[int, tuple[int, ...]]]:
@@ -397,33 +361,33 @@ def _reverse(rows: Sequence[Mapping[int, Sequence[int]]]) -> list[dict[int, tupl
 
 
 def quotient(nfa: Nfa) -> Quotient:
-    """Merge states by a forward and then a backward bisimulation.
+    """Merge states by a forward bisimulation: states of the same finality
+    whose successors fall in the same blocks on every symbol accept the same
+    words, so the merged machine does too.  Each block's row is read off its
+    first member, since the members agree on successor blocks.
 
-    The forward stage merges states of the same finality whose successors
-    fall in the same blocks on every symbol, so merged states accept the
-    same words.  The backward stage does the mirror on the result, over
-    predecessors and initiality, so merged states are reached by the same
-    words.  Each stage keeps the language, and the second often merges
-    states the first could not.
+    Merging states reached by the same words as well would not help
+    inclusion: every subset its search reaches holds such states together,
+    so the subsets and their order would stay as they were.
     """
     forward = _refine(nfa.transitions, nfa.final)
-    middle = Nfa(
-        alphabet=nfa.alphabet,
-        num_states=len(set(forward)),
-        initial=frozenset(forward[q] for q in nfa.initial),
-        final=frozenset(forward[q] for q in nfa.final),
-        transitions=_collapse(nfa.transitions, forward),
-    )
-    predecessors = _reverse(middle.transitions)
-    backward = _refine(predecessors, middle.initial)
+    first: dict[int, int] = {}
+    for q, b in enumerate(forward):
+        first.setdefault(b, q)
     machine = Nfa(
         alphabet=nfa.alphabet,
-        num_states=len(set(backward)),
-        initial=frozenset(backward[q] for q in middle.initial),
-        final=frozenset(backward[q] for q in middle.final),
-        transitions=_reverse(_collapse(predecessors, backward)),
+        num_states=len(first),
+        initial=frozenset(forward[q] for q in nfa.initial),
+        final=frozenset(forward[q] for q in nfa.final),
+        transitions=[
+            {
+                sym: tuple(sorted({forward[d] for d in dsts}))
+                for sym, dsts in sorted(nfa.transitions[q].items())
+            }
+            for q in first.values()
+        ],
     )
-    return Quotient(machine, middle, tuple(forward), tuple(backward))
+    return Quotient(machine, tuple(forward))
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
@@ -431,13 +395,9 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     if a.alphabet.symbols != b.alphabet.symbols:
         raise ValueError("intersection requires a common alphabet")
     builder = NfaBuilder(a.alphabet)
-    queue: deque[tuple[int, int]] = deque()
-    for qa in sorted(a.initial):
-        for qb in sorted(b.initial):
-            key = (qa, qb)
-            if not builder.known(key):
-                builder.mark_initial(key)
-                queue.append(key)
+    queue = deque((qa, qb) for qa in sorted(a.initial) for qb in sorted(b.initial))
+    for key in queue:
+        builder.mark_initial(key)
     seen = set(queue)
     while queue:
         qa, qb = queue.popleft()
@@ -879,9 +839,7 @@ def to_automata_script(nfa: Nfa, name: str = "machine") -> str:
     """NestedWordAutomaton text block (internal transitions only)."""
 
     def sym_name(symbol: Symbol) -> str:
-        if symbol.is_pair:
-            return f'"[{symbol.bits[0]},{symbol.bits[1]}]{symbol.tag}"'
-        return f'"{symbol.bits[0]}{symbol.tag}"'
+        return f'"{symbol.render()}"'
 
     used = sorted({sym_id for _, sym_id, _ in nfa.walk()})
     letters = ", ".join(sym_name(nfa.alphabet.symbols[i]) for i in used)

@@ -236,6 +236,8 @@ def cmd_crossvalidate(args: argparse.Namespace) -> int:
         summands = tuple(Summand(o, u) for o, u in chosen)
         carries = range(total) if carry is None else [carry]
         for m in carries:
+            # a pinned carry is below the whole spec's count, but it can be
+            # at or past this subset's, and such a machine accepts nothing
             if m >= total:
                 continue
             nfa = fixed_machine(parity, length, summands, m)

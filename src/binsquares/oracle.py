@@ -340,7 +340,7 @@ def decompose_brute(value: int, kind: GroundSetKind, k: int) -> list[int] | None
     ``_CACHED_BITS`` bits are cached; larger ones live for the call only.
     Works up to 2**24 and ``MAX_SUMMANDS`` summands.
     """
-    if value < 0 or value >= 1 << 24:
+    if value < 0 or value >= MAX_BOUND:
         raise ValueError("value must lie in [0, 2**24)")
     if k < 0:
         raise ValueError("k must be non-negative")

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -114,6 +115,15 @@ def test_crossvalidate_known_lengths_match(capsys, length, profiles):
     assert record["machine_values"] == record["oracle_values"] > 0
 
 
+def test_crossvalidate_skips_subsets_below_the_pinned_carry(capsys):
+    # carry 1 fits the two summands of 4:2 but not the subset with one
+    code, out, _ = run(
+        capsys, "--json", "crossvalidate", "--length", "8", "--profiles", "4:2,carry=1"
+    )
+    assert code == 0
+    assert records(out)[0]["machines"] == 1
+
+
 def test_crossvalidate_pinned_carry_can_mismatch(capsys):
     code, out, _ = run(
         capsys,
@@ -142,14 +152,34 @@ def test_verify_generalized_odd_holds(capsys):
     assert (record["generated_states"], record["generated_transitions"]) == (530, 4238)
     assert record["generator_nodes"] == 31
     assert "counterexample" not in record
-    # inclusion runs on the union's bisimulation quotient
-    assert (record["proof_states"], record["proof_transitions"]) == (77, 714)
+    # inclusion runs on the union's forward bisimulation quotient
+    assert (record["proof_states"], record["proof_transitions"]) == (92, 831)
     assert record["explored"] == 36
     assert record["subset_steps"] == 161
     assert record["antichain_peak"] == 14
     assert 0 <= record["build_seconds"] <= record["wall_seconds"]
     assert 0 <= record["quotient_seconds"] <= record["wall_seconds"]
     assert 0 <= record["inclusion_seconds"] <= record["wall_seconds"]
+
+
+@pytest.mark.parametrize(
+    "target, search",
+    [
+        ("odd-squares", (157, 1005, 96)),
+        ("even-squares", (1305, 8927, 930)),
+        ("square-power-odd", (1265, 7237, 546)),
+        ("square-power-even", (3912, 25813, 2612)),
+        ("generalized-odd", (36, 161, 14)),
+        ("generalized-even", (74, 395, 36)),
+    ],
+)
+def test_verify_search_counts(capsys, target, search):
+    # (explored, subset_steps, antichain_peak) of the search on the proof machine
+    code, out, _ = run(capsys, "--json", "verify", target)
+    assert code == 0
+    (record,) = records(out)
+    assert record["holds"] is True
+    assert (record["explored"], record["subset_steps"], record["antichain_peak"]) == search
 
 
 def test_failed_quotient_check_exits_four(capsys, monkeypatch):
@@ -169,7 +199,7 @@ def test_failed_quotient_check_exits_four(capsys, monkeypatch):
     monkeypatch.setattr(cli, "family_runtime", lemma_machines.FamilyRuntime)
     code, out, err = run(capsys, "verify", "generalized-odd")
     assert (code, out) == (4, "")
-    assert err.startswith("error: backward quotient check failed")
+    assert err.startswith("error: forward quotient check failed")
     assert err.count("\n") == 1
 
 
@@ -212,6 +242,21 @@ def test_export_dot_and_ats(capsys, tmp_path):
     )
     assert code == 0
     assert ats.read_text().startswith("NestedWordAutomaton generalized_odd = (")
+
+
+# sha256 of every export, machines in name order, dot before ats
+EXPORT_DIGEST = "4f09dae246cb7c8ea0154671b2eb11d80dca119cdd703ebee4761a69b7e9342b"
+
+
+def test_export_digest(capsys, tmp_path):
+    digest = hashlib.sha256()
+    out = tmp_path / "machine"
+    for machine in sorted(cli._EXPORT_MACHINES):
+        for fmt in ("dot", "ats"):
+            code, _, _ = run(capsys, "export", machine, "--format", fmt, "--out", str(out))
+            assert code == 0
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == EXPORT_DIGEST
 
 
 @pytest.mark.parametrize("target", ["dir", "missing/checker.dot"])
@@ -288,18 +333,18 @@ def test_optimality_rejects_max_n_out_of_range(capsys, max_n):
 def test_verify_reports_the_mean_subset_popcount(capsys):
     code, out, _ = run(capsys, "--json", "verify", "generalized-odd")
     assert code == 0
-    assert records(out)[0]["subset_popcount_mean"] == 8.83
+    assert records(out)[0]["subset_popcount_mean"] == 10.83
     code, out, _ = run(capsys, "verify", "generalized-odd")
-    assert "subsets      8.83 states mean" in out.splitlines()
+    assert "subsets      10.83 states mean" in out.splitlines()
 
 
 def test_verify_reports_the_table_entries(capsys):
     # the chunk table entries the search built under the default cap
     code, out, _ = run(capsys, "--json", "verify", "generalized-odd")
     assert code == 0
-    assert records(out)[0]["table_entries"] == 58
+    assert records(out)[0]["table_entries"] == 73
     code, out, _ = run(capsys, "verify", "generalized-odd")
-    assert "tables       58 entries built" in out.splitlines()
+    assert "tables       73 entries built" in out.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""The independent quotient checks, on the six families and on broken maps."""
+"""The independent quotient check, on the six families and on broken maps."""
 
 from dataclasses import replace
 
@@ -7,15 +7,15 @@ import pytest
 from binsquares import lemma_machines
 from binsquares.automata import Nfa, quotient
 from binsquares.lemma_machines import FAMILY_NAMES, FamilyRuntime, family_runtime, family_union
-from binsquares.proofcheck import check_backward, check_forward
+from binsquares.proofcheck import check_forward
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_both_stages_check_on_every_family(name):
+    # the map passes the check, and the proof machine is the checked quotient
     union = family_union(name)
     collapsed = quotient(union)
-    check_forward(union, collapsed.middle, collapsed.forward)
-    check_backward(collapsed.middle, collapsed.machine, collapsed.backward)
+    check_forward(union, collapsed.machine, collapsed.forward)
     proof = family_runtime(name).proof_machine
     assert proof.transitions == collapsed.machine.transitions
     assert (proof.initial, proof.final) == (collapsed.machine.initial, collapsed.machine.final)
@@ -52,35 +52,31 @@ def redirect_one_edge(nfa: Nfa) -> Nfa:
 
 @pytest.fixture(scope="module")
 def stages():
-    """(check, A, B, h) for both stages of the generalized-odd quotient."""
+    """(check, A, B, h) for each stage of the generalized-odd quotient."""
     union = family_union("generalized-odd")
     collapsed = quotient(union)
-    return {
-        "forward": (check_forward, union, collapsed.middle, collapsed.forward),
-        "backward": (check_backward, collapsed.middle, collapsed.machine, collapsed.backward),
-    }
+    return {"forward": (check_forward, union, collapsed.machine, collapsed.forward)}
 
 
-@pytest.mark.parametrize("stage", ["forward", "backward"])
+@pytest.mark.parametrize("stage", ["forward"])
 def test_merging_states_that_end_differently_is_rejected(stages, stage):
-    # a forward stage must keep finality, a backward stage initiality
+    # a forward stage must keep finality
     check, a, b, h = stages[stage]
-    ends = b.final if stage == "forward" else b.initial
-    inside = min(ends)
-    outside = min(set(range(b.num_states)) - ends)
+    inside = min(b.final)
+    outside = min(set(range(b.num_states)) - b.final)
     merged, g = merge(b, inside, outside)
     with pytest.raises(RuntimeError, match="disagree on stopping"):
         check(a, merged, [g[x] for x in h])
 
 
-@pytest.mark.parametrize("stage", ["forward", "backward"])
+@pytest.mark.parametrize("stage", ["forward"])
 def test_redirected_quotient_edge_is_rejected(stages, stage):
     check, a, b, h = stages[stage]
     with pytest.raises(RuntimeError, match="different neighbours"):
         check(a, redirect_one_edge(b), h)
 
 
-@pytest.mark.parametrize("stage", ["forward", "backward"])
+@pytest.mark.parametrize("stage", ["forward"])
 def test_dropped_initial_state_is_rejected(stages, stage):
     check, a, b, h = stages[stage]
     with pytest.raises(RuntimeError, match=f"{stage} quotient check failed"):
@@ -96,5 +92,5 @@ def test_unchecked_proof_machine_is_refused(monkeypatch):
 
     monkeypatch.setattr(lemma_machines, "quotient", broken)
     runtime = FamilyRuntime("generalized-odd")
-    with pytest.raises(RuntimeError, match="backward quotient check failed"):
+    with pytest.raises(RuntimeError, match="forward quotient check failed"):
         runtime.proof_machine
