@@ -5,25 +5,24 @@ to dense ids through an :class:`Alphabet`, and the transition table is a
 per-state dict from symbol id to a tuple of successors.  There are no epsilon
 moves.  Multiple initial states are allowed.
 
-One compiled form serves three walks: state sets as int bitsets,
-stepped a chunk of states at a time through lazily filled tables of
-successor masks.  Language inclusion compiles the container into it with
-32-bit chunks and runs a lazy subset construction interleaved with the
-contained machine, pruned by one antichain of subsets per contained state,
-indexed by the lowest and the highest state of each subset.  It steps a
-subset on every symbol of the contained state's row at once, through
-tables whose entries hold a chunk's successors on all those symbols.
-When inclusion fails it returns a shortest counterexample, the
-shortlex-least one when the contained machine is deterministic, so
-results are reproducible.
-Accepting-path search runs a word through a compiled machine one state mask
-per position and recovers the lexicographically least run to the lowest
-reachable final state.  Accept-set enumeration in :mod:`lemma_machines`
-steps a compiled machine through every word of one length, depth first.
-The compiled machine of these two walks is also a lazily built subset
-automaton: it remembers each whole-mask step it takes, since the same
-frontiers come back word after word.  Inclusion's kernel remembers none,
-since its row steps do not repeat (see :func:`compile_nfa`).
+Two kernels step state sets as int bitsets, a chunk of states at a time
+through lazily filled tables of successor masks.  Language inclusion
+compiles the container into the row kernel, with 32-bit chunks, and runs a
+lazy subset construction interleaved with the contained machine, pruned by
+one antichain of subsets per contained state, indexed by the lowest and the
+highest state of each subset.  It steps a subset on every symbol of the
+contained state's row at once, through tables whose entries hold a chunk's
+successors on all those symbols.  When inclusion fails it returns a
+shortest counterexample, the shortlex-least one when the contained machine
+is deterministic, so results are reproducible.
+Accepting-path search runs a word through the path kernel of
+:func:`compile_nfa`, with 64-bit chunks, one state mask per position, and
+recovers the lexicographically least run to the lowest reachable final
+state.  Accept-set enumeration in :mod:`lemma_machines` steps a path kernel
+through every word of one length, depth first.  The path kernel is also a
+lazily built subset automaton: it remembers each whole-mask step it takes,
+since the same frontiers come back word after word.  The row kernel
+remembers none, since its row steps do not repeat (see :class:`_RowKernel`).
 
 :func:`quotient` merges the states of a machine by a forward bisimulation;
 the result accepts the same words, and inclusion proofs run on it.
@@ -39,11 +38,8 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-# array typecodes of unsigned ints of 32 and 64 bits, in native byte order
-_CHUNK_TYPECODES = {
-    32: next(code for code in "IL" if array(code).itemsize == 4),
-    64: "Q",
-}
+# the array typecode of an unsigned 32-bit int; "Q" is one of 64 bits
+_UINT32 = next(code for code in "IL" if array(code).itemsize == 4)
 _BIG_ENDIAN = sys.byteorder == "big"
 # Entries one of inclusion's (symbol tuple, chunk) row tables may hold; a
 # full table is cleared before its next insertion.  The 32-bit-chunk row
@@ -102,9 +98,6 @@ class Alphabet:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def __contains__(self, symbol: Symbol) -> bool:
-        return symbol in self._ids
 
     def id_of(self, symbol: Symbol) -> int:
         try:
@@ -209,7 +202,9 @@ class NfaBuilder:
         )
 
 
-def _renumber(nfa: Nfa, keep: list[int]) -> Nfa:
+def restrict(nfa: Nfa, keep: list[int]) -> Nfa:
+    """The machine on the states ``keep``, renumbered densely in the order
+    given; edges to other states are dropped."""
     remap = {old: new for new, old in enumerate(keep)}
     table: list[dict[int, tuple[int, ...]]] = []
     for old in keep:
@@ -269,7 +264,7 @@ def co_reachable(
 
 def trim(nfa: Nfa) -> Nfa:
     """Restrict to the live states, renumbered densely in their order."""
-    return _renumber(nfa, live_states(nfa))
+    return restrict(nfa, live_states(nfa))
 
 
 def union(machines: list[Nfa]) -> Nfa:
@@ -465,58 +460,47 @@ class InclusionResult:
     table_entries: int = field(compare=False)
 
 
-class _BitsetStepper:
-    """A machine compiled to int bitsets: bit q of a mask stands for state q.
+def _cut(mask: int, typecode: str, num_bytes: int) -> array:
+    """A mask as unsigned ints of the typecode filling ``num_bytes`` bytes,
+    the chunk of the lowest states first."""
+    chunks = array(typecode, mask.to_bytes(num_bytes, "little"))
+    if _BIG_ENDIAN:
+        chunks.byteswap()
+    return chunks
 
-    A subset step ORs the successor masks of the subset's states a chunk of
-    ``chunk_bits`` states at a time, through one lookup table per (symbol,
-    chunk).  An entry is built from the machine's successor tuples the first
-    time its chunk pattern occurs, so compiling costs nothing up front and
-    only patterns that occur take memory; a table that reaches
-    ``table_limit`` entries starts over, so a long-lived machine's tables
-    stay bounded.  A backward step works the same way on predecessor lists,
-    built on the first backward step, so a machine that only steps forward
-    never pays for them.  Single steps go through a memo: one dict per
-    symbol and direction maps a whole mask to its successor mask, so the
-    stepper is also a lazily built subset automaton, and only a miss goes
-    through the chunk tables.  ``memo_hits`` counts the steps the memo
-    answered.  The memo starts over when it holds ``memo_limit`` entries
-    over both directions.
 
-    A row step takes a whole tuple of symbols at once: it splits the mask
-    once and looks each chunk up once, in one table per (symbol tuple,
-    chunk) whose entries hold the chunk's successor mask on every symbol of
-    the tuple.  Inclusion steps rows only, so its stepper is compiled with
-    ``memo_limit`` 0 and keeps no memo and no per-symbol tables;
-    ``row_entries`` counts the row table entries built.
+class PathKernel:
+    """A machine compiled to int bitsets for path search and accept sets:
+    bit q of a mask stands for state q.
+
+    A step ORs the successor masks of the mask's states 64 states at a time,
+    through one lookup table per (symbol, chunk).  An entry is built from
+    the machine's successor tuples the first time its chunk pattern occurs,
+    so compiling costs nothing up front and only patterns that occur take
+    memory; a table that reaches ``_PATH_TABLE_LIMIT`` entries starts over,
+    so a long-lived kernel's tables stay bounded.  A backward step works the
+    same way on predecessor lists, built on the first backward step, so a
+    kernel that only steps forward never pays for them.  Every step goes
+    through a memo first: one dict per symbol and direction maps a whole
+    mask to its successor mask, so the kernel is also a lazily built subset
+    automaton, and only a miss goes through the chunk tables.  ``memo_hits``
+    counts the steps the memo answered.  The memo starts over when it holds
+    ``_MEMO_LIMIT`` entries over both directions.
     """
 
-    def __init__(self, nfa: Nfa, chunk_bits: int, table_limit: int, memo_limit: int):
+    def __init__(self, nfa: Nfa):
         self.transitions = nfa.transitions
         self._num_symbols = len(nfa.alphabet)
         self.initial = sum(1 << q for q in nfa.initial)
         self.final = sum(1 << q for q in nfa.final)
-        self._chunk_bits = chunk_bits
-        self._typecode = _CHUNK_TYPECODES[chunk_bits]
-        self._chunks = (nfa.num_states + chunk_bits - 1) // chunk_bits
-        self._num_bytes = self._chunks * chunk_bits // 8
-        self._table_limit = table_limit
+        self._chunks = (nfa.num_states + 63) // 64
         self._predecessors: list[dict[int, tuple[int, ...]]] | None = None
+        self._tables = self._empty_tables()
         self._back_tables: list[list[dict[int, int]]] = []
-        self._memo_limit = memo_limit
+        # per symbol, the forward and then the backward steps remembered
+        self._memo: list[dict[int, int]] = [{} for _ in range(2 * self._num_symbols)]
         self._memo_size = 0
-        # per symbol, the forward and then the backward steps remembered; a
-        # stepper without a memo steps rows only and has no per-symbol tables
-        self._tables: list[list[dict[int, int]]] = []
-        self._memo: list[dict[int, int]] | None = None
-        if memo_limit:
-            self._tables = self._empty_tables()
-            self._memo = [{} for _ in range(2 * self._num_symbols)]
-        # per symbol tuple, one table per chunk of per-symbol successor masks
-        self._row_tables: dict[tuple[int, ...], list[dict[int, tuple[int, ...]]]] = {}
-        self.steps = 0
         self.memo_hits = 0
-        self.row_entries = 0
 
     def _empty_tables(self) -> list[list[dict[int, int]]]:
         return [[{} for _ in range(self._chunks)] for _ in range(self._num_symbols)]
@@ -529,18 +513,15 @@ class _BitsetStepper:
         memo: dict[int, int],
         mask: int,
     ) -> int:
-        width, limit = self._chunk_bits, self._table_limit
-        chunks = array(self._typecode, mask.to_bytes(self._num_bytes, "little"))
-        if _BIG_ENDIAN:
-            chunks.byteswap()
+        limit = _PATH_TABLE_LIMIT
         out = 0
-        for chunk, word in enumerate(chunks):
+        for chunk, word in enumerate(_cut(mask, "Q", 8 * self._chunks)):
             if not word:
                 continue
             table = tables[chunk]
             part = table.get(word)
             if part is None:
-                part, base, rest = 0, width * chunk, word
+                part, base, rest = 0, 64 * chunk, word
                 while rest:
                     low = rest & -rest
                     for d in adjacency[base + low.bit_length() - 1].get(sym_id, ()):
@@ -550,7 +531,7 @@ class _BitsetStepper:
                     table.clear()
                 table[word] = part
             out |= part
-        if self._memo_size >= self._memo_limit:
+        if self._memo_size >= _MEMO_LIMIT:
             for remembered in self._memo:
                 remembered.clear()
             self._memo_size = 0
@@ -560,7 +541,6 @@ class _BitsetStepper:
 
     def step(self, mask: int, sym_id: int) -> int:
         """The states some state of ``mask`` reaches on the symbol."""
-        self.steps += 1
         memo = self._memo[sym_id]
         out = memo.get(mask)
         if out is not None:
@@ -580,25 +560,66 @@ class _BitsetStepper:
             return out
         return self._apply(self._predecessors, sym_id, self._back_tables[sym_id], memo, mask)
 
+
+def compile_nfa(nfa: Nfa) -> PathKernel:
+    """Compile a machine for :func:`accepting_path` and for
+    :func:`lemma_machines.accept_set`.
+
+    Path search steps wide frontiers, hundreds of states, with few distinct
+    patterns per 64-state chunk, so 64-bit chunks take far fewer lookups
+    than narrower ones.  Accept sets step narrow masks, a median of two
+    states, and still run faster with 64-bit chunks than with 32-bit ones.
+    Path search meets the same frontiers again and again, so the kernel
+    remembers whole-mask steps (up to ``_MEMO_LIMIT``), and its chunk
+    tables, which see only the memo's misses, hold at most
+    ``_PATH_TABLE_LIMIT`` entries each.
+    """
+    return PathKernel(nfa)
+
+
+class _RowKernel:
+    """A machine compiled to int bitsets for :func:`includes`, which steps a
+    subset on a whole tuple of symbols at once.
+
+    A row step cuts the mask once into 32-state chunks and looks each chunk
+    up once, in one table per (symbol tuple, chunk) whose entries hold the
+    chunk's successor mask on every symbol of the tuple.  An entry is built
+    the first time its chunk pattern occurs, and a table that reaches
+    ``_TABLE_LIMIT`` entries starts over.  ``steps`` counts the subset
+    successors computed and ``row_entries`` the table entries built.
+
+    Inclusion's many small subsets fill wider tables with patterns seen
+    once, and narrower ones cost more lookups per step.  Its row steps do
+    not repeat: none of the 9 073 row steps (57 799 subset successors) of
+    the six family proofs and two refutations steps a subset it stepped
+    before on the same symbol tuple, so a memo would only hold entries that
+    are never read.
+    """
+
+    def __init__(self, nfa: Nfa):
+        self.transitions = nfa.transitions
+        self._chunks = (nfa.num_states + 31) // 32
+        # per symbol tuple, one table per chunk of per-symbol successor masks
+        self._tables: dict[tuple[int, ...], list[dict[int, tuple[int, ...]]]] = {}
+        self.steps = 0
+        self.row_entries = 0
+
     def step_row(self, mask: int, sym_ids: tuple[int, ...]) -> list[int]:
         """The states some state of ``mask`` reaches on each of the symbols,
         one mask per symbol in the order given."""
         self.steps += len(sym_ids)
-        tables = self._row_tables.get(sym_ids)
+        tables = self._tables.get(sym_ids)
         if tables is None:
-            tables = self._row_tables[sym_ids] = [{} for _ in range(self._chunks)]
-        width, limit, adjacency = self._chunk_bits, self._table_limit, self.transitions
-        chunks = array(self._typecode, mask.to_bytes(self._num_bytes, "little"))
-        if _BIG_ENDIAN:
-            chunks.byteswap()
+            tables = self._tables[sym_ids] = [{} for _ in range(self._chunks)]
+        limit, adjacency = _TABLE_LIMIT, self.transitions
         found = []
-        for chunk, word in enumerate(chunks):
+        for chunk, word in enumerate(_cut(mask, _UINT32, 4 * self._chunks)):
             if not word:
                 continue
             table = tables[chunk]
             parts = table.get(word)
             if parts is None:
-                rows, base, rest = [], width * chunk, word
+                rows, base, rest = [], 32 * chunk, word
                 while rest:
                     low = rest & -rest
                     rows.append(adjacency[base + low.bit_length() - 1])
@@ -620,30 +641,6 @@ class _BitsetStepper:
         return [reduce(or_, column) for column in zip(*found)]
 
 
-def compile_nfa(nfa: Nfa) -> _BitsetStepper:
-    """Compile a machine for :func:`accepting_path` and for
-    :func:`lemma_machines.accept_set`.
-
-    Path search steps wide frontiers, hundreds of states, with few distinct
-    patterns per 64-state chunk, so 64-bit chunks take far fewer lookups
-    than narrower ones.  Accept sets step narrow masks, a median of two
-    states, and still run faster with 64-bit chunks than with 32-bit ones.
-    Path search meets the same frontiers again and again, so a path kernel
-    remembers whole-mask steps (up to ``_MEMO_LIMIT``), and its chunk
-    tables, which see only the memo's misses, hold at most
-    ``_PATH_TABLE_LIMIT`` entries each.
-
-    :func:`includes` compiles with 32-bit chunks and no memo, and steps
-    whole rows of symbols: its many small subsets fill wider tables with
-    patterns seen once, and narrower ones cost more lookups per step.  Its
-    row steps do not repeat: none of the 9 073 row steps (57 799 subset
-    successors) of the six family proofs and two refutations steps a subset
-    it stepped before on the same symbol tuple, so a memo would only hold
-    entries that are never read.
-    """
-    return _BitsetStepper(nfa, 64, _PATH_TABLE_LIMIT, _MEMO_LIMIT)
-
-
 class AcceptingPath(NamedTuple):
     """Result of :func:`accepting_path`.
 
@@ -660,7 +657,7 @@ class AcceptingPath(NamedTuple):
     memo_hits: int
 
 
-def accepting_path(compiled: _BitsetStepper, symbol_ids: Sequence[int]) -> AcceptingPath:
+def accepting_path(compiled: PathKernel, symbol_ids: Sequence[int]) -> AcceptingPath:
     """An accepting run of a compiled machine over a word of symbol ids.
 
     The forward pass keeps one mask per layer, the states reachable after
@@ -722,20 +719,18 @@ def _subsumed(kept: _Antichain, outside: int) -> bool:
     return False
 
 
-def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> InclusionResult:
+def includes(container: Nfa, contained: Nfa) -> InclusionResult:
     """Decide L(contained) <= L(container).
 
-    The container is compiled once per call into the int-bitset kernel, so
-    a subset of its states is a plain int mask.  The search explores pairs
+    The container is compiled once per call into the row kernel, so a
+    subset of its states is a plain int mask.  The search explores pairs
     (state of contained, container subset) breadth-first from the initial
     pairs.  It steps a pair's subset on all the symbols of its contained
     state's row at once, and expands them in sorted order.  A pair whose
     contained state is final while its subset holds no final container state
     ends the search, and the counterexample is rebuilt from stored parents.
-    With ``antichain`` set, a pair is pruned when an already stored pair of
-    the same contained state has a subset of its subset (De Wulf et al.,
-    CAV 2006); ``antichain=False`` stores every reachable pair and serves as
-    a cross-check.
+    A pair is pruned when an already stored pair of the same contained state
+    has a subset of its subset (De Wulf et al., CAV 2006).
 
     The counterexample is always a shortest word of L(contained) minus
     L(container).  When the contained machine is deterministic, as the syntax
@@ -745,9 +740,10 @@ def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> Inclusio
     """
     if container.alphabet.symbols != contained.alphabet.symbols:
         raise ValueError("inclusion requires a common alphabet")
-    stepper = _BitsetStepper(container, 32, _TABLE_LIMIT, 0)
+    kernel = _RowKernel(container)
     everything = (1 << container.num_states) - 1
-    start, final = stepper.initial, stepper.final
+    start = sum(1 << q for q in container.initial)
+    final = sum(1 << q for q in container.final)
     visited: dict[tuple[int, int], tuple | None] = {}
     kept: dict[int, _Antichain] = {}
     queue: deque[tuple[int, int]] = deque()
@@ -770,14 +766,14 @@ def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> Inclusio
             holds=bad is None,
             counterexample=counterexample,
             explored=len(visited),
-            subset_steps=stepper.steps,
+            subset_steps=kernel.steps,
             antichain_peak=max(map(len, chains), default=0),
             subset_popcount_mean=(
                 sum(k.bit_count() for chain in chains for k in chain) / stored
                 if stored
                 else 0.0
             ),
-            table_entries=stepper.row_entries,
+            table_entries=kernel.row_entries,
         )
 
     def store(node: tuple[int, int], parent: tuple | None) -> bool:
@@ -803,12 +799,12 @@ def includes(container: Nfa, contained: Nfa, antichain: bool = True) -> Inclusio
     while queue:
         qb, mask = queue.popleft()
         sym_ids, targets = rows[qb]
-        for sym_id, dsts, nmask in zip(sym_ids, targets, stepper.step_row(mask, sym_ids)):
+        for sym_id, dsts, nmask in zip(sym_ids, targets, kernel.step_row(mask, sym_ids)):
             for db in dsts:
                 node = (db, nmask)
                 if node in visited:
                     continue
-                if antichain and _subsumed(kept.get(db, {}), everything ^ nmask):
+                if _subsumed(kept.get(db, {}), everything ^ nmask):
                     continue
                 if store(node, ((qb, mask), sym_id)):
                     return result(node)

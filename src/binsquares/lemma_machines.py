@@ -56,11 +56,11 @@ from itertools import product as iproduct
 
 from .automata import (
     Nfa,
-    _BitsetStepper,
-    _renumber,
+    PathKernel,
     co_reachable,
     compile_nfa,
     quotient,
+    restrict,
 )
 from .folding import (
     LOOP_MIN,
@@ -675,7 +675,7 @@ def _shape_tables(profiles: tuple[Profile, ...]) -> dict[Profile, _ShapeTable]:
 class FamilyRuntime:
     """A family's profiles, the disjoint union of their trimmed machines, the
     state where each member starts in it, the generator key of each union
-    state and, built on first use, the union's bitset kernel and its proof
+    state and, built on first use, the union's path kernel and its proof
     machine.  ``generated_states`` and ``generated_transitions`` total the
     members as generated, before their dead states are dropped, and
     ``generator_nodes`` counts the nodes their shape tables interned.
@@ -734,12 +734,12 @@ class FamilyRuntime:
         """The (profile, trimmed machine) pairs, in family order."""
         stops = self.starts[1:] + (self.union.num_states,)
         return tuple(
-            (profile, _renumber(self.union, list(range(start, stop))))
+            (profile, restrict(self.union, list(range(start, stop))))
             for profile, start, stop in zip(self.profiles, self.starts, stops)
         )
 
     @cached_property
-    def kernel(self) -> _BitsetStepper:
+    def kernel(self) -> PathKernel:
         return compile_nfa(self.union)
 
     @cached_property
@@ -839,7 +839,7 @@ def machine_manifest(name: str) -> dict:
 
 def accept_set(nfa: Nfa, parity: str, source_length: int) -> set[int]:
     """All values of the given bit length whose folded word the machine
-    accepts.  Steps the machine's bitset kernel through the word tree depth
+    accepts.  Steps the machine's path kernel through the word tree depth
     first, so prefixes share their work and the stack grows with the length
     alone."""
     i = pair_count(parity, source_length)

@@ -2,7 +2,7 @@
 
 Small inputs go through the exhaustive sumset tables.  Large inputs fold
 into a tagged word and run through a machine family's disjoint union,
-compiled once per family into the bitset kernel of :mod:`automata`:
+compiled once per family into the path kernel of :mod:`automata`:
 a forward pass keeps one state mask per word position, a backward pass
 keeps the states that still reach the chosen final state, and a greedy
 walk takes the lowest such state at each step.  The kernel lives as long

@@ -7,6 +7,7 @@ every question the engine answers, so the checks are exact.
 import itertools
 import random
 from collections import deque
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -194,10 +195,6 @@ def test_includes_agrees_with_enumeration():
             assert not container.accepts(res.counterexample)
             assert brute is not None
             assert len(res.counterexample) == len(brute)
-        plain = includes(container, contained, antichain=False)
-        assert plain.holds == res.holds
-        if not res.holds:
-            assert len(plain.counterexample) == len(res.counterexample)
     assert holds_seen > 0 and fails_seen > 0
 
 
@@ -286,9 +283,6 @@ def test_includes_property_matches_enumeration_and_reference(
         container, contained
     )
     assert res.antichain_peak <= res.explored
-    plain = includes(container, contained, antichain=False)
-    assert plain.holds == res.holds
-    assert plain.explored >= res.explored
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -339,11 +333,12 @@ def test_kernel_steps_forward_and_back_across_chunks():
 def test_long_lived_kernel_finds_the_paths_of_fresh_ones(nfa, words):
     # one kernel with the module's caps and one whose memo and tables start
     # over every few entries, each stepping every word in turn
-    kernels = [compile_nfa(nfa), automata._BitsetStepper(nfa, 64, 1, 3)]
+    kernel, capped = compile_nfa(nfa), compile_nfa(nfa)
     for word in words:
         fresh = accepting_path(compile_nfa(nfa), word)
-        for kernel in kernels:
-            assert accepting_path(kernel, word)[:3] == fresh[:3]
+        assert accepting_path(kernel, word)[:3] == fresh[:3]
+        with patch.object(automata, "_PATH_TABLE_LIMIT", 1), patch.object(automata, "_MEMO_LIMIT", 3):
+            assert accepting_path(capped, word)[:3] == fresh[:3]
 
 
 def _largest_table(kernel):
@@ -351,7 +346,7 @@ def _largest_table(kernel):
 
 
 def _largest_row_table(kernel):
-    return max((len(t) for tables in kernel._row_tables.values() for t in tables), default=0)
+    return max((len(t) for tables in kernel._tables.values() for t in tables), default=0)
 
 
 def _memo_entries(kernel):
@@ -494,25 +489,20 @@ def test_antichain_index_agrees_with_brute_force(case):
 
 
 def test_capped_lookup_tables_reach_the_inclusion_kernels(monkeypatch):
-    # the capped-table test runs includes too; its kernels must be the
-    # 32-bit ones and big enough for the cap to bite
-    built = []
+    # the capped-table test runs includes too; its row kernels must be big
+    # enough for the cap to bite
+    inclusion = []
 
-    class Recording(automata._BitsetStepper):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
+    class Recording(automata._RowKernel):
+        def __init__(self, nfa):
+            super().__init__(nfa)
+            inclusion.append(self)
 
-    monkeypatch.setattr(automata, "_BitsetStepper", Recording)
+    monkeypatch.setattr(automata, "_RowKernel", Recording)
     test_capped_lookup_tables_change_no_result(monkeypatch)
-    inclusion = [k for k in built if k._chunk_bits == 32]
     assert len(inclusion) == 10  # five inclusions, uncapped and then capped
     assert max(map(_largest_row_table, inclusion[:5])) > 3
     assert max(map(_largest_row_table, inclusion[5:])) <= 3
-    # they step rows only: no per-symbol tables and no step memo
-    assert all(k._tables == [] and k._back_tables == [] for k in inclusion)
-    assert all(k._memo is None for k in inclusion)
-    assert sum(k.memo_hits for k in inclusion) == 0
 
 
 LETTERS = Alphabet([Symbol(tag, (0,)) for tag in "abcde"])
@@ -544,11 +534,12 @@ def row_cases(draw):
 def test_row_step_matches_successors_per_symbol(limit, case):
     # a limit of 1 clears a table on every insertion
     nfa, masks, sym_ids = case
-    kernel = automata._BitsetStepper(nfa, 32, limit, 0)
-    for mask in masks + masks:  # the second round finds entries or rebuilds them
-        chosen = frozenset(q for q in range(nfa.num_states) if mask >> q & 1)
-        want = [sum(1 << d for d in nfa.successors(chosen, s)) for s in sym_ids]
-        assert kernel.step_row(mask, sym_ids) == want
+    kernel = automata._RowKernel(nfa)
+    with patch.object(automata, "_TABLE_LIMIT", limit):
+        for mask in masks + masks:  # the second round finds entries or rebuilds them
+            chosen = frozenset(q for q in range(nfa.num_states) if mask >> q & 1)
+            want = [sum(1 << d for d in nfa.successors(chosen, s)) for s in sym_ids]
+            assert kernel.step_row(mask, sym_ids) == want
     assert kernel.steps == 2 * len(masks) * len(sym_ids)
 
 

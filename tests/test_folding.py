@@ -130,8 +130,8 @@ def test_unfold_accepts_truncated_layouts():
 def test_alphabet_sizes():
     assert len(alphabet_for("odd")) == 21
     assert len(alphabet_for("even")) == 27
-    assert Symbol("f", (0,)) not in alphabet_for("odd")
-    assert Symbol("i", (0,)) not in alphabet_for("even")
+    assert Symbol("f", (0,)) not in alphabet_for("odd").symbols
+    assert Symbol("i", (0,)) not in alphabet_for("even").symbols
 
 
 def count_words(nfa, length):

@@ -50,6 +50,14 @@ def package_imports(name):
     return imported
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_no_private_name_of_another_module(path):
+    # an underscore name belongs to its own module; one that another module
+    # needs gets a public name
+    private = [entry for entry in package_imports(path.name) if entry.partition(":")[2].startswith("_")]
+    assert not private, f"{path.name}: imports {private}"
+
+
 def test_proofcheck_imports_only_the_machine_type():
     # the quotient checks must share no code with the refinement they check
     assert package_imports("proofcheck.py") == [".automata:Nfa"]

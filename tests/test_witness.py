@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsquares import automata
+from binsquares import automata, cli, witness
 from binsquares.automata import accepting_path
 from binsquares.folding import fold
 from binsquares.lemma_machines import family_runtime
@@ -52,6 +52,31 @@ def test_table_machine_boundary():
     high = decompose(1 << 17)
     assert high.profile and high.states_visited > 0
     assert sum(high.values()) == 1 << 17
+
+
+@pytest.mark.parametrize(
+    "fn, floor",
+    [
+        (decompose, witness._MACHINE_FLOOR),
+        (decompose_square_power, witness._SHORT_FLOOR),
+        (decompose_generalized, witness._SHORT_FLOOR),
+    ],
+    ids=["squares4", "square-power", "generalized"],
+)
+def test_machine_floors_stand_on_the_verified_gates(monkeypatch, fn, floor):
+    # a family's verify proves it for source lengths from its gate up, so the
+    # least machine-backed value of each parity must reach the gate of the
+    # family it is sent to
+    gates = {family: shortest for family, _, shortest in cli._VERIFY_TARGETS.values()}
+    asked = []
+    runtime = witness.family_runtime
+    monkeypatch.setattr(witness, "family_runtime", lambda name: asked.append(name) or runtime(name))
+    fn(floor - 1)
+    assert asked == []
+    for value in (floor, 1 << floor.bit_length()):
+        fn(value)
+        assert value.bit_length() >= gates[asked.pop()]
+    assert asked == []
 
 
 def test_machine_parts_match_profile_widths():
