@@ -267,35 +267,6 @@ def trim(nfa: Nfa) -> Nfa:
     return restrict(nfa, live_states(nfa))
 
 
-def union(machines: list[Nfa]) -> Nfa:
-    """Disjoint union; all machines must share one alphabet object."""
-    if not machines:
-        raise ValueError("union of no machines")
-    alphabet = machines[0].alphabet
-    for m in machines[1:]:
-        if m.alphabet is not alphabet and m.alphabet.symbols != alphabet.symbols:
-            raise ValueError("union requires a common alphabet")
-    table: list[dict[int, tuple[int, ...]]] = []
-    initial: set[int] = set()
-    final: set[int] = set()
-    offset = 0
-    for m in machines:
-        for row in m.transitions:
-            table.append(
-                {sym: tuple(d + offset for d in dsts) for sym, dsts in row.items()}
-            )
-        initial.update(q + offset for q in m.initial)
-        final.update(q + offset for q in m.final)
-        offset += m.num_states
-    return Nfa(
-        alphabet=alphabet,
-        num_states=offset,
-        initial=frozenset(initial),
-        final=frozenset(final),
-        transitions=table,
-    )
-
-
 class Quotient(NamedTuple):
     """Result of :func:`quotient`: ``machine`` is the forward quotient of the
     input, and ``forward`` maps each input state to its ``machine`` state."""
@@ -383,58 +354,6 @@ def quotient(nfa: Nfa) -> Quotient:
         ],
     )
     return Quotient(machine, tuple(forward))
-
-
-def intersect(a: Nfa, b: Nfa) -> Nfa:
-    """Reachable product construction."""
-    if a.alphabet.symbols != b.alphabet.symbols:
-        raise ValueError("intersection requires a common alphabet")
-    builder = NfaBuilder(a.alphabet)
-    queue = deque((qa, qb) for qa in sorted(a.initial) for qb in sorted(b.initial))
-    for key in queue:
-        builder.mark_initial(key)
-    seen = set(queue)
-    while queue:
-        qa, qb = queue.popleft()
-        if qa in a.final and qb in b.final:
-            builder.mark_final((qa, qb))
-        row_a, row_b = a.transitions[qa], b.transitions[qb]
-        for sym_id in row_a.keys() & row_b.keys():
-            for da in row_a[sym_id]:
-                for db in row_b[sym_id]:
-                    key = (da, db)
-                    builder.add_edge((qa, qb), sym_id, key)
-                    if key not in seen:
-                        seen.add(key)
-                        queue.append(key)
-    return builder.build()
-
-
-def is_empty(nfa: Nfa) -> tuple[Symbol, ...] | None:
-    """Shortest accepted word (ties broken by symbol order), or None if empty."""
-    if not nfa.initial:
-        return None
-    start = frozenset(nfa.initial)
-    if start & nfa.final:
-        return ()
-    parents: dict[frozenset[int], tuple[frozenset[int], int]] = {start: None}
-    queue = deque([start])
-    while queue:
-        states = queue.popleft()
-        for sym_id in range(len(nfa.alphabet)):
-            nxt = nfa.successors(states, sym_id)
-            if not nxt or nxt in parents:
-                continue
-            parents[nxt] = (states, sym_id)
-            if nxt & nfa.final:
-                word: list[int] = []
-                cur = nxt
-                while parents[cur] is not None:
-                    cur, sym = parents[cur]
-                    word.append(sym)
-                return nfa.alphabet.decode(reversed(word))
-            queue.append(nxt)
-    return None
 
 
 @dataclass(frozen=True)

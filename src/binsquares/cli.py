@@ -214,7 +214,8 @@ def cmd_crossvalidate(args: argparse.Namespace) -> int:
     for offset, _ in entries:
         if (length - offset) % 2 or length - offset < 2:
             raise ValueError(
-                f"offset {offset} leaves no even summand length below {length}"
+                f"offset {offset} at length {length} makes the summand length"
+                f" {length - offset}, which is odd or below 2"
             )
 
     machine_values: set[int] = set()

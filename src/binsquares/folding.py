@@ -20,7 +20,6 @@ drives both the syntax checkers and the machine generators.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -209,23 +208,3 @@ def syntax_checker(parity: str, min_source_length: int) -> Nfa:
 
 def render_word(symbols: Iterable[Symbol]) -> str:
     return " ".join(s.render() for s in symbols)
-
-
-_PAIR_TOKEN = re.compile(r"^\[([01]),([01])\]([a-z])$")
-_SINGLE_TOKEN = re.compile(r"^([01])([a-z])$")
-
-
-def parse_word(text: str) -> tuple[Symbol, ...]:
-    """Inverse of :func:`render_word`; whitespace separates symbols."""
-    symbols: list[Symbol] = []
-    for token in text.split():
-        m = _PAIR_TOKEN.match(token)
-        if m:
-            symbols.append(Symbol(m.group(3), (int(m.group(1)), int(m.group(2)))))
-            continue
-        m = _SINGLE_TOKEN.match(token)
-        if m:
-            symbols.append(Symbol(m.group(2), (int(m.group(1)),)))
-            continue
-        raise ValueError(f"unrecognized symbol token {token!r}")
-    return tuple(symbols)

@@ -22,13 +22,10 @@ from binsquares.automata import (
     accepting_path,
     compile_nfa,
     includes,
-    intersect,
-    is_empty,
     quotient,
     to_automata_script,
     to_dot,
     trim,
-    union,
 )
 from binsquares.proofcheck import check_forward
 
@@ -112,43 +109,15 @@ def test_builder_and_accepts():
     assert m.num_transitions() == 4
 
 
-def test_union_is_language_union():
-    rng = random.Random(11)
-    for _ in range(20):
-        a = random_nfa(rng, BITS, 3)
-        b = random_nfa(rng, BITS, 4)
-        u = union([a, b])
-        assert u.num_states == a.num_states + b.num_states
-        for w in words_shortlex(BITS, 6):
-            assert u.accepts(w) == (a.accepts(w) or b.accepts(w))
+def test_machine_rejects_a_malformed_table():
+    def build(num_states, initial, final):
+        return Nfa(BITS, num_states, frozenset(initial), frozenset(final), [{0: (0,)}])
 
-
-def test_intersect_is_language_intersection():
-    rng = random.Random(12)
-    for _ in range(20):
-        a = random_nfa(rng, BITS, 3)
-        b = random_nfa(rng, BITS, 3)
-        p = intersect(a, b)
-        for w in words_shortlex(BITS, 6):
-            assert p.accepts(w) == (a.accepts(w) and b.accepts(w))
-
-
-def test_is_empty_finds_shortlex_minimal_word():
-    rng = random.Random(13)
-    empties = 0
-    for _ in range(40):
-        # 3 states means at most 8 frontier sets, so length 7 is exhaustive.
-        m = random_nfa(rng, BITS, 3, edge_prob=0.25, final_prob=0.3)
-        got = is_empty(m)
-        expected = next(
-            (w for w in words_shortlex(BITS, 7) if m.accepts(w)), None
-        )
-        if expected is None:
-            empties += 1
-            assert got is None
-        else:
-            assert got == expected
-    assert empties > 0
+    with pytest.raises(ValueError, match="size mismatch"):
+        build(2, {0}, ())
+    for initial, final in (({1}, ()), ({0}, {1}), ({-1}, ())):
+        with pytest.raises(ValueError, match="out of range"):
+            build(1, initial, final)
 
 
 def test_trim_preserves_language_and_drops_dead_states():
@@ -168,7 +137,7 @@ def test_trim_preserves_language_and_drops_dead_states():
                 final=t.final,
                 transitions=t.transitions,
             )
-            assert is_empty(probe) is not None
+            assert any(probe.accepts(w) for w in words_shortlex(BITS, 4))
 
 
 def brute_inclusion(container, contained, max_len):
@@ -411,15 +380,13 @@ def test_includes_prunes_with_the_empty_subset():
     assert reference_includes(container, contained) == (True, None, 3)
 
 
-def test_includes_reflexive_and_of_union_parts():
+def test_includes_is_reflexive():
     rng = random.Random(16)
     for _ in range(10):
         a = random_nfa(rng, BITS, 4)
         b = random_nfa(rng, BITS, 3)
-        u = union([a, b])
         assert includes(a, a).holds
-        assert includes(u, a).holds
-        assert includes(u, b).holds
+        assert includes(b, b).holds
 
 
 def test_empty_counterexample_word():

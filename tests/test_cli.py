@@ -387,6 +387,16 @@ def test_crossvalidate_rejects_specs_that_build_no_machine(capsys, monkeypatch, 
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("length, spec, summand", [("8", "3:1", 5), ("14", "-3:1", 17), ("14", "14:1", 0)])
+def test_crossvalidate_names_the_summand_length_it_rejects(capsys, length, spec, summand):
+    # a summand is length - offset bits long, which may be odd, short or
+    # longer than the target
+    code, out, err = run(capsys, "crossvalidate", "--length", length, f"--profiles={spec}")
+    assert code == 3
+    assert out == ""
+    assert f"makes the summand length {summand}, which is odd or below 2" in err
+
+
 def test_crossvalidate_accepts_eight_summands(capsys):
     code, out, _ = run(capsys, "--json", "crossvalidate", "--length", "8", "--profiles", "4:4,2:4")
     assert code == 0

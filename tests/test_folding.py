@@ -13,7 +13,6 @@ from binsquares.folding import (
     alphabet_for,
     fold,
     pair_tags,
-    parse_word,
     render_word,
     syntax_checker,
     unfold,
@@ -84,7 +83,6 @@ def test_fold_round_trips_long_values(value):
     word = fold(value)
     assert word.source_length == value.bit_length()
     assert unfold(word.symbols) == value
-    assert parse_word(render_word(word.symbols)) == word.symbols
 
 
 def test_fold_rejects_short_values():
@@ -122,7 +120,8 @@ def test_unfold_rejects_malformed_words():
 
 def test_unfold_accepts_truncated_layouts():
     # c d e f is the 7-bit layout
-    word = parse_word("[1,0]c [0,1]d [1,1]e 1f")
+    word = (Symbol("c", (1, 0)), Symbol("d", (0, 1)), Symbol("e", (1, 1)), Symbol("f", (1,)))
+    assert render_word(word) == "[1,0]c [0,1]d [1,1]e 1f"
     assert unfold(word) == 110
     assert fold(110).symbols == word
 
@@ -207,16 +206,6 @@ def test_checker_counts_match_fold_counts():
     tall = syntax_checker("even", 18)
     assert count_words(tall, 10) == 0
     assert count_words(tall, 11) == 1 << 17
-
-
-def test_render_parse_round_trip():
-    for value in (43, 0b1010011001101, 0b110110001111001010):
-        word = fold(value).symbols
-        assert parse_word(render_word(word)) == word
-    with pytest.raises(ValueError):
-        parse_word("[2,0]a")
-    with pytest.raises(ValueError):
-        parse_word("1f extra?")
 
 
 def test_folded_word_properties():

@@ -97,3 +97,14 @@ def test_oracle_imports_nothing_from_the_machine_side(name):
         module = module.lstrip(".").removeprefix("binsquares").lstrip(".")
         modules.add(module.partition(".")[0] or imported)  # `from . import x` names x
     assert not modules & machine_side, f"{name}: imports {sorted(modules & machine_side)}"
+
+
+def test_readme_layout_lists_every_module_once():
+    # the README's Layout table has one row per module, so a module cannot
+    # be added, renamed or deleted without its row
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.partition("\n## Layout\n")[2].partition("\n## ")[0]
+    table = [line for line in section.splitlines() if line.startswith("|")][2:]
+    rows = [line.split("|")[1].strip().strip("`") for line in table]
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    assert sorted(rows) == modules
