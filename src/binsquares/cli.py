@@ -33,7 +33,8 @@ from .lemma_machines import (
     FAMILY_NAMES,
     Summand,
     accept_set,
-    family_runtime,
+    cover_runtime,
+    family_profiles,
     family_union,
     fixed_machine,
 )
@@ -98,7 +99,9 @@ def _emit(args: argparse.Namespace, record: dict, lines: Iterable[str]) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     family, parity, shortest = _VERIFY_TARGETS[args.target]
     started = time.perf_counter()
-    runtime = family_runtime(family)
+    # the cover's union accepts some of the family's words, so inclusion in
+    # it proves the family theorem through a stronger lemma
+    runtime = cover_runtime(family)
     machine = runtime.union
     checker = syntax_checker(parity, shortest)
     built = time.perf_counter()
@@ -113,6 +116,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "assertion": f"{args.target}: all source lengths >= {shortest} covered",
         "holds": result.holds,
         "members": len(runtime.profiles),
+        "family_members": len(family_profiles(family)),
+        "cover": [p.label for p in runtime.profiles],
         "states": states,
         "transitions": edges,
         "generated_states": runtime.generated_states,
@@ -134,7 +139,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines = [
         f"assertion    {record['assertion']}",
         f"holds        {result.holds}",
-        f"members      {record['members']}",
+        f"members      {record['members']} of {record['family_members']} family members",
+        f"cover        {' '.join(record['cover'])}",
         f"states       {states}",
         f"transitions  {edges}",
         f"generated    {runtime.generated_states} states, "

@@ -45,6 +45,16 @@ every member of the shape walks states (node, low carry, high carry) that
 only add their carries to the sums.  A family walks each member into raw
 rows, keeps the states that can still reach acceptance, and writes only
 those straight into its union.
+
+Each family's theorem is proved on its cover (``FAMILY_COVERS``), a
+sub-list of its members whose union still accepts every word the syntax
+checker accepts from the target's gate on.  A sub-union accepts some of
+the family union's words, so that inclusion is a stronger lemma and the
+theorem follows from it.  The covers were found greedily: starting from
+the whole family, each member in turn, last first, was dropped, and the
+drop kept while the inclusion still held.  So a cover is irreducible,
+since dropping any one more member breaks the inclusion, but not
+necessarily smallest.
 """
 
 from __future__ import annotations
@@ -656,6 +666,35 @@ def family_profiles(name: str) -> tuple[Profile, ...]:
     return tuple(table[name]())
 
 
+# the members each family's theorem is proved on, in family order
+FAMILY_COVERS = {
+    "a-odd": (
+        "A(1,1,1)", "A(2,1,1)", "A(2,1,2)", "A(1,2,1)", "A(1,2,2)", "B(1,1,1,1)",
+        "B(1,1,1,2)", "A(2,2,2)", "B(2,1,1,1)", "B(2,1,1,2)", "B(2,1,1,3)",
+    ),
+    "a-even": (
+        "A(0,2,2,0,2)", "A(0,2,2,0,3)", "A(0,3,1,0,1)", "A(1,0,1,1,0)",
+        "A(1,0,1,1,1)", "A(1,0,1,1,2)", "A(0,2,1,1,2)", "A(0,2,1,1,3)",
+    ),
+    "square-power-odd": ("SP(2,0,1)", "SP(1,1,0)", "SP(1,1,1)", "SP(1,1,2)"),
+    "square-power-even": (
+        "SP(0,1,0,0)", "SP(1,0,1,0)", "SP(1,0,1,1)", "SP(0,1,1,1)", "SP(0,1,1,2)",
+    ),
+    "generalized-odd": ("G(0)", "G(1)"),
+    "generalized-even": ("G(1)",),
+}
+
+
+def select_profiles(name: str, labels: tuple[str, ...]) -> tuple[Profile, ...]:
+    """The profiles of a named family with these labels, in family order.
+    Raises :class:`ValueError` for a label the family does not have."""
+    profiles = family_profiles(name)
+    unknown = set(labels) - {p.label for p in profiles}
+    if unknown:
+        raise ValueError(f"family {name!r} has no member {', '.join(sorted(unknown))}")
+    return tuple(p for p in profiles if p.label in labels)
+
+
 def family_members(name: str) -> tuple[tuple[Profile, Nfa], ...]:
     """The (profile, trimmed machine) pairs of a named family, in fixed order."""
     return family_runtime(name).members
@@ -673,12 +712,15 @@ def _shape_tables(profiles: tuple[Profile, ...]) -> dict[Profile, _ShapeTable]:
 
 
 class FamilyRuntime:
-    """A family's profiles, the disjoint union of their trimmed machines, the
-    state where each member starts in it, the generator key of each union
-    state and, built on first use, the union's path kernel and its proof
-    machine.  ``generated_states`` and ``generated_transitions`` total the
-    members as generated, before their dead states are dropped, and
-    ``generator_nodes`` counts the nodes their shape tables interned.
+    """Profiles of one parity, the disjoint union of their trimmed machines,
+    the state where each member starts in it, the generator key of each
+    union state and, built on first use, the union's path kernel and its
+    proof machine.  ``generated_states`` and ``generated_transitions`` total
+    the members as generated, before their dead states are dropped, and
+    ``generator_nodes`` counts the nodes their shape tables interned.  The
+    profiles are a whole family (:func:`family_runtime`) or its cover
+    (:func:`cover_runtime`); a tuple with no profile, or with both
+    parities, raises :class:`ValueError`.
 
     Each member is walked into raw rows, and only its live states, those
     that can still reach acceptance, are written into the union, so the
@@ -687,8 +729,10 @@ class FamilyRuntime:
     of it on request.
     """
 
-    def __init__(self, name: str):
-        self.profiles = family_profiles(name)
+    def __init__(self, profiles: tuple[Profile, ...]):
+        if len({p.parity for p in profiles}) != 1:
+            raise ValueError("a family runtime needs profiles of one parity")
+        self.profiles = profiles
         self._tables = _shape_tables(self.profiles)
         rows: list[dict[int, tuple[int, ...]]] = []
         starts, keys, initial, final = [], [], [], []
@@ -807,7 +851,15 @@ class FamilyRuntime:
 
 @lru_cache(maxsize=None)
 def family_runtime(name: str) -> FamilyRuntime:
-    return FamilyRuntime(name)
+    return FamilyRuntime(family_profiles(name))
+
+
+@lru_cache(maxsize=None)
+def cover_runtime(name: str) -> FamilyRuntime:
+    """The runtime of a family's cover members alone.  Their union accepts
+    a subset of the family union's words, so an inclusion proved on it
+    holds for the whole family."""
+    return FamilyRuntime(select_profiles(name, FAMILY_COVERS.get(name, ())))
 
 
 def family_union(name: str) -> Nfa:

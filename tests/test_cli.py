@@ -147,15 +147,17 @@ def test_verify_generalized_odd_holds(capsys):
     assert code == 0
     (record,) = records(out)
     assert record["holds"] is True
-    assert record["members"] == 3
-    assert record["states"] == 312
-    assert (record["generated_states"], record["generated_transitions"]) == (530, 4238)
+    # the proof runs on the family's cover, two of its three members
+    assert (record["members"], record["family_members"]) == (2, 3)
+    assert record["cover"] == ["G(0)", "G(1)"]
+    assert record["states"] == 244
+    assert (record["generated_states"], record["generated_transitions"]) == (348, 2799)
     assert record["generator_nodes"] == 31
     assert "counterexample" not in record
-    # inclusion runs on the union's forward bisimulation quotient
-    assert (record["proof_states"], record["proof_transitions"]) == (92, 831)
-    assert record["explored"] == 36
-    assert record["subset_steps"] == 161
+    # inclusion runs on the cover union's forward bisimulation quotient
+    assert (record["proof_states"], record["proof_transitions"]) == (78, 702)
+    assert record["explored"] == 37
+    assert record["subset_steps"] == 165
     assert record["antichain_peak"] == 14
     assert 0 <= record["build_seconds"] <= record["wall_seconds"]
     assert 0 <= record["quotient_seconds"] <= record["wall_seconds"]
@@ -165,16 +167,17 @@ def test_verify_generalized_odd_holds(capsys):
 @pytest.mark.parametrize(
     "target, search",
     [
-        ("odd-squares", (157, 1005, 96)),
-        ("even-squares", (1305, 8927, 930)),
-        ("square-power-odd", (1265, 7237, 546)),
-        ("square-power-even", (3912, 25813, 2612)),
-        ("generalized-odd", (36, 161, 14)),
-        ("generalized-even", (74, 395, 36)),
+        ("odd-squares", (165, 1037, 96)),
+        ("even-squares", (1269, 8699, 909)),
+        ("square-power-odd", (556, 3121, 226)),
+        ("square-power-even", (1480, 8863, 797)),
+        ("generalized-odd", (37, 165, 14)),
+        ("generalized-even", (79, 415, 41)),
     ],
 )
 def test_verify_search_counts(capsys, target, search):
-    # (explored, subset_steps, antichain_peak) of the search on the proof machine
+    # (explored, subset_steps, antichain_peak) of the search on the cover's
+    # proof machine; test_lemma_machines pins the whole families' searches
     code, out, _ = run(capsys, "--json", "verify", target)
     assert code == 0
     (record,) = records(out)
@@ -196,7 +199,7 @@ def test_failed_quotient_check_exits_four(capsys, monkeypatch):
 
     monkeypatch.setattr(lemma_machines, "quotient", no_initial)
     # a fresh runtime, so no proof machine cached by another test is reused
-    monkeypatch.setattr(cli, "family_runtime", lemma_machines.FamilyRuntime)
+    monkeypatch.setattr(cli, "cover_runtime", lemma_machines.cover_runtime.__wrapped__)
     code, out, err = run(capsys, "verify", "generalized-odd")
     assert (code, out) == (4, "")
     assert err.startswith("error: forward quotient check failed")
@@ -218,7 +221,7 @@ def test_failed_witness_self_check_exits_four(capsys, monkeypatch):
 
 def test_failed_edge_decoding_exits_four(capsys, monkeypatch):
     def shifted_keys(name):
-        runtime = lemma_machines.FamilyRuntime(name)
+        runtime = lemma_machines.FamilyRuntime(lemma_machines.family_profiles(name))
         runtime.keys = runtime.keys[1:] + runtime.keys[:1]
         return runtime
 
@@ -333,18 +336,26 @@ def test_optimality_rejects_max_n_out_of_range(capsys, max_n):
 def test_verify_reports_the_mean_subset_popcount(capsys):
     code, out, _ = run(capsys, "--json", "verify", "generalized-odd")
     assert code == 0
-    assert records(out)[0]["subset_popcount_mean"] == 10.83
+    assert records(out)[0]["subset_popcount_mean"] == 8.54
     code, out, _ = run(capsys, "verify", "generalized-odd")
-    assert "subsets      10.83 states mean" in out.splitlines()
+    assert "subsets      8.54 states mean" in out.splitlines()
 
 
 def test_verify_reports_the_table_entries(capsys):
     # the chunk table entries the search built under the default cap
     code, out, _ = run(capsys, "--json", "verify", "generalized-odd")
     assert code == 0
-    assert records(out)[0]["table_entries"] == 73
+    assert records(out)[0]["table_entries"] == 59
     code, out, _ = run(capsys, "verify", "generalized-odd")
-    assert "tables       73 entries built" in out.splitlines()
+    assert "tables       59 entries built" in out.splitlines()
+
+
+def test_verify_text_reports_the_cover(capsys):
+    code, out, _ = run(capsys, "verify", "square-power-even")
+    assert code == 0
+    lines = out.splitlines()
+    assert "members      5 of 19 family members" in lines
+    assert "cover        SP(0,1,0,0) SP(1,0,1,0) SP(1,0,1,1) SP(0,1,1,1) SP(0,1,1,2)" in lines
 
 
 @pytest.mark.parametrize(

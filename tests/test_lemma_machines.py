@@ -8,16 +8,19 @@ import hashlib
 
 import pytest
 
-from binsquares import lemma_machines
+from binsquares import cli, lemma_machines
 from binsquares.automata import includes, quotient, trim
 from binsquares.folding import LOOP_MIN, fold, syntax_checker, unfold
 from binsquares.lemma_machines import (
+    FAMILY_COVERS,
     FAMILY_NAMES,
+    FamilyRuntime,
     Profile,
     Summand,
     _ShapeTable,
     accept_set,
     alignment,
+    cover_runtime,
     even_square_profiles,
     family_members,
     family_profiles,
@@ -27,6 +30,7 @@ from binsquares.lemma_machines import (
     generalized_profiles,
     machine_manifest,
     odd_square_profiles,
+    select_profiles,
     square_power_profiles,
     uniform_machine,
 )
@@ -389,7 +393,7 @@ def test_decoding_an_edge_with_two_guess_records_raises(monkeypatch):
         moves, records = expand(self, node)
         return moves + moves, records + [rec + ("twin",) for rec in records]
 
-    runtime = lemma_machines.FamilyRuntime("generalized-odd")
+    runtime = lemma_machines.FamilyRuntime(family_profiles("generalized-odd"))
     monkeypatch.setattr(lemma_machines._ShapeTable, "expand", with_twins)
     with pytest.raises(RuntimeError, match="decodes to 2 guess records"):
         runtime.edge_record(*next(runtime.union.walk()))
@@ -591,13 +595,12 @@ def member_bytes(runtime):
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
-def test_members_do_not_depend_on_build_order(name, monkeypatch):
+def test_members_do_not_depend_on_build_order(name):
     # the shared tables intern nodes in another order, which must not reach
     # a member's numbering, its keys or the records decoded for its edges
     expected = member_bytes(family_runtime(name))
     reverse = family_profiles(name)[::-1]
-    monkeypatch.setattr(lemma_machines, "family_profiles", lambda _: reverse)
-    runtime = lemma_machines.FamilyRuntime(name)
+    runtime = lemma_machines.FamilyRuntime(reverse)
     assert runtime.profiles == reverse
     assert member_bytes(runtime) == expected
 
@@ -609,7 +612,7 @@ def test_members_do_not_depend_on_sharing_a_table(name, monkeypatch):
 
     shared = family_runtime(name)
     monkeypatch.setattr(lemma_machines, "_shape_tables", fresh_tables)
-    runtime = lemma_machines.FamilyRuntime(name)
+    runtime = lemma_machines.FamilyRuntime(family_profiles(name))
     assert len(set(map(id, runtime._tables.values()))) == len(runtime.profiles)
     assert runtime.generator_nodes > shared.generator_nodes
     assert runtime.keys == shared.keys and runtime.starts == shared.starts
@@ -628,3 +631,103 @@ def test_fixed_members_on_one_table_match_one_member_builds(shape, parity):
         for carry in carries:
             alone = fixed_machine(parity, n, summands, carry, max_powers)
             assert lemma_machines._walked_machine(table, carry) == alone
+
+
+# -- the covers verify proves on ---------------------------------------------
+
+GATES = {family: (parity, gate) for family, parity, gate in cli._VERIFY_TARGETS.values()}
+
+# (explored, subset_steps, antichain_peak) of each whole family's proof search
+# at its verify gate, so that kernel changes stay checked on the same searches
+FAMILY_SEARCHES = {
+    "a-odd": (157, 1005, 96),
+    "a-even": (1305, 8927, 930),
+    "square-power-odd": (1265, 7237, 546),
+    "square-power-even": (3912, 25813, 2612),
+    "generalized-odd": (36, 161, 14),
+    "generalized-even": (74, 395, 36),
+}
+
+# the value of the shortlex-least counterexample once one cover member is
+# dropped; generalized-even's cover has one member, and none is left
+DROPPED = {
+    "a-odd": {
+        "A(1,1,1)": 4108, "A(2,1,1)": 6188, "A(2,1,2)": 6156, "A(1,2,1)": 4156,
+        "A(1,2,2)": 5132, "B(1,1,1,1)": 4127, "B(1,1,1,2)": 4096, "A(2,2,2)": 6172,
+        "B(2,1,1,1)": 6207, "B(2,1,1,2)": 6176, "B(2,1,1,3)": 7936,
+    },
+    "a-even": {
+        "A(0,2,2,0,2)": 131184, "A(0,2,2,0,3)": 135168, "A(0,3,1,0,1)": 135232,
+        "A(1,0,1,1,0)": 213112, "A(1,0,1,1,1)": 212992, "A(1,0,1,1,2)": 196608,
+        "A(0,2,1,1,2)": 131198, "A(0,2,1,1,3)": 131072,
+    },
+    "square-power-odd": {"SP(2,0,1)": 1931, "SP(1,1,0)": 30844, "SP(1,1,1)": 1040, "SP(1,1,2)": 1728},
+    "square-power-even": {
+        "SP(0,1,0,0)": 2063, "SP(1,0,1,0)": 2572, "SP(1,0,1,1)": 2560,
+        "SP(0,1,1,1)": 2048, "SP(0,1,1,2)": 8960,
+    },
+    "generalized-odd": {"G(0)": 1048, "G(1)": 1024},
+    "generalized-even": {},
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_family_search_counts(name):
+    parity, gate = GATES[name]
+    res = includes(family_runtime(name).proof_machine, syntax_checker(parity, gate))
+    assert res.holds
+    assert (res.explored, res.subset_steps, res.antichain_peak) == FAMILY_SEARCHES[name]
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_cover_runtime_builds_the_cover_in_family_order(name):
+    runtime = cover_runtime(name)
+    order = [p.label for p in family_profiles(name)]
+    labels = [p.label for p in runtime.profiles]
+    assert labels == list(FAMILY_COVERS[name]) == sorted(labels, key=order.index)
+    assert len(labels) < len(order)
+    # each member is the one the whole family's union holds
+    whole = dict(family_members(name))
+    assert all(nfa == whole[profile] for profile, nfa in runtime.members)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_every_cover_member_is_needed(name):
+    parity, gate = GATES[name]
+    checker = syntax_checker(parity, gate)
+    cover = FAMILY_COVERS[name]
+    found = {}
+    for drop in cover:
+        rest = select_profiles(name, tuple(label for label in cover if label != drop))
+        if not rest:
+            with pytest.raises(ValueError, match="one parity"):
+                FamilyRuntime(rest)
+            continue
+        res = includes(FamilyRuntime(rest).proof_machine, checker)
+        assert not res.holds, drop
+        found[drop] = unfold(res.counterexample)
+    assert found == DROPPED[name]
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_cover_union_accepts_every_value_at_the_gate(name):
+    # the path kernel walks every word of the gate's length, with no
+    # inclusion search, so this rests on other code than the proof
+    parity, gate = GATES[name]
+    accepted = accept_set(cover_runtime(name).union, parity, gate)
+    assert accepted == set(range(1 << (gate - 1), 1 << gate))
+
+
+def test_runtime_needs_profiles_of_one_parity():
+    with pytest.raises(ValueError, match="one parity"):
+        FamilyRuntime(())
+    mixed = family_profiles("generalized-odd")[:1] + family_profiles("generalized-even")[:1]
+    with pytest.raises(ValueError, match="one parity"):
+        FamilyRuntime(mixed)
+
+
+def test_an_unknown_cover_label_or_family_is_refused():
+    with pytest.raises(ValueError, match=r"has no member G\(3\)"):
+        select_profiles("generalized-odd", ("G(0)", "G(3)"))
+    with pytest.raises(ValueError, match="unknown machine family"):
+        cover_runtime("no-such-family")

@@ -6,7 +6,13 @@ import pytest
 
 from binsquares import lemma_machines
 from binsquares.automata import Nfa, quotient
-from binsquares.lemma_machines import FAMILY_NAMES, FamilyRuntime, family_runtime, family_union
+from binsquares.lemma_machines import (
+    FAMILY_NAMES,
+    FamilyRuntime,
+    family_profiles,
+    family_runtime,
+    family_union,
+)
 from binsquares.proofcheck import check_forward
 
 
@@ -91,6 +97,6 @@ def test_unchecked_proof_machine_is_refused(monkeypatch):
         return collapsed._replace(machine=redirect_one_edge(collapsed.machine))
 
     monkeypatch.setattr(lemma_machines, "quotient", broken)
-    runtime = FamilyRuntime("generalized-odd")
+    runtime = FamilyRuntime(family_profiles("generalized-odd"))
     with pytest.raises(RuntimeError, match="forward quotient check failed"):
         runtime.proof_machine
