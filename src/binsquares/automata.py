@@ -15,10 +15,9 @@ contained state's row at once, through tables whose entries hold a chunk's
 successors on all those symbols.  When inclusion fails it returns a
 shortest counterexample, the shortlex-least one when the contained machine
 is deterministic, so results are reproducible.
-Accepting-path search runs a word through the path kernel of
-:func:`compile_nfa`, with 64-bit chunks, one state mask per position, and
-recovers the lexicographically least run to the lowest reachable final
-state.  Accept-set enumeration in :mod:`lemma_machines` steps a path kernel
+Accepting-path search runs a word through a :class:`PathKernel`, with
+64-bit chunks, one state mask per position, and recovers the
+lexicographically least run to the lowest reachable final state.  Accept-set enumeration in :mod:`lemma_machines` steps a path kernel
 through every word of one length, depth first.  The path kernel is also a
 lazily built subset automaton: it remembers each whole-mask step it takes,
 since the same frontiers come back word after word.  The row kernel
@@ -42,11 +41,13 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 _UINT32 = next(code for code in "IL" if array(code).itemsize == 4)
 _BIG_ENDIAN = sys.byteorder == "big"
 # Entries one of inclusion's (symbol tuple, chunk) row tables may hold; a
-# full table is cleared before its next insertion.  The 32-bit-chunk row
-# tables fill up once in the square-power-even verify and once in the a-even
-# refutation at 16 bits, and never in the other four verifies, with the same
-# result and counts as uncapped tables; a cap of 64 makes the even-squares
-# inclusion about 1.8 times as slow.
+# full table is cleared before its next insertion.  Uncapped, the largest
+# 32-bit-chunk row table of each of the six verify searches (odd-squares to
+# generalized-even, in cli order) holds 61, 231, 54, 75, 14 and 24 entries,
+# and those of the a-odd and a-even refutations at 11 and 16 bits 64 and
+# 265; so only the a-even refutation reaches the cap, once, with the same
+# result and counts as uncapped.  A cap of 64 makes the even-squares
+# inclusion about 1.6 times as slow.
 _TABLE_LIMIT = 256
 # The same for a compiled path kernel's 64-bit-chunk tables, which see only
 # the steps its memo misses.  They fill up 480 times in a perfbench certify
@@ -389,21 +390,26 @@ def _cut(mask: int, typecode: str, num_bytes: int) -> array:
 
 
 class PathKernel:
-    """A machine compiled to int bitsets for path search and accept sets:
-    bit q of a mask stands for state q.
+    """A machine compiled to int bitsets for :func:`accepting_path` and for
+    :func:`lemma_machines.accept_set`: bit q of a mask stands for state q.
 
     A step ORs the successor masks of the mask's states 64 states at a time,
-    through one lookup table per (symbol, chunk).  An entry is built from
+    through one lookup table per (symbol, chunk).  Path search steps wide
+    frontiers, hundreds of states, with few distinct patterns per 64-state
+    chunk, so 64-bit chunks take far fewer lookups than narrower ones;
+    accept sets step narrow masks, a median of two states, and still run
+    faster with 64-bit chunks than with 32-bit ones.  An entry is built from
     the machine's successor tuples the first time its chunk pattern occurs,
     so compiling costs nothing up front and only patterns that occur take
     memory; a table that reaches ``_PATH_TABLE_LIMIT`` entries starts over,
     so a long-lived kernel's tables stay bounded.  A backward step works the
     same way on predecessor lists, built on the first backward step, so a
-    kernel that only steps forward never pays for them.  Every step goes
-    through a memo first: one dict per symbol and direction maps a whole
-    mask to its successor mask, so the kernel is also a lazily built subset
-    automaton, and only a miss goes through the chunk tables.  ``memo_hits``
-    counts the steps the memo answered.  The memo starts over when it holds
+    kernel that only steps forward never pays for them.  Path search meets
+    the same frontiers again and again, so every step goes through a memo
+    first: one dict per symbol and direction maps a whole mask to its
+    successor mask, so the kernel is also a lazily built subset automaton,
+    and only a miss goes through the chunk tables.  ``memo_hits`` counts the
+    steps the memo answered.  The memo starts over when it holds
     ``_MEMO_LIMIT`` entries over both directions.
     """
 
@@ -478,22 +484,6 @@ class PathKernel:
             self.memo_hits += 1
             return out
         return self._apply(self._predecessors, sym_id, self._back_tables[sym_id], memo, mask)
-
-
-def compile_nfa(nfa: Nfa) -> PathKernel:
-    """Compile a machine for :func:`accepting_path` and for
-    :func:`lemma_machines.accept_set`.
-
-    Path search steps wide frontiers, hundreds of states, with few distinct
-    patterns per 64-state chunk, so 64-bit chunks take far fewer lookups
-    than narrower ones.  Accept sets step narrow masks, a median of two
-    states, and still run faster with 64-bit chunks than with 32-bit ones.
-    Path search meets the same frontiers again and again, so the kernel
-    remembers whole-mask steps (up to ``_MEMO_LIMIT``), and its chunk
-    tables, which see only the memo's misses, hold at most
-    ``_PATH_TABLE_LIMIT`` entries each.
-    """
-    return PathKernel(nfa)
 
 
 class _RowKernel:

@@ -39,6 +39,7 @@ from .lemma_machines import (
     fixed_machine,
 )
 from .oracle import (
+    MAX_SUMMANDS,
     exceptions_exact_four_positive,
     exceptions_four_squares,
     four_squares_counts,
@@ -66,10 +67,6 @@ _VERIFY_TARGETS = {
     "generalized-odd": ("generalized-odd", "odd", 11),
     "generalized-even": ("generalized-even", "even", 12),
 }
-
-# crossvalidate builds a fixed machine per summand subset and carry, so its
-# cost climbs steeply with the total count: 8 takes seconds at length 14
-_MAX_SUMMANDS = 8
 
 _EXPORT_MACHINES = FAMILY_NAMES + ("syntax-odd", "syntax-even")
 
@@ -200,9 +197,9 @@ def _parse_profiles(text: str) -> tuple[list[tuple[int, int]], int | None]:
     total = sum(count for _, count in entries)
     if not total:
         raise ValueError("profile spec lists no summands")
-    if total > _MAX_SUMMANDS:
+    if total > MAX_SUMMANDS:
         raise ValueError(
-            f"profile spec counts {total} summands, more than {_MAX_SUMMANDS}"
+            f"profile spec counts {total} summands, more than {MAX_SUMMANDS}"
         )
     # the low chain's carry stays below the summand count, so a machine with
     # a carry at or past it accepts nothing and is never built

@@ -68,7 +68,6 @@ from .automata import (
     Nfa,
     PathKernel,
     co_reachable,
-    compile_nfa,
     quotient,
     restrict,
 )
@@ -554,116 +553,70 @@ def fixed_machine(
 # -- shipped machine families ---------------------------------------------
 
 
-def odd_square_profiles() -> list[Profile]:
-    """Exact-count square mixes for odd lengths n: widths n-1 and n-3
-    (A shapes), plus one width n-5 straggler (B shapes)."""
-    shapes = [
-        ("A", (1, 1)),
-        ("A", (2, 1)),
-        ("A", (1, 2)),
-        ("B", (1, 1, 1)),
-        ("A", (2, 2)),
-        ("B", (2, 1, 1)),
-    ]
-    offsets = (1, 3, 5)
-    out = []
-    for kind, counts in shapes:
-        summands = tuple(
-            Summand(offsets[k], c) for k, c in enumerate(counts) if c > 0
-        )
-        for m in range(sum(counts)):
-            args = ",".join(str(c) for c in counts)
-            out.append(Profile("odd", summands, m, 0, f"{kind}({args},{m})"))
-    return out
+# Per family: parity, power budget, each summand offset (bits narrower than
+# the source word) with its top kind, and per shape the label kind, the
+# summand count at each offset and the seam carries whose member accepts a
+# word; every other carry below the summand count (plus the power budget)
+# makes a member that accepts none.  a-odd mixes widths n-1 and n-3 (A)
+# with one width n-5 straggler (B); a-even mixes widths n down to n-6, at
+# most one full-width; the square-power shapes are small square mixes with
+# room for two powers of two; generalized has one free-half summand at each
+# of three adjacent widths, and its labels name the carry alone.
+_FAMILY_TABLE = {
+    "a-odd": ("odd", 0, ((1, "exact"), (3, "exact"), (5, "exact")), (
+        ("A", (1, 1), (1,)),
+        ("A", (2, 1), (1, 2)),
+        ("A", (1, 2), (1, 2)),
+        ("B", (1, 1, 1), (1, 2)),
+        ("A", (2, 2), (1, 2, 3)),
+        ("B", (2, 1, 1), (1, 2, 3)),
+    )),
+    "a-even": ("even", 0, ((0, "exact"), (2, "exact"), (4, "exact"), (6, "exact")), (
+        ("A", (0, 2, 2, 0), (2, 3)),
+        ("A", (0, 3, 1, 0), (1, 2, 3)),
+        ("A", (1, 0, 1, 1), (0, 1, 2)),
+        ("A", (0, 2, 1, 1), (2, 3)),
+    )),
+    "square-power-odd": ("odd", 2, ((1, "exact"), (3, "exact")), (
+        ("SP", (0, 0), (0,)),
+        ("SP", (1, 0), (0, 1)),
+        ("SP", (2, 0), (1, 2)),
+        ("SP", (0, 1), (0, 1)),
+        ("SP", (1, 1), (0, 1, 2)),
+    )),
+    "square-power-even": ("even", 2, ((0, "exact"), (2, "exact"), (4, "exact")), (
+        ("SP", (0, 0, 0), (0,)),
+        ("SP", (1, 0, 0), (0, 1)),
+        ("SP", (0, 1, 0), (0, 1)),
+        ("SP", (0, 0, 1), (0, 1)),
+        ("SP", (1, 0, 1), (0, 1, 2)),
+        ("SP", (0, 1, 1), (0, 1, 2)),
+    )),
+    "generalized-odd": ("odd", 0, ((-1, "zero"), (1, "free"), (3, "free")), (
+        ("G", (1, 1, 1), (0, 1, 2)),
+    )),
+    "generalized-even": ("even", 0, ((0, "free"), (2, "free"), (4, "free")), (
+        ("G", (1, 1, 1), (0, 1, 2)),
+    )),
+}
 
-
-def even_square_profiles() -> list[Profile]:
-    """Exact-count square mixes for even lengths n: widths n down to n-6
-    in steps of two, at most one full-width."""
-    shapes = [
-        (0, 2, 2, 0),
-        (0, 3, 1, 0),
-        (1, 0, 1, 1),
-        (0, 2, 1, 1),
-    ]
-    offsets = (0, 2, 4, 6)
-    out = []
-    for counts in shapes:
-        summands = tuple(
-            Summand(offsets[k], c) for k, c in enumerate(counts) if c > 0
-        )
-        for m in range(sum(counts)):
-            args = ",".join(str(c) for c in counts)
-            out.append(Profile("even", summands, m, 0, f"A({args},{m})"))
-    return out
-
-
-def square_power_profiles(parity: str) -> list[Profile]:
-    """Small square mixes with room for up to two powers of two."""
-    if parity == "odd":
-        shapes = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
-        offsets = (1, 3)
-    else:
-        shapes = [
-            (0, 0, 0),
-            (1, 0, 0),
-            (0, 1, 0),
-            (0, 0, 1),
-            (1, 0, 1),
-            (0, 1, 1),
-        ]
-        offsets = (0, 2, 4)
-    out = []
-    for counts in shapes:
-        summands = tuple(
-            Summand(offsets[k], c) for k, c in enumerate(counts) if c > 0
-        )
-        for m in range(sum(counts) + 2):
-            args = ",".join(str(c) for c in counts)
-            out.append(Profile(parity, summands, m, 2, f"SP({args},{m})"))
-    return out
-
-
-def generalized_profiles(parity: str) -> list[Profile]:
-    """One free-half summand at each of three adjacent widths."""
-    if parity == "odd":
-        summands = (
-            Summand(-1, 1, "zero"),
-            Summand(1, 1, "free"),
-            Summand(3, 1, "free"),
-        )
-    else:
-        summands = (
-            Summand(0, 1, "free"),
-            Summand(2, 1, "free"),
-            Summand(4, 1, "free"),
-        )
-    return [Profile(parity, summands, m, 0, f"G({m})") for m in range(3)]
-
-
-FAMILY_NAMES = (
-    "a-odd",
-    "a-even",
-    "square-power-odd",
-    "square-power-even",
-    "generalized-odd",
-    "generalized-even",
-)
+FAMILY_NAMES = tuple(_FAMILY_TABLE)
 
 
 def family_profiles(name: str) -> tuple[Profile, ...]:
-    """Profile list for a named family, in fixed order."""
-    table = {
-        "a-odd": odd_square_profiles,
-        "a-even": even_square_profiles,
-        "square-power-odd": lambda: square_power_profiles("odd"),
-        "square-power-even": lambda: square_power_profiles("even"),
-        "generalized-odd": lambda: generalized_profiles("odd"),
-        "generalized-even": lambda: generalized_profiles("even"),
-    }
-    if name not in table:
+    """Profile list for a named family, in fixed order: shape by shape,
+    carries ascending."""
+    if name not in _FAMILY_TABLE:
         raise ValueError(f"unknown machine family {name!r}")
-    return tuple(table[name]())
+    parity, max_powers, widths, shapes = _FAMILY_TABLE[name]
+    out = []
+    for kind, counts, carries in shapes:
+        summands = tuple(Summand(o, c, top) for (o, top), c in zip(widths, counts) if c)
+        shown = () if kind == "G" else counts
+        for m in carries:
+            args = ",".join(map(str, shown + (m,)))
+            out.append(Profile(parity, summands, m, max_powers, f"{kind}({args})"))
+    return tuple(out)
 
 
 # the members each family's theorem is proved on, in family order
@@ -784,7 +737,7 @@ class FamilyRuntime:
 
     @cached_property
     def kernel(self) -> PathKernel:
-        return compile_nfa(self.union)
+        return PathKernel(self.union)
 
     @cached_property
     def proof_machine(self) -> Nfa:
@@ -907,7 +860,7 @@ def accept_set(nfa: Nfa, parity: str, source_length: int) -> set[int]:
         [(bit << 2 * i + t, letters[tag, (bit,)]) for bit in (0, 1) if (tag, (bit,)) in letters]
         for t, tag in enumerate(SINGLE_TAGS[parity])
     ]
-    kernel = compile_nfa(nfa)
+    kernel = PathKernel(nfa)
     found: set[int] = set()
     stack = [(0, kernel.initial, 0)]
     while stack:

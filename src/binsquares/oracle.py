@@ -33,7 +33,8 @@ from .numberforms import (
 # more beside it while it shifts, so memory per level is the limit
 MAX_BOUND = 1 << 24
 # each summand adds one such level, so a count must be capped as well; the
-# package sums at most 4 and crossvalidate's profiles at most 8
+# package sums at most 4 and crossvalidate's profiles at most 8, where its
+# fixed machine per summand subset and carry already takes seconds at 14 bits
 MAX_SUMMANDS = 8
 # decompose_brute keeps the tables of the witness small paths, which stay
 # below 2**17; a table for a larger value is built for that call alone

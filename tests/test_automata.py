@@ -18,9 +18,9 @@ from binsquares.automata import (
     Alphabet,
     Nfa,
     NfaBuilder,
+    PathKernel,
     Symbol,
     accepting_path,
-    compile_nfa,
     includes,
     quotient,
     to_automata_script,
@@ -265,7 +265,7 @@ def test_accepting_path_is_least_run_to_lowest_final(nfa, ids):
         runs = [r + (d,) for r in runs for d in nfa.transitions[r[-1]].get(sym_id, ())]
         layers.append({r[-1] for r in runs})
     accepting = [r for r in runs if r[-1] in nfa.final]
-    path = accepting_path(compile_nfa(nfa), ids)
+    path = accepting_path(PathKernel(nfa), ids)
     assert path.visited == sum(map(len, layers))
     assert path.frontier_max == max(map(len, layers))
     if not accepting:
@@ -278,7 +278,7 @@ def test_accepting_path_is_least_run_to_lowest_final(nfa, ids):
 def test_kernel_steps_forward_and_back_across_chunks():
     rng = random.Random(17)
     nfa = random_nfa(rng, BITS, 200, edge_prob=0.02)
-    kernel = compile_nfa(nfa)
+    kernel = PathKernel(nfa)
     masks = [0, (1 << 200) - 1] + [rng.getrandbits(200) & rng.getrandbits(200) for _ in range(30)]
     for mask in masks:
         chosen = {q for q in range(200) if mask >> q & 1}
@@ -302,9 +302,9 @@ def test_kernel_steps_forward_and_back_across_chunks():
 def test_long_lived_kernel_finds_the_paths_of_fresh_ones(nfa, words):
     # one kernel with the module's caps and one whose memo and tables start
     # over every few entries, each stepping every word in turn
-    kernel, capped = compile_nfa(nfa), compile_nfa(nfa)
+    kernel, capped = PathKernel(nfa), PathKernel(nfa)
     for word in words:
-        fresh = accepting_path(compile_nfa(nfa), word)
+        fresh = accepting_path(PathKernel(nfa), word)
         assert accepting_path(kernel, word)[:3] == fresh[:3]
         with patch.object(automata, "_PATH_TABLE_LIMIT", 1), patch.object(automata, "_MEMO_LIMIT", 3):
             assert accepting_path(capped, word)[:3] == fresh[:3]
@@ -334,7 +334,7 @@ def test_capped_lookup_tables_change_no_result(monkeypatch):
         cases.append((nfa, words))
 
     def run_all():
-        kernels = [compile_nfa(nfa) for nfa, _ in cases]
+        kernels = [PathKernel(nfa) for nfa, _ in cases]
         paths = [
             # states, visited and frontier_max; memo hits follow the caps
             [accepting_path(kernel, word)[:3] for word in words]

@@ -354,7 +354,7 @@ def test_verify_text_reports_the_cover(capsys):
     code, out, _ = run(capsys, "verify", "square-power-even")
     assert code == 0
     lines = out.splitlines()
-    assert "members      5 of 19 family members" in lines
+    assert "members      5 of 13 family members" in lines
     assert "cover        SP(0,1,0,0) SP(1,0,1,0) SP(1,0,1,1) SP(0,1,1,1) SP(0,1,1,2)" in lines
 
 

@@ -21,17 +21,13 @@ from binsquares.lemma_machines import (
     accept_set,
     alignment,
     cover_runtime,
-    even_square_profiles,
     family_members,
     family_profiles,
     family_runtime,
     family_union,
     fixed_machine,
-    generalized_profiles,
     machine_manifest,
-    odd_square_profiles,
     select_profiles,
-    square_power_profiles,
     uniform_machine,
 )
 from binsquares.oracle import profile_sum_mask
@@ -71,42 +67,44 @@ def test_wider_odd_summand_needs_zero_top():
     uniform_machine("odd", (Summand(-1, 1, "zero"),), 0)
 
 
-ODD_SHAPES = [
-    ((1, 1), 2),
-    ((2, 1), 3),
-    ((1, 2), 3),
-    ((1, 1, 1), 3),
-    ((2, 2), 4),
-    ((2, 1, 1), 4),
-]
-EVEN_SHAPES = [
-    ((0, 2, 2, 0), 4),
-    ((0, 3, 1, 0), 4),
-    ((1, 0, 1, 1), 3),
-    ((0, 2, 1, 1), 4),
-]
+def family_shapes(name):
+    """Each summand shape of a family, in family order, mapped to the seam
+    carries its members have."""
+    shapes = {}
+    for p in family_profiles(name):
+        shapes.setdefault(p.summands, []).append(p.carry)
+    return shapes
+
+
+def shape_params(name):
+    """(offset, count) pairs and summand total of each shape of a family."""
+    return [
+        (tuple((s.offset, s.count) for s in summands), sum(s.count for s in summands))
+        for summands in family_shapes(name)
+    ]
+
+
+def assert_shape_exact(name, counts, total, n):
+    # the members the family ships for a shape accept its sums exactly, so
+    # a live carry missing from the family table fails here
+    parity = "odd" if n % 2 else "even"
+    summands = tuple(Summand(o, c) for o, c in counts)
+    carries = family_shapes(name)[summands]
+    assert set(carries) <= set(range(total))
+    expect = window(profile_sum_mask([(n - o, c) for o, c in counts], 1 << n), n)
+    assert union_accepts(parity, summands, carries, n) == expect
 
 
 @pytest.mark.parametrize("n", [11, 13, 15])
-@pytest.mark.parametrize("counts,total", ODD_SHAPES)
+@pytest.mark.parametrize("counts,total", shape_params("a-odd"))
 def test_odd_profile_exact(n, counts, total):
-    offsets = (1, 3, 5)
-    summands = tuple(Summand(offsets[k], c) for k, c in enumerate(counts) if c)
-    pairs = [(n - offsets[k], c) for k, c in enumerate(counts) if c]
-    expect = window(profile_sum_mask(pairs, 1 << n), n)
-    got = union_accepts("odd", summands, range(total), n)
-    assert got == expect
+    assert_shape_exact("a-odd", counts, total, n)
 
 
 @pytest.mark.parametrize("n", [12, 14])
-@pytest.mark.parametrize("counts,total", EVEN_SHAPES)
+@pytest.mark.parametrize("counts,total", shape_params("a-even"))
 def test_even_profile_exact(n, counts, total):
-    offsets = (0, 2, 4, 6)
-    summands = tuple(Summand(offsets[k], c) for k, c in enumerate(counts) if c)
-    pairs = [(n - offsets[k], c) for k, c in enumerate(counts) if c]
-    expect = window(profile_sum_mask(pairs, 1 << n), n)
-    got = union_accepts("even", summands, range(total), n)
-    assert got == expect
+    assert_shape_exact("a-even", counts, total, n)
 
 
 @pytest.mark.parametrize(
@@ -121,7 +119,7 @@ def test_even_profile_exact(n, counts, total):
 def test_generalized_exact(parity, n, pairs):
     expect = window(profile_sum_mask(pairs, 1 << (n + 2), generalized=True), n)
     got = set()
-    for p in generalized_profiles(parity):
+    for p in family_profiles(f"generalized-{parity}"):
         got |= accept_set(uniform_machine(p.parity, p.summands, p.carry, p.max_powers), parity, n)
     assert got == expect
     # three free halves reach every value of these lengths
@@ -137,22 +135,15 @@ def power_pads(n: int) -> set[int]:
 
 @pytest.mark.parametrize("parity,n", [("odd", 11), ("odd", 13), ("even", 12)])
 def test_square_power_family_exact(parity, n):
-    if parity == "odd":
-        combos, offs = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)], (1, 3)
-    else:
-        combos = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]
-        offs = (0, 2, 4)
     expect_mask = 0
-    for combo in combos:
-        pairs = [(n - o, c) for o, c in zip(offs, combo) if c]
+    got = set()
+    for summands, carries in family_shapes(f"square-power-{parity}").items():
+        pairs = [(n - s.offset, s.count) for s in summands]
         base = profile_sum_mask(pairs, 1 << n) if pairs else 1
         for pad in power_pads(n):
             expect_mask |= base << pad
-    expect = window(expect_mask, n)
-    got = set()
-    for p in square_power_profiles(parity):
-        got |= accept_set(uniform_machine(p.parity, p.summands, p.carry, p.max_powers), parity, n)
-    assert got == expect
+        got |= union_accepts(parity, summands, carries, n, max_powers=2)
+    assert got == window(expect_mask, n)
 
 
 def test_square_power_single_member_sound():
@@ -213,22 +204,39 @@ def test_fixed_machine_rejects_cramped_layouts():
 
 
 def test_family_member_counts():
-    assert len(odd_square_profiles()) == 19
-    assert len(even_square_profiles()) == 15
-    assert len(square_power_profiles("odd")) == 16
-    assert len(square_power_profiles("even")) == 19
-    assert len(generalized_profiles("odd")) == 3
-    assert len(generalized_profiles("even")) == 3
+    counts = {name: len(family_profiles(name)) for name in FAMILY_NAMES}
+    assert counts == {
+        "a-odd": 13,
+        "a-even": 10,
+        "square-power-odd": 10,
+        "square-power-even": 13,
+        "generalized-odd": 3,
+        "generalized-even": 3,
+    }
 
 
 def test_carry_ranges():
-    for p in odd_square_profiles() + even_square_profiles():
+    for p in family_profiles("a-odd") + family_profiles("a-even"):
         assert 0 <= p.carry < p.total_count()
         assert p.max_powers == 0
     for parity in ("odd", "even"):
-        for p in square_power_profiles(parity):
+        for p in family_profiles(f"square-power-{parity}"):
             assert 0 <= p.carry < p.total_count() + 2
             assert p.max_powers == 2
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_families_ship_exactly_the_carries_that_accept_a_word(name):
+    # below the summand count (plus the power budget) every seam carry is
+    # possible; the family ships those whose member trims to some state
+    wrong = []
+    for summands, carries in family_shapes(name).items():
+        p = next(p for p in family_profiles(name) if p.summands == summands)
+        for m in range(p.total_count() + p.max_powers):
+            nfa = trim(uniform_machine(p.parity, summands, m, p.max_powers))
+            if (nfa.num_states > 0) != (m in carries):
+                wrong.append((tuple(s.count for s in summands), m))
+    assert not wrong
 
 
 def test_carry_beyond_range_is_empty():
@@ -325,10 +333,10 @@ def test_manifest_shape():
     info = machine_manifest("a-odd")
     assert info["family"] == "a-odd"
     assert info["parity"] == "odd"
-    assert len(info["members"]) == 19
+    assert len(info["members"]) == 13
     assert info["states"] > 0
     labels = [m["label"] for m in info["members"]]
-    assert labels[0] == "A(1,1,0)"
+    assert labels[0] == "A(1,1,1)"
     assert "B(1,1,1,2)" in labels
     with pytest.raises(ValueError):
         machine_manifest("no-such-family")
@@ -419,25 +427,33 @@ def test_family_union_of_trimmed_members_is_trim(name):
     assert trimmed.num_states == combined.num_states
     assert trimmed.transitions == combined.transitions
     assert (trimmed.initial, trimmed.final) == (combined.initial, combined.final)
-    # the member offsets partition the union's states in member order; a
-    # member whose language is empty trims to no states and owns none
+    # the member offsets partition the union's states in member order
     for (profile, nfa), start in zip(runtime.members, runtime.starts):
-        for q in {start, start + nfa.num_states - 1} if nfa.num_states else ():
+        for q in (start, start + nfa.num_states - 1):
             assert runtime.profile_at(q) is profile
 
 
-# sha256 over each family's members, in order, and then its union; the first
-# 16 hex digits.  Any change to state numbering, transitions, initial or
-# final sets or the guess records decoded for the edges moves them.  They
-# were pinned when the records were stored on the edges, so they show that
-# decoding recovers every stored record.
-GOLDEN_MACHINES = {
-    "a-odd": "3f3cab502ad953e1",
-    "a-even": "12c004216f435ffc",
-    "square-power-odd": "adb53802c11a17c3",
-    "square-power-even": "74cab5d8f94cbe0d",
-    "generalized-odd": "ddbdcadc8ec16cf9",
-    "generalized-even": "386d9851eb1054f2",
+# sha256 over each family's union and the label of the member that owns
+# each union state; the first 16 hex digits.  Any change to state
+# numbering, transitions, initial or final sets, the guess records decoded
+# for the edges or state ownership moves them.  Members that accept no word
+# own no state, so dropping them from the families left these as they were.
+GOLDEN_UNIONS = {
+    "a-odd": "223639e16ebc5baf",
+    "a-even": "75a91d7d9511b1fc",
+    "square-power-odd": "4f0cf59ceb05997c",
+    "square-power-even": "d064d4049f831c5a",
+    "generalized-odd": "bc763a5a190ccfc6",
+    "generalized-even": "416857906f30e7be",
+}
+# sha256 over each member's label and machine, in family order
+GOLDEN_MEMBERS = {
+    "a-odd": "8f847ecceca91897",
+    "a-even": "9721015a739dee70",
+    "square-power-odd": "a47ed53b1a060897",
+    "square-power-even": "d79f975e06936b9b",
+    "generalized-odd": "8ce488853495a50d",
+    "generalized-even": "b8f35201aa2eb793",
 }
 
 
@@ -457,17 +473,28 @@ def machine_bytes(nfa, runtime, start):
     ).encode()
 
 
-def family_digest(runtime):
-    digest = hashlib.sha256()
-    for (_, nfa), start in zip(runtime.members, runtime.starts):
-        digest.update(machine_bytes(nfa, runtime, start))
-    digest.update(machine_bytes(runtime.union, runtime, 0))
+def union_digest(runtime):
+    digest = hashlib.sha256(machine_bytes(runtime.union, runtime, 0))
+    owners = [runtime.profile_at(q).label for q in range(runtime.union.num_states)]
+    digest.update(repr(owners).encode())
     return digest.hexdigest()[:16]
+
+
+def members_digest(runtime):
+    digest = hashlib.sha256()
+    for (profile, nfa), start in zip(runtime.members, runtime.starts):
+        digest.update(profile.label.encode())
+        digest.update(machine_bytes(nfa, runtime, start))
+    return digest.hexdigest()[:16]
+
+
+def family_digests(runtime):
+    return union_digest(runtime), members_digest(runtime)
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_family_machines_match_golden_digests(name):
-    assert family_digest(family_runtime(name)) == GOLDEN_MACHINES[name]
+    assert family_digests(family_runtime(name)) == (GOLDEN_UNIONS[name], GOLDEN_MEMBERS[name])
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -489,10 +516,10 @@ def test_members_move_in_lockstep_with_the_minimal_checker(name):
 
 # member totals as generated, before trim drops the dead states
 GENERATED = {
-    "a-odd": (7180, 74265),
-    "a-even": (2445, 19870),
-    "square-power-odd": (1729, 14287),
-    "square-power-even": (3030, 25459),
+    "a-odd": (5230, 54648),
+    "a-even": (1895, 14657),
+    "square-power-odd": (1137, 9317),
+    "square-power-even": (2253, 18413),
     "generalized-odd": (530, 4238),
     "generalized-even": (2788, 22160),
 }
@@ -618,7 +645,7 @@ def test_members_do_not_depend_on_sharing_a_table(name, monkeypatch):
     assert runtime.keys == shared.keys and runtime.starts == shared.starts
     counts = (runtime.generated_states, runtime.generated_transitions)
     assert counts == (shared.generated_states, shared.generated_transitions)
-    assert family_digest(runtime) == GOLDEN_MACHINES[name]
+    assert family_digests(runtime) == (GOLDEN_UNIONS[name], GOLDEN_MEMBERS[name])
 
 
 @pytest.mark.parametrize("shape", sorted(FIXED_SHAPES))
