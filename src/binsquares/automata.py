@@ -17,7 +17,8 @@ shortest counterexample, the shortlex-least one when the contained machine
 is deterministic, so results are reproducible.
 Accepting-path search runs a word through a :class:`PathKernel`, with
 64-bit chunks, one state mask per position, and recovers the
-lexicographically least run to the lowest reachable final state.  Accept-set enumeration in :mod:`lemma_machines` steps a path kernel
+lexicographically least run to the lowest reachable final state.
+Accept-set enumeration in :mod:`lemma_machines` steps a path kernel
 through every word of one length, depth first.  The path kernel is also a
 lazily built subset automaton: it remembers each whole-mask step it takes,
 since the same frontiers come back word after word.  The row kernel
@@ -50,17 +51,19 @@ _BIG_ENDIAN = sys.byteorder == "big"
 # inclusion about 1.6 times as slow.
 _TABLE_LIMIT = 256
 # The same for a compiled path kernel's 64-bit-chunk tables, which see only
-# the steps its memo misses.  They fill up 480 times in a perfbench certify
-# pass.  Against 48 entries, 64 ran that pass about as fast with 0.4 MB more
-# peak memory, and 32 took 1.4 MB less but ran it 14 % slower.
+# the steps its memo misses.  They fill up 335 to 351 times in a perfbench
+# certify pass on the cover unions (seeds 1 to 4).  Against 48 entries, 64
+# ran that pass about as fast with 0.4 MB more peak memory, and 32 took
+# 1.4 MB less but ran it 14 % slower (both measured on the whole families).
 _PATH_TABLE_LIMIT = 48
 # Whole-mask steps a compiled path kernel remembers, forward and backward
 # together; a full memo is cleared before its next insertion.  A perfbench
 # certify pass (a warm-up and three rounds of 24 decompositions of 64 to 4001
-# bits) leaves at most 5 160, in square-power-even's kernel.  An entry holds
-# two masks of n bits, each about 28 + n / 7.5 bytes as a Python int, plus a
-# dict slot of under 100 bytes, so a full memo of the largest union (a-odd,
-# 2 856 states) takes at most about 7.5 MB.
+# bits) leaves at most 5 138, in square-power-even's cover kernel (seeds 1
+# to 4).  An entry holds two masks of n bits, each about 28 + n / 7.5 bytes
+# as a Python int, plus a dict slot of under 100 bytes, so a full memo of
+# the largest union a decomposition walks (a-odd's cover, 2 748 states)
+# takes at most about 7.3 MB.
 _MEMO_LIMIT = 8192
 
 
@@ -317,14 +320,16 @@ def _refine(rows: Sequence[Mapping[int, Sequence[int]]], marked: frozenset[int])
     return [ids.setdefault(b, len(ids)) for b in block]
 
 
-def _reverse(rows: Sequence[Mapping[int, Sequence[int]]]) -> list[dict[int, tuple[int, ...]]]:
-    """Each state's predecessors per symbol, in state order."""
+def _reverse(rows: Sequence[Mapping[int, Sequence[int]]]) -> list[dict[int, list[int]]]:
+    """Each state's predecessors per symbol, in state order.  The lists are
+    returned as filled: a backward step ORs them into a mask, so neither
+    their symbol order nor their type matters."""
     out: list[dict[int, list[int]]] = [{} for _ in rows]
     for src, row in enumerate(rows):
         for sym_id, dsts in row.items():
             for d in dsts:
                 out[d].setdefault(sym_id, []).append(src)
-    return [{sym: tuple(srcs) for sym, srcs in sorted(row.items())} for row in out]
+    return out
 
 
 def quotient(nfa: Nfa) -> Quotient:
@@ -419,7 +424,7 @@ class PathKernel:
         self.initial = sum(1 << q for q in nfa.initial)
         self.final = sum(1 << q for q in nfa.final)
         self._chunks = (nfa.num_states + 63) // 64
-        self._predecessors: list[dict[int, tuple[int, ...]]] | None = None
+        self._predecessors: list[dict[int, list[int]]] | None = None
         self._tables = self._empty_tables()
         self._back_tables: list[list[dict[int, int]]] = []
         # per symbol, the forward and then the backward steps remembered
@@ -573,9 +578,11 @@ def accepting_path(compiled: PathKernel, symbol_ids: Sequence[int]) -> Accepting
     each prefix.  With f the lowest final state of the last layer, a
     backward pass intersects each layer with the states that reach f on the
     rest of the word, and a greedy walk then takes the lowest such state at
-    every step.  The result is the lexicographically least state sequence
-    from an initial state to f, the run that breadth-first simulation with
-    first-found parent pointers also picks.
+    every step, the first one in the current state's successor tuple, which
+    every builder of this module and the family runtimes write in
+    increasing order.  The result is the lexicographically least state
+    sequence from an initial state to f, the run that breadth-first
+    simulation with first-found parent pointers also picks.
     """
     hits = compiled.memo_hits
     layers = [compiled.initial]
@@ -592,10 +599,15 @@ def accepting_path(compiled: PathKernel, symbol_ids: Sequence[int]) -> Accepting
     alive[-1] = accepted & -accepted
     for k in range(len(symbol_ids) - 1, -1, -1):
         alive[k] = layers[k] & compiled.back(alive[k + 1], symbol_ids[k])
-    states = [(alive[0] & -alive[0]).bit_length() - 1]
-    for k, sym_id in enumerate(symbol_ids):
-        dsts = compiled.transitions[states[-1]].get(sym_id, ())
-        states.append(min(d for d in dsts if alive[k + 1] >> d & 1))
+    transitions = compiled.transitions
+    state = (alive[0] & -alive[0]).bit_length() - 1
+    states = [state]
+    for sym_id, live in zip(symbol_ids, alive[1:]):
+        # an alive state always has an alive successor, so the loop breaks
+        for state in transitions[state][sym_id]:
+            if live >> state & 1:
+                break
+        states.append(state)
     return AcceptingPath(states, visited, widest, compiled.memo_hits - hits)
 
 

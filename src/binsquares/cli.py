@@ -35,7 +35,6 @@ from .lemma_machines import (
     accept_set,
     cover_runtime,
     family_profiles,
-    family_union,
     fixed_machine,
 )
 from .oracle import (
@@ -403,7 +402,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         _, _, shortest = _VERIFY_TARGETS[f"{parity}-squares"]
         nfa = syntax_checker(parity, shortest)
     else:
-        nfa = family_union(args.machine)
+        nfa = cover_runtime(args.machine).union
     name = args.machine.replace("-", "_")
     text = to_dot(nfa, name) if args.format == "dot" else to_automata_script(nfa, name)
     try:

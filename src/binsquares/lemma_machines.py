@@ -804,14 +804,17 @@ class FamilyRuntime:
 
 @lru_cache(maxsize=None)
 def family_runtime(name: str) -> FamilyRuntime:
+    """The runtime of every member of a family, which only the library's
+    whole-family views below build; the commands run on the cover."""
     return FamilyRuntime(family_profiles(name))
 
 
 @lru_cache(maxsize=None)
 def cover_runtime(name: str) -> FamilyRuntime:
-    """The runtime of a family's cover members alone.  Their union accepts
-    a subset of the family union's words, so an inclusion proved on it
-    holds for the whole family."""
+    """The runtime of a family's cover members alone, which ``verify``
+    proves on, ``decompose`` walks and ``export`` writes.  Their union
+    accepts a subset of the family union's words, so an inclusion proved on
+    it holds for the whole family."""
     return FamilyRuntime(select_profiles(name, FAMILY_COVERS.get(name, ())))
 
 

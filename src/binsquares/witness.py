@@ -1,17 +1,21 @@
 """Explicit decompositions with certificates.
 
 Small inputs go through the exhaustive sumset tables.  Large inputs fold
-into a tagged word and run through a machine family's disjoint union,
+into a tagged word and run through the union of a machine family's cover,
+the members its theorem is proved on (:func:`lemma_machines.cover_runtime`),
 compiled once per family into the path kernel of :mod:`automata`:
 a forward pass keeps one state mask per word position, a backward pass
 keeps the states that still reach the chosen final state, and a greedy
 walk takes the lowest such state at each step.  The kernel lives as long
 as the process and remembers the whole-mask steps it takes, so the
 frontiers that come back from word to word cost one dict lookup each
-after the first time.  The accepting path lands
-inside exactly one member, which the family runtime decodes into squares and
-powers of two.  Every returned decomposition is re-verified by predicate and
-sum before it leaves this module."""
+after the first time.  Every value from the machine floors up has such a
+path: ``verify`` proves that the cover union accepts every word of the
+syntax checker from the family's gate up, and the floors sit at or above
+the gates.  The accepting path lands inside exactly one member, which the
+cover runtime decodes into squares and powers of two.  Every returned
+decomposition is re-verified by predicate and sum before it leaves this
+module."""
 
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .automata import accepting_path
 from .folding import fold
-from .lemma_machines import family_runtime
+from .lemma_machines import cover_runtime
 from .numberforms import (
     GroundSetKind,
     is_binary_square,
@@ -65,7 +69,7 @@ class Decomposition:
     ``stage_seconds``, the seconds of each stage by name: "fold" the value,
     find the accepting "path", "replay" it into summands and "verify" the
     result, and ``path_memo_hits``, the path search's forward and backward
-    steps that the family kernel's memo answered.  Table-backed results
+    steps that the cover kernel's memo answered.  Table-backed results
     leave these empty, with ``path_memo_hits`` None.  The stage seconds
     depend on the host and the memo hits on what the process decomposed
     before, so neither takes part in comparisons.
@@ -104,7 +108,7 @@ class Decomposition:
 def _machine_decompose(value: int, family: str):
     """The squares and powers of two on an accepting path, with the path's
     statistics and stage seconds as :class:`Decomposition` fields."""
-    runtime = family_runtime(family)
+    runtime = cover_runtime(family)
     started = time.perf_counter()
     word = fold(value)
     folded = time.perf_counter()

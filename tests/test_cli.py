@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -221,11 +224,12 @@ def test_failed_witness_self_check_exits_four(capsys, monkeypatch):
 
 def test_failed_edge_decoding_exits_four(capsys, monkeypatch):
     def shifted_keys(name):
-        runtime = lemma_machines.FamilyRuntime(lemma_machines.family_profiles(name))
+        labels = lemma_machines.FAMILY_COVERS[name]
+        runtime = lemma_machines.FamilyRuntime(lemma_machines.select_profiles(name, labels))
         runtime.keys = runtime.keys[1:] + runtime.keys[:1]
         return runtime
 
-    monkeypatch.setattr(witness, "family_runtime", shifted_keys)
+    monkeypatch.setattr(witness, "cover_runtime", shifted_keys)
     code, out, err = run(capsys, "decompose", "--mode", "generalized", str(1 << 40))
     assert (code, out) == (4, "")
     assert err.startswith("error: union edge (")
@@ -247,8 +251,20 @@ def test_export_dot_and_ats(capsys, tmp_path):
     assert ats.read_text().startswith("NestedWordAutomaton generalized_odd = (")
 
 
-# sha256 of every export, machines in name order, dot before ats
-EXPORT_DIGEST = "4f09dae246cb7c8ea0154671b2eb11d80dca119cdd703ebee4761a69b7e9342b"
+# sha256 of every export, machines in name order, dot before ats; pinned
+# when the families' exports moved from the whole family unions to the
+# cover unions
+EXPORT_DIGEST = "5519184fbb86e68621b172a9426ea3350d30c5011c81f7d5c349f12894574027"
+
+
+def test_export_writes_the_cover_union(capsys, tmp_path):
+    out = tmp_path / "machine.dot"
+    code, stdout, _ = run(capsys, "--json", "export", "a-odd", "--format", "dot", "--out", str(out))
+    assert code == 0
+    union = lemma_machines.cover_runtime("a-odd").union
+    (record,) = records(stdout)
+    assert (record["states"], record["transitions"]) == (union.num_states, union.num_transitions())
+    assert out.read_text() == automata.to_dot(union, "a_odd")
 
 
 def test_export_digest(capsys, tmp_path):
@@ -453,7 +469,7 @@ def test_decompose_json_times_the_stages_of_machine_results(capsys):
 
 def test_decompose_json_reports_the_path_memo_hits(capsys, monkeypatch):
     value = (1 << 40) + 3
-    runtime = lemma_machines.family_runtime("a-odd")
+    runtime = lemma_machines.cover_runtime("a-odd")
     runtime.kernel  # noqa: B018 -- cached, so that teardown restores it
     monkeypatch.delitem(runtime.__dict__, "kernel")
     hits = []
@@ -465,6 +481,36 @@ def test_decompose_json_reports_the_path_memo_hits(capsys, monkeypatch):
     assert hits[0] < hits[1] == 2 * len(folding.fold(value).ids)
     code, out, _ = run(capsys, "--json", "decompose", "687")
     assert "path_memo_hits" not in records(out)[0]
+
+
+_RUNTIMES_BUILT = """
+import json, sys
+from binsquares import cli, lemma_machines
+for mode in ("squares4", "square-power", "generalized"):
+    for value in (1 << 40, 1 << 41):
+        assert cli.main(["decompose", "--mode", mode, str(value)]) == 0
+assert cli.main(["export", "a-odd", "--format", "ats", "--out", sys.argv[1]]) == 0
+whole, cover = lemma_machines.family_runtime, lemma_machines.cover_runtime
+built = whole.cache_info().currsize, cover.cache_info()
+for name in lemma_machines.FAMILY_NAMES:
+    cover(name)
+print(json.dumps([*built, cover.cache_info()]))
+"""
+
+
+def test_decompose_and_export_build_only_cover_runtimes(tmp_path):
+    # a fresh interpreter, so no runtime another test built is counted
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _RUNTIMES_BUILT, str(tmp_path / "a_odd.ats")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    whole, before, after = json.loads(done.stdout.splitlines()[-1])
+    assert whole == 0
+    # (hits, misses, maxsize, currsize): the six families were built once
+    # each and are held, so asking for them again builds nothing
+    assert before[1] == before[3] == 6
+    assert after[1] == 6 and after[0] == before[0] + 6
 
 
 def test_flags_accepted_after_subcommand(capsys):

@@ -758,3 +758,17 @@ def test_an_unknown_cover_label_or_family_is_refused():
         select_profiles("generalized-odd", ("G(0)", "G(3)"))
     with pytest.raises(ValueError, match="unknown machine family"):
         cover_runtime("no-such-family")
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_successor_tuples_increase(name):
+    # the path search's greedy walk takes the first alive successor in a
+    # tuple as the lowest, so the unions it walks keep them strictly
+    # increasing, and so do the proof machines built from them
+    machines = []
+    for runtime in (family_runtime(name), cover_runtime(name)):
+        machines += [runtime.union, runtime.proof_machine]
+    for nfa in machines:
+        for row in nfa.transitions:
+            for dsts in row.values():
+                assert all(a < b for a, b in zip(dsts, dsts[1:]))
