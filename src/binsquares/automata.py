@@ -23,6 +23,7 @@ through every word of one length, depth first.  The path kernel is also a
 lazily built subset automaton: it remembers each whole-mask step it takes,
 since the same frontiers come back word after word.  The row kernel
 remembers none, since its row steps do not repeat (see :class:`_RowKernel`).
+Both kernels cap each chunk table at the same ``_TABLE_LIMIT`` entries.
 
 :func:`quotient` merges the states of a machine by a forward bisimulation;
 the result accepts the same words, and inclusion proofs run on it.
@@ -41,29 +42,31 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 # the array typecode of an unsigned 32-bit int; "Q" is one of 64 bits
 _UINT32 = next(code for code in "IL" if array(code).itemsize == 4)
 _BIG_ENDIAN = sys.byteorder == "big"
-# Entries one of inclusion's (symbol tuple, chunk) row tables may hold; a
-# full table is cleared before its next insertion.  Uncapped, the largest
-# 32-bit-chunk row table of each of the six verify searches (odd-squares to
-# generalized-even, in cli order) holds 61, 231, 54, 75, 14 and 24 entries,
-# and those of the a-odd and a-even refutations at 11 and 16 bits 64 and
-# 265; so only the a-even refutation reaches the cap, once, with the same
-# result and counts as uncapped.  A cap of 64 makes the even-squares
-# inclusion about 1.6 times as slow.
+# Entries one chunk table of either kernel may hold; a full table is cleared
+# before its next insertion.  Uncapped, the largest 32-bit-chunk row table
+# of each of the six verify searches (odd-squares to generalized-even, in
+# cli order) holds 61, 231, 54, 75, 14 and 24 entries, and those of the
+# a-odd and a-even refutations at 11 and 16 bits 64 and 265; so only the
+# a-even refutation reaches the cap, once, with the same result and counts
+# as uncapped.  A cap of 64 makes the even-squares inclusion about 1.6 times
+# as slow.  A path kernel's 64-bit-chunk tables see only the steps its memo
+# misses: after a perfbench certify pass (a warm-up and three rounds, seeds
+# 1 to 4) the largest table of each cover kernel, a-odd to
+# generalized-even, holds at most 47, 129, 44, 155, 40 and 38 entries, and
+# at most 183 (a-even) after twelve rounds, so none starts over.  A cap of
+# 48 makes a-even's and square-power-even's tables start over again and
+# again: a steady round builds about twice the entries, and the path
+# searches take about 1.4 times as long.
 _TABLE_LIMIT = 256
-# The same for a compiled path kernel's 64-bit-chunk tables, which see only
-# the steps its memo misses.  They fill up 335 to 351 times in a perfbench
-# certify pass on the cover unions (seeds 1 to 4).  Against 48 entries, 64
-# ran that pass about as fast with 0.4 MB more peak memory, and 32 took
-# 1.4 MB less but ran it 14 % slower (both measured on the whole families).
-_PATH_TABLE_LIMIT = 48
 # Whole-mask steps a compiled path kernel remembers, forward and backward
 # together; a full memo is cleared before its next insertion.  A perfbench
 # certify pass (a warm-up and three rounds of 24 decompositions of 64 to 4001
 # bits) leaves at most 5 138, in square-power-even's cover kernel (seeds 1
-# to 4).  An entry holds two masks of n bits, each about 28 + n / 7.5 bytes
-# as a Python int, plus a dict slot of under 100 bytes, so a full memo of
-# the largest union a decomposition walks (a-odd's cover, 2 748 states)
-# takes at most about 7.3 MB.
+# to 4), and at most 1 353 in each of the other five.  An entry holds two
+# masks of n bits, each about 28 + n / 7.5 bytes as a Python int, plus a
+# dict slot of under 100 bytes, so a full memo of the largest union a
+# decomposition walks (a-odd's cover, 2 748 states) takes at most about
+# 7.3 MB.
 _MEMO_LIMIT = 8192
 
 
@@ -320,16 +323,16 @@ def _refine(rows: Sequence[Mapping[int, Sequence[int]]], marked: frozenset[int])
     return [ids.setdefault(b, len(ids)) for b in block]
 
 
-def _reverse(rows: Sequence[Mapping[int, Sequence[int]]]) -> list[dict[int, list[int]]]:
-    """Each state's predecessors per symbol, in state order.  The lists are
-    returned as filled: a backward step ORs them into a mask, so neither
-    their symbol order nor their type matters."""
+def _reverse(rows: Sequence[Mapping[int, Sequence[int]]]) -> list[dict[int, tuple[int, ...]]]:
+    """Each state's predecessors per symbol, in state order.  A backward
+    step ORs them into a mask, so their symbol order does not matter; they
+    are filled as lists and kept as tuples, which hold no spare slots."""
     out: list[dict[int, list[int]]] = [{} for _ in rows]
     for src, row in enumerate(rows):
         for sym_id, dsts in row.items():
             for d in dsts:
                 out[d].setdefault(sym_id, []).append(src)
-    return out
+    return [{sym_id: tuple(srcs) for sym_id, srcs in row.items()} for row in out]
 
 
 def quotient(nfa: Nfa) -> Quotient:
@@ -406,16 +409,18 @@ class PathKernel:
     faster with 64-bit chunks than with 32-bit ones.  An entry is built from
     the machine's successor tuples the first time its chunk pattern occurs,
     so compiling costs nothing up front and only patterns that occur take
-    memory; a table that reaches ``_PATH_TABLE_LIMIT`` entries starts over,
-    so a long-lived kernel's tables stay bounded.  A backward step works the
-    same way on predecessor lists, built on the first backward step, so a
-    kernel that only steps forward never pays for them.  Path search meets
-    the same frontiers again and again, so every step goes through a memo
-    first: one dict per symbol and direction maps a whole mask to its
-    successor mask, so the kernel is also a lazily built subset automaton,
-    and only a miss goes through the chunk tables.  ``memo_hits`` counts the
-    steps the memo answered.  The memo starts over when it holds
-    ``_MEMO_LIMIT`` entries over both directions.
+    memory; a table that reaches ``_TABLE_LIMIT`` entries starts over, so a
+    long-lived kernel's tables stay bounded, though the decompositions of a
+    certify pass fill none that far.  A backward step works the same way on
+    predecessor tuples, built on the first backward step, so a kernel that
+    only steps forward never pays for them.  Path search meets the same
+    frontiers again and again, so every step goes through a memo first: one
+    dict per symbol and direction maps a whole mask to its successor mask,
+    so the kernel is also a lazily built subset automaton, and only a miss
+    goes through the chunk tables.  ``memo_hits`` counts the steps the memo
+    answered and ``table_builds`` the table entries the misses built.  The
+    memo starts over when it holds ``_MEMO_LIMIT`` entries over both
+    directions.
     """
 
     def __init__(self, nfa: Nfa):
@@ -424,13 +429,14 @@ class PathKernel:
         self.initial = sum(1 << q for q in nfa.initial)
         self.final = sum(1 << q for q in nfa.final)
         self._chunks = (nfa.num_states + 63) // 64
-        self._predecessors: list[dict[int, list[int]]] | None = None
+        self._predecessors: list[dict[int, tuple[int, ...]]] | None = None
         self._tables = self._empty_tables()
         self._back_tables: list[list[dict[int, int]]] = []
         # per symbol, the forward and then the backward steps remembered
         self._memo: list[dict[int, int]] = [{} for _ in range(2 * self._num_symbols)]
         self._memo_size = 0
         self.memo_hits = 0
+        self.table_builds = 0
 
     def _empty_tables(self) -> list[list[dict[int, int]]]:
         return [[{} for _ in range(self._chunks)] for _ in range(self._num_symbols)]
@@ -443,7 +449,7 @@ class PathKernel:
         memo: dict[int, int],
         mask: int,
     ) -> int:
-        limit = _PATH_TABLE_LIMIT
+        limit = _TABLE_LIMIT
         out = 0
         for chunk, word in enumerate(_cut(mask, "Q", 8 * self._chunks)):
             if not word:
@@ -460,6 +466,7 @@ class PathKernel:
                 if len(table) >= limit:
                     table.clear()
                 table[word] = part
+                self.table_builds += 1
             out |= part
         if self._memo_size >= _MEMO_LIMIT:
             for remembered in self._memo:
@@ -562,13 +569,15 @@ class AcceptingPath(NamedTuple):
     or None when the word is rejected; ``visited`` sums the sizes of the
     forward layers and ``frontier_max`` is the largest of them.
     ``memo_hits`` counts the forward and backward steps the kernel's memo
-    answered, which depends on what the kernel stepped before.
+    answered and ``table_builds`` the chunk-table entries the other steps
+    built; both depend on what the kernel stepped before.
     """
 
     states: list[int] | None
     visited: int
     frontier_max: int
     memo_hits: int
+    table_builds: int
 
 
 def accepting_path(compiled: PathKernel, symbol_ids: Sequence[int]) -> AcceptingPath:
@@ -584,7 +593,7 @@ def accepting_path(compiled: PathKernel, symbol_ids: Sequence[int]) -> Accepting
     sequence from an initial state to f, the run that breadth-first
     simulation with first-found parent pointers also picks.
     """
-    hits = compiled.memo_hits
+    hits, builds = compiled.memo_hits, compiled.table_builds
     layers = [compiled.initial]
     for sym_id in symbol_ids:
         if not layers[-1]:
@@ -594,7 +603,9 @@ def accepting_path(compiled: PathKernel, symbol_ids: Sequence[int]) -> Accepting
     visited, widest = sum(sizes), max(sizes)
     accepted = layers[-1] & compiled.final  # an early stop leaves an empty layer
     if not accepted:
-        return AcceptingPath(None, visited, widest, compiled.memo_hits - hits)
+        return AcceptingPath(
+            None, visited, widest, compiled.memo_hits - hits, compiled.table_builds - builds
+        )
     alive = [0] * len(layers)
     alive[-1] = accepted & -accepted
     for k in range(len(symbol_ids) - 1, -1, -1):
@@ -608,7 +619,9 @@ def accepting_path(compiled: PathKernel, symbol_ids: Sequence[int]) -> Accepting
             if live >> state & 1:
                 break
         states.append(state)
-    return AcceptingPath(states, visited, widest, compiled.memo_hits - hits)
+    return AcceptingPath(
+        states, visited, widest, compiled.memo_hits - hits, compiled.table_builds - builds
+    )
 
 
 _Antichain = dict[int, dict[int, list[int]]]

@@ -293,6 +293,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     record.update({f"{stage}_seconds": round(s, 6) for stage, s in result.stage_seconds.items()})
     if result.path_memo_hits is not None:
         record["path_memo_hits"] = result.path_memo_hits
+        record["path_table_builds"] = result.path_table_builds
     lines = [f"{result.target} = " + " + ".join(str(v) for v in result.values())]
     lines.extend(f"  {text}" for text in rendered)
     if result.profile:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .automata import Alphabet, Nfa, NfaBuilder, Symbol
-from .numberforms import to_bits
+from .numberforms import from_bits, to_bits
 
 PAIR_TAGS = ("a", "b", "c", "d", "e")
 SINGLE_TAGS = {"odd": ("f",), "even": ("f", "g", "h", "i")}
@@ -95,6 +95,17 @@ def letter_ids(parity: str) -> dict[tuple[str, tuple[int, ...]], int]:
 
 
 @lru_cache(maxsize=None)
+def pair_letters(parity: str) -> dict[str, tuple[int, ...]]:
+    """Per pair tag, the ids of its four letters, indexed by 2 * high bit +
+    low bit."""
+    letters = letter_ids(parity)
+    return {
+        tag: tuple(letters[tag, (hi, lo)] for hi in (0, 1) for lo in (0, 1))
+        for tag in PAIR_TAGS
+    }
+
+
+@lru_cache(maxsize=None)
 def fold_layout(parity: str, source_length: int, loop: bool) -> tuple[tuple[tuple[str, int], ...], ...]:
     """The tag chain of the folds of a length: the (tag, next position)
     moves of each position, pairs first, then the tail singles; the last
@@ -149,8 +160,8 @@ def fold(value: int) -> FoldedWord:
     bits = to_bits(value)
     parity = "odd" if len(bits) % 2 else "even"
     i = pair_count(parity, len(bits))
-    letters = letter_ids(parity)
-    ids = [letters[tag, (bits[i + k], bits[k])] for k, tag in enumerate(pair_tags(parity, i))]
+    quads, letters = pair_letters(parity), letter_ids(parity)
+    ids = [quads[tag][2 * hi + lo] for tag, hi, lo in zip(pair_tags(parity, i), bits[i:], bits)]
     ids += [letters[tag, (bits[2 * i + t],)] for t, tag in enumerate(SINGLE_TAGS[parity])]
     return FoldedWord(parity, tuple(ids))
 
@@ -178,13 +189,11 @@ def unfold(symbols: Iterable[Symbol]) -> int:
         raise ValueError(f"pair tags {got_tags!r} do not fit length {i}")
     if singles[-1].bits[0] != 1:
         raise ValueError("leading bit of a folded word must be 1")
-    value = 0
-    for k, p in enumerate(pairs):
-        value |= p.bits[1] << k
-        value |= p.bits[0] << (i + k)
-    for t, s in enumerate(singles):
-        value |= s.bits[0] << (2 * i + t)
-    return value
+    # least significant first: the low bits of the pairs, their high bits,
+    # then the singles
+    lows = tuple(p.bits[1] for p in pairs)
+    highs = tuple(p.bits[0] for p in pairs)
+    return from_bits(lows + highs + tuple(s.bits[0] for s in singles))
 
 
 def syntax_checker(parity: str, min_source_length: int) -> Nfa:

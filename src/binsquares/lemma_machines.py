@@ -80,6 +80,7 @@ from .folding import (
     fold_layout,
     letter_ids,
     pair_count,
+    pair_letters,
     pair_tags,
 )
 from .proofcheck import check_forward
@@ -182,6 +183,7 @@ class _ShapeTable:
                 if a > 0 and self.i < a:
                     raise ValueError(f"offset {s.offset} needs more pair columns")
         self.letters = letter_ids(parity)
+        self.pair_letters = pair_letters(parity)
         # every word ends in one accept state, whose key holds only the
         # last position
         self.accept_key = (len(self.layout) - 1,)
@@ -235,7 +237,7 @@ class _ShapeTable:
             if tag in self.singles:
                 self._single_moves(slots, used, self.singles.index(tag), nxt, moves, records)
                 continue
-            letters = tuple(self.letters[tag, (hi, lo)] for hi in (0, 1) for lo in (0, 1))
+            letters = self.pair_letters[tag]
             check = 1 if tag == "e" else 0
             for add_lo, add_hi, new_slots, used2, data in self._pair_moves(slots, tag, step, used):
                 moves.append((add_lo, add_hi, self._node((nxt, new_slots, used2)), check, letters))
@@ -664,6 +666,13 @@ def _shape_tables(profiles: tuple[Profile, ...]) -> dict[Profile, _ShapeTable]:
     return {p: tables[p.parity, p.summands, p.max_powers] for p in profiles}
 
 
+@lru_cache(maxsize=None)
+def _above(r: int) -> bytes:
+    """The translation of stacked digits 0 to 255 into the text bits of one
+    square: "1" for a digit above r, else "0"."""
+    return bytes.maketrans(bytes(range(256)), b"0" * (r + 1) + b"1" * (255 - r))
+
+
 class FamilyRuntime:
     """Profiles of one parity, the disjoint union of their trimmed machines,
     the state where each member starts in it, the generator key of each
@@ -776,29 +785,34 @@ class FamilyRuntime:
         profile = self.profile_at(states[0])
         table = self._tables[profile]
         i = word.pair_count
-        digits = [[0] * (i + a) for a in table.aligns]
-        power_columns: list[int] = []
+        records, edges = self._records, zip(states, word.ids, states[1:])
         # the word's i pair columns come first, then its tail singles
-        for k, edge in enumerate(zip(states, word.ids, states[1:])):
-            guesses, inj_lo, inj_hi = self._records.get(edge) or self.edge_record(*edge)
-            if k < i:
-                for stream, align, sites in zip(digits, table.aligns, guesses):
-                    for site, value in sites:
-                        if site == "lo":
-                            stream[k] = value
-                        elif site == "hi":
-                            stream[k - align] = value
-                        else:
-                            stream[i + k] = value
-                power_columns += [k] * inj_lo + [i + k] * inj_hi
-            else:
-                power_columns += [k + i] * inj_lo
-        squares = [
-            int("".join(["1" if d > r else "0" for d in reversed(stream)]), 2)
-            * ((1 << len(stream)) + 1)
-            for s, stream in zip(table.active, digits)
-            for r in range(s.count)
-        ]
+        path = [records.get(edge) or self.edge_record(*edge) for edge in edges]
+        squares = []
+        # per summand, its sites in each pair column
+        columns = zip(*[guesses for guesses, _, _ in path[:i]])
+        for s, align, column in zip(table.active, table.aligns, columns):
+            stream = bytearray(i + align)
+            for k, sites in enumerate(column):
+                for site, value in sites:
+                    if site == "lo":
+                        stream[k] = value
+                    elif site == "hi":
+                        stream[k - align] = value
+                    else:
+                        stream[i + k] = value
+            # most significant digit first; square r has a 1 where more
+            # than r of the stacked squares do
+            stream.reverse()
+            factor = (1 << len(stream)) + 1
+            squares += [int(stream.translate(_above(r)), 2) * factor for r in range(s.count)]
+        power_columns: list[int] = []
+        for k, (_, inj_lo, inj_hi) in enumerate(path):
+            if inj_lo or inj_hi:
+                if k < i:
+                    power_columns += [k] * inj_lo + [i + k] * inj_hi
+                else:
+                    power_columns += [k + i] * inj_lo
         return profile, squares, [1 << c for c in power_columns]
 
 

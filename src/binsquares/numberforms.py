@@ -22,24 +22,30 @@ class GroundSetKind(enum.Enum):
     POWER_OF_TWO = "power-of-two"
 
 
+# between the text digits "0"/"1" and the digit values 0/1, as bytes
+_FROM_TEXT = bytes.maketrans(b"01", b"\x00\x01")
+_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def to_bits(value: int) -> tuple[int, ...]:
     """Canonical LSD-first digits of ``value``. Zero maps to the empty tuple."""
     if value < 0:
         raise ValueError("negative values have no canonical form")
-    digits = []
-    while value:
-        digits.append(value & 1)
-        value >>= 1
-    return tuple(digits)
+    if not value:
+        return ()
+    # one pass over the binary text, where a shift per bit is quadratic
+    return tuple(bin(value)[:1:-1].encode().translate(_FROM_TEXT))
 
 
 def from_bits(bits: tuple[int, ...]) -> int:
     """Inverse of :func:`to_bits`; requires canonical input (no trailing 0)."""
     if any(b not in (0, 1) for b in bits):
         raise ValueError("digits must be 0 or 1")
-    if bits and bits[-1] != 1:
+    if not bits:
+        return 0
+    if bits[-1] != 1:
         raise ValueError("non-canonical: most significant digit is 0")
-    return sum(b << i for i, b in enumerate(bits))
+    return int(bytes(bits)[::-1].translate(_TO_TEXT), 2)
 
 
 def is_binary_square(value: int) -> bool:

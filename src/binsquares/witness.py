@@ -68,11 +68,12 @@ class Decomposition:
     ``frontier_max``, the most states alive at any one position,
     ``stage_seconds``, the seconds of each stage by name: "fold" the value,
     find the accepting "path", "replay" it into summands and "verify" the
-    result, and ``path_memo_hits``, the path search's forward and backward
-    steps that the cover kernel's memo answered.  Table-backed results
-    leave these empty, with ``path_memo_hits`` None.  The stage seconds
-    depend on the host and the memo hits on what the process decomposed
-    before, so neither takes part in comparisons.
+    result, ``path_memo_hits``, the path search's forward and backward
+    steps that the cover kernel's memo answered, and ``path_table_builds``,
+    the chunk-table entries the other steps built.  Table-backed results
+    leave these empty, with both counts None.  The stage seconds depend on
+    the host and the counts on what the process decomposed before, so none
+    of them takes part in comparisons.
     """
 
     target: int
@@ -82,6 +83,7 @@ class Decomposition:
     frontier_max: int = 0
     stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
     path_memo_hits: int | None = field(default=None, compare=False)
+    path_table_builds: int | None = field(default=None, compare=False)
 
     def values(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.parts)
@@ -124,6 +126,7 @@ def _machine_decompose(value: int, family: str):
         "frontier_max": path.frontier_max,
         "stage_seconds": seconds,
         "path_memo_hits": path.memo_hits,
+        "path_table_builds": path.table_builds,
     }
     return squares, powers, stats
 

@@ -306,7 +306,7 @@ def test_long_lived_kernel_finds_the_paths_of_fresh_ones(nfa, words):
     for word in words:
         fresh = accepting_path(PathKernel(nfa), word)
         assert accepting_path(kernel, word)[:3] == fresh[:3]
-        with patch.object(automata, "_PATH_TABLE_LIMIT", 1), patch.object(automata, "_MEMO_LIMIT", 3):
+        with patch.object(automata, "_TABLE_LIMIT", 1), patch.object(automata, "_MEMO_LIMIT", 3):
             assert accepting_path(capped, word)[:3] == fresh[:3]
 
 
@@ -349,7 +349,6 @@ def test_capped_lookup_tables_change_no_result(monkeypatch):
     assert max(map(_largest_table, kernels)) > limit
     assert min(map(_memo_entries, kernels)) > memo_limit
     monkeypatch.setattr(automata, "_TABLE_LIMIT", limit)
-    monkeypatch.setattr(automata, "_PATH_TABLE_LIMIT", limit)
     monkeypatch.setattr(automata, "_MEMO_LIMIT", memo_limit)
     capped_kernels, capped_paths, capped_inclusions = run_all()
     assert capped_paths == paths

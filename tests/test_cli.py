@@ -472,15 +472,18 @@ def test_decompose_json_reports_the_path_memo_hits(capsys, monkeypatch):
     runtime = lemma_machines.cover_runtime("a-odd")
     runtime.kernel  # noqa: B018 -- cached, so that teardown restores it
     monkeypatch.delitem(runtime.__dict__, "kernel")
-    hits = []
+    hits, builds = [], []
     for _ in range(2):
         code, out, _ = run(capsys, "--json", "decompose", str(value))
         assert code == 0
         hits.append(records(out)[0]["path_memo_hits"])
-    # the second search repeats every forward and backward step of the first
+        builds.append(records(out)[0]["path_table_builds"])
+    # the second search repeats every forward and backward step of the
+    # first, so it builds no chunk-table entry
     assert hits[0] < hits[1] == 2 * len(folding.fold(value).ids)
+    assert builds[0] > 0 == builds[1]
     code, out, _ = run(capsys, "--json", "decompose", "687")
-    assert "path_memo_hits" not in records(out)[0]
+    assert not {"path_memo_hits", "path_table_builds"} & set(records(out)[0])
 
 
 _RUNTIMES_BUILT = """

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from binsquares.automata import Symbol
 from binsquares.folding import (
+    SINGLE_TAGS,
     FoldedWord,
     alphabet_for,
     fold,
@@ -83,6 +84,33 @@ def test_fold_round_trips_long_values(value):
     word = fold(value)
     assert word.source_length == value.bit_length()
     assert unfold(word.symbols) == value
+
+
+def bin_fold(value):
+    """The folded word of a value, its letters read off ``bin``."""
+    bits = [int(c) for c in reversed(bin(value)[2:])]
+    parity = "odd" if len(bits) % 2 else "even"
+    singles = SINGLE_TAGS[parity]
+    i = (len(bits) - len(singles)) // 2
+    pairs = [Symbol(tag, (bits[i + k], bits[k])) for k, tag in enumerate(pair_tags(parity, i))]
+    return tuple(pairs) + tuple(Symbol(tag, (bits[2 * i + t],)) for t, tag in enumerate(singles))
+
+
+def bin_unfold(word):
+    """The value of a folded word, its digits written out for ``int``."""
+    pairs = [s for s in word if s.is_pair]
+    lsd_first = [p.bits[1] for p in pairs] + [p.bits[0] for p in pairs]
+    lsd_first += [s.bits[0] for s in word if not s.is_pair]
+    return int("".join(map(str, reversed(lsd_first))), 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(5, 5000).flatmap(lambda n: st.integers(1 << n - 1, (1 << n) - 1)))
+def test_fold_and_unfold_agree_with_bin_up_to_5000_bits(value):
+    word = fold(value).symbols
+    assert word == bin_fold(value)
+    assert unfold(word) == bin_unfold(word) == value
+    assert fold(unfold(word)).symbols == word
 
 
 def test_fold_rejects_short_values():

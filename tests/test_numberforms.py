@@ -42,6 +42,25 @@ def test_bits_round_trip():
         assert from_bits(to_bits(v)) == v
 
 
+def bin_bits(value):
+    """LSD-first digits read off ``bin``; zero has none."""
+    return tuple(int(c) for c in reversed(bin(value)[2:])) if value else ()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 5000).flatmap(lambda n: st.integers(0, (1 << n) - 1)))
+def test_bits_agree_with_bin_up_to_5000_bits(value):
+    bits = to_bits(value)
+    assert bits == bin_bits(value)
+    assert from_bits(bits) == value
+    with pytest.raises(ValueError, match="non-canonical"):
+        from_bits(bits + (0,))
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        from_bits(bits + (2, 1))
+    with pytest.raises(ValueError, match="no canonical form"):
+        to_bits(-value - 1)
+
+
 def test_binary_square_examples():
     assert is_binary_square(0)
     assert is_binary_square(221)  # 11011101

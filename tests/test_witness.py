@@ -399,5 +399,34 @@ def test_a_repeated_decomposition_is_answered_from_the_memo(monkeypatch):
     # of the first, and the memo holds them all
     assert second.path_memo_hits == 2 * len(fold(value).ids)
     assert first.path_memo_hits < second.path_memo_hits
+    # so no step of the second search reaches the chunk tables
+    assert first.path_table_builds > 0 == second.path_table_builds
     assert first == second
     assert decompose((1 << 17) - 1).path_memo_hits is None
+    assert decompose((1 << 17) - 1).path_table_builds is None
+
+
+def _path_tables(kernel):
+    return [t for tables in (kernel._tables, kernel._back_tables) for row in tables for t in row]
+
+
+def test_path_tables_stay_below_the_cap_on_a_certify_mix(monkeypatch):
+    # three rounds of one value per mode at each bit length from 64 to
+    # 4001, as the certify benchmark runs them, on kernels built for the test
+    families = [family_of(prefix, bits) for _, prefix in MODES.values() for bits in (0, 1)]
+    runtimes = _fresh_kernels(monkeypatch, families)
+    rng = random.Random(2201)
+    for _ in range(3):
+        requests = [
+            (fn, rng.getrandbits(bits - 1) | 1 << (bits - 1))
+            for bits in (64, 65, 300, 301, 1000, 1001, 4000, 4001)
+            for fn, _ in MODES.values()
+        ]
+        rng.shuffle(requests)
+        for fn, value in requests:
+            fn(value).verify()
+    for runtime in runtimes:
+        tables = _path_tables(runtime.kernel)
+        assert max(map(len, tables)) < automata._TABLE_LIMIT
+        # no table ever started over: they hold every entry built
+        assert sum(map(len, tables)) == runtime.kernel.table_builds > 0
