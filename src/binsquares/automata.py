@@ -81,7 +81,9 @@ class Symbol:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.bits) not in (1, 2) or any(b not in (0, 1) for b in self.bits):
+        # 1.0 and True compare equal to 1 but are not bits
+        bits_ok = all(type(b) is int and b in (0, 1) for b in self.bits)
+        if len(self.bits) not in (1, 2) or not bits_ok:
             raise ValueError(f"malformed symbol payload: {self.bits!r}")
 
     @property

@@ -311,15 +311,12 @@ def cmd_exceptions(args: argparse.Namespace) -> int:
         else exceptions_four_squares
     )
     for value in finder(args.bound):
-        if args.json:
-            record = {
-                "kind": "exception",
-                "value": value,
-                "exact_four_positive": args.exact_four_positive,
-            }
-            sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-        else:
-            print(value)
+        record = {
+            "kind": "exception",
+            "value": value,
+            "exact_four_positive": args.exact_four_positive,
+        }
+        _emit(args, record, [str(value)])
     return 0
 
 
@@ -360,21 +357,13 @@ def cmd_density(args: argparse.Namespace) -> int:
 def cmd_optimality(args: argparse.Namespace) -> int:
     table = optimality_check(args.max_n)
     for n, representations in sorted(table.items()):
-        if args.json:
-            record = {
-                "kind": "optimality",
-                "n": n,
-                "representations": [list(r) for r in representations],
-            }
-            sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-        else:
-            if representations:
-                shown = ", ".join(
-                    "+".join(str(p) for p in rep) for rep in representations
-                )
-                print(f"n={n} {shown}")
-            else:
-                print(f"n={n} none")
+        record = {
+            "kind": "optimality",
+            "n": n,
+            "representations": [list(r) for r in representations],
+        }
+        shown = ", ".join("+".join(map(str, rep)) for rep in representations)
+        _emit(args, record, [f"n={n} {shown or 'none'}"])
     return 0
 
 

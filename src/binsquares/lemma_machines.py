@@ -26,7 +26,7 @@ against a budget.
 Machines come in two builds, and both walk a layout table of
 :mod:`folding`.  Uniform ones walk the looping chain of the minimal syntax
 checker (11 bits for odd, 12 for even) and key their rules on tags alone:
-the position in each state key is a state of that checker, so a machine's
+the position of each state's node is a state of that checker, so a machine's
 language lies inside the checker's, and one machine covers every source
 length at or above the minimum.  Fixed-length ones walk the loop-free chain
 of one length, key on step indices and reach the short layouts the uniform
@@ -34,7 +34,7 @@ rules cannot express.
 
 A move carries a guess record: per summand the digits guessed and their
 sites ("lo", "hi", "top"), plus the powers of two injected.  Machines keep no
-records: a runtime re-expands the source key of a path edge to decode it.
+records: a runtime re-expands the source node of a path edge to decode it.
 
 Generation computes the moves of a pair column once per summand shape.  The
 guess combinations a column offers, with their digit sums, new slots and
@@ -184,9 +184,6 @@ class _ShapeTable:
                     raise ValueError(f"offset {s.offset} needs more pair columns")
         self.letters = letter_ids(parity)
         self.pair_letters = pair_letters(parity)
-        # every word ends in one accept state, whose key holds only the
-        # last position
-        self.accept_key = (len(self.layout) - 1,)
         self.node_keys: list[tuple] = []
         self._node_ids: dict[tuple, int] = {}
         # move lists by node while members are walked, and the (moves,
@@ -202,24 +199,6 @@ class _ShapeTable:
             node = self._node_ids[key] = len(self.node_keys)
             self.node_keys.append(key)
         return node
-
-    def key(self, state: tuple[int, int, int]) -> tuple:
-        """The generator key (pos, slots, c_lo, c_hi, used) of a state
-        (node, c_lo, c_hi), or the accept key."""
-        node, c_lo, c_hi = state
-        if node < 0:
-            return self.accept_key
-        pos, slots, used = self.node_keys[node]
-        return (pos, slots, c_lo, c_hi, used)
-
-    def _state(self, key: tuple) -> tuple[int, int, int] | None:
-        if key == self.accept_key:
-            return _ACCEPT
-        if len(key) != 5:
-            return None
-        pos, slots, c_lo, c_hi, used = key
-        node = self._node_ids.get((pos, slots, used))
-        return None if node is None else (node, c_lo, c_hi)
 
     def expand(self, node: int) -> tuple[list[tuple], list[tuple]]:
         """Every move of a node, with the guess record of each.
@@ -303,16 +282,16 @@ class _ShapeTable:
                     dsts.add(d)
         return rows, states, ids.get(_ACCEPT)
 
-    def decode(self, key: tuple, sym_id: int, dst_key: tuple, carry: int) -> set[tuple]:
-        """The guess records of the moves that take the state with generator
-        key ``key`` over ``sym_id`` to ``dst_key`` in the member with this
-        seam carry."""
-        src, dst = self._state(key), self._state(dst_key)
-        if src is None or src[0] < 0 or dst is None:
-            return set()
-        if src[0] not in self._decoded:
-            self._decoded[src[0]] = self.expand(src[0])
-        moves, records = self._decoded[src[0]]
+    def decode(self, src: tuple, sym_id: int, dst: tuple, carry: int) -> set[tuple]:
+        """The guess records of the moves that take the state ``src`` over
+        ``sym_id`` to the state ``dst`` in the member with this seam carry;
+        the moves are those of the node of ``src``."""
+        node = src[0]
+        if node < 0:
+            return set()  # the accept state has no moves
+        if node not in self._decoded:
+            self._decoded[node] = self.expand(node)
+        moves, records = self._decoded[node]
         landings = self.landings(moves, src, carry)
         return {rec for rec, landing in zip(records, landings) if landing == (sym_id, dst)}
 
@@ -675,14 +654,14 @@ def _above(r: int) -> bytes:
 
 class FamilyRuntime:
     """Profiles of one parity, the disjoint union of their trimmed machines,
-    the state where each member starts in it, the generator key of each
-    union state and, built on first use, the union's path kernel and its
-    proof machine.  ``generated_states`` and ``generated_transitions`` total
-    the members as generated, before their dead states are dropped, and
-    ``generator_nodes`` counts the nodes their shape tables interned.  The
-    profiles are a whole family (:func:`family_runtime`) or its cover
-    (:func:`cover_runtime`); a tuple with no profile, or with both
-    parities, raises :class:`ValueError`.
+    the state where each member starts in it, the walk state (node, low
+    carry, high carry) of each union state and, built on first use, the
+    union's path kernel and its proof machine.  ``generated_states`` and
+    ``generated_transitions`` total the members as generated, before their
+    dead states are dropped, and ``generator_nodes`` counts the nodes their
+    shape tables interned.  The profiles are a whole family
+    (:func:`family_runtime`) or its cover (:func:`cover_runtime`); a tuple
+    with no profile, or with both parities, raises :class:`ValueError`.
 
     Each member is walked into raw rows, and only its live states, those
     that can still reach acceptance, are written into the union, so the
@@ -697,11 +676,11 @@ class FamilyRuntime:
         self.profiles = profiles
         self._tables = _shape_tables(self.profiles)
         rows: list[dict[int, tuple[int, ...]]] = []
-        starts, keys, initial, final = [], [], [], []
+        starts, states, initial, final = [], [], [], []
         self.generated_states = self.generated_transitions = 0
         for p in self.profiles:
             table = self._tables[p]
-            raw, states, accept = table.walk(p.carry)
+            raw, walked, accept = table.walk(p.carry)
             self.generated_states += len(raw)
             self.generated_transitions += sum(len(d) for row in raw for d in row.values())
             live = co_reachable(raw, () if accept is None else (accept,))
@@ -718,7 +697,7 @@ class FamilyRuntime:
                 initial.append(offset)
                 final.append(remap[accept])
             starts.append(offset)
-            keys += [table.key(states[q]) for q in live]
+            states += [walked[q] for q in live]
         self.generator_nodes = 0
         for table in set(self._tables.values()):
             table.drop_moves()
@@ -731,7 +710,7 @@ class FamilyRuntime:
             final=frozenset(final),
             transitions=rows,
         )
-        self.keys = tuple(keys)
+        self.states = tuple(states)
         # guess records of the union edges decoded so far
         self._records: dict[tuple[int, int, int], tuple] = {}
 
@@ -763,15 +742,16 @@ class FamilyRuntime:
         return self.profiles[bisect_right(self.starts, state) - 1]
 
     def edge_record(self, src: int, sym_id: int, dst: int) -> tuple:
-        """The guess record of a union edge: the move of the generator key
-        of ``src`` on the symbol to the key of ``dst``, in the same member.
-        Raises :class:`RuntimeError` unless exactly one record fits."""
+        """The guess record of a union edge: the move of the walk state of
+        ``src`` on the symbol to the walk state of ``dst``, in the same
+        member.  Raises :class:`RuntimeError` unless exactly one record
+        fits."""
         edge = (src, sym_id, dst)
         if edge not in self._records:
-            keys, n, profile = self.keys, len(self.keys), self.profile_at(src)
+            states, n, profile = self.states, len(self.states), self.profile_at(src)
             ours = 0 <= src < n and 0 <= dst < n and self.profile_at(dst) is profile
-            table = self._tables[profile]
-            found = table.decode(keys[src], sym_id, keys[dst], profile.carry) if ours else set()
+            decode = self._tables[profile].decode
+            found = decode(states[src], sym_id, states[dst], profile.carry) if ours else set()
             if len(found) != 1:
                 raise RuntimeError(f"union edge {edge} decodes to {len(found)} guess records")
             self._records[edge] = found.pop()

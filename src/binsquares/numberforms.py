@@ -39,7 +39,7 @@ def to_bits(value: int) -> tuple[int, ...]:
 
 def from_bits(bits: tuple[int, ...]) -> int:
     """Inverse of :func:`to_bits`; requires canonical input (no trailing 0)."""
-    if any(b not in (0, 1) for b in bits):
+    if not all(type(b) is int and b in (0, 1) for b in bits):
         raise ValueError("digits must be 0 or 1")
     if not bits:
         return 0

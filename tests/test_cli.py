@@ -77,6 +77,16 @@ def test_exceptions_byte_identical_to_golden(capsys):
     assert out == GOLDEN.read_text()
 
 
+def test_exceptions_json_has_one_record_per_golden_line(capsys):
+    code, out, _ = run(capsys, "--json", "exceptions", "--bound", "131072")
+    assert code == 0
+    expected = [int(line) for line in GOLDEN.read_text().splitlines()]
+    assert records(out) == [
+        {"kind": "exception", "value": value, "exact_four_positive": False}
+        for value in expected
+    ]
+
+
 def test_exceptions_exact_four_positive_tail(capsys):
     code, out, _ = run(
         capsys, "exceptions", "--bound", "131072", "--exact-four-positive"
@@ -223,13 +233,13 @@ def test_failed_witness_self_check_exits_four(capsys, monkeypatch):
 
 
 def test_failed_edge_decoding_exits_four(capsys, monkeypatch):
-    def shifted_keys(name):
+    def shifted_states(name):
         labels = lemma_machines.FAMILY_COVERS[name]
         runtime = lemma_machines.FamilyRuntime(lemma_machines.select_profiles(name, labels))
-        runtime.keys = runtime.keys[1:] + runtime.keys[:1]
+        runtime.states = runtime.states[1:] + runtime.states[:1]
         return runtime
 
-    monkeypatch.setattr(witness, "cover_runtime", shifted_keys)
+    monkeypatch.setattr(witness, "cover_runtime", shifted_states)
     code, out, err = run(capsys, "decompose", "--mode", "generalized", str(1 << 40))
     assert (code, out) == (4, "")
     assert err.startswith("error: union edge (")

@@ -18,6 +18,7 @@ from binsquares.folding import (
     syntax_checker,
     unfold,
 )
+from binsquares.numberforms import from_bits
 
 
 def test_pair_tag_layouts():
@@ -152,6 +153,21 @@ def test_unfold_accepts_truncated_layouts():
     assert render_word(word) == "[1,0]c [0,1]d [1,1]e 1f"
     assert unfold(word) == 110
     assert fold(110).symbols == word
+
+
+# 1.0, True, 0.0 and False compare equal to a bit, but are not the ints 0 and 1
+@pytest.mark.parametrize("bit", [1.0, True, 0.0, False])
+def test_bits_must_be_the_ints_zero_and_one(bit):
+    with pytest.raises(ValueError, match="malformed symbol payload"):
+        Symbol("c", (bit, 0))
+    with pytest.raises(ValueError, match="malformed symbol payload"):
+        Symbol("f", (bit,))
+    with pytest.raises(ValueError, match="digits must be 0 or 1"):
+        from_bits((bit, 1))
+    # the word of 110 with its first high bit replaced
+    word = fold(110).symbols
+    with pytest.raises(ValueError, match="malformed symbol payload"):
+        unfold((Symbol("c", (bit, 0)),) + word[1:])
 
 
 def test_alphabet_sizes():

@@ -10,7 +10,7 @@ import pytest
 
 from binsquares import cli, lemma_machines
 from binsquares.automata import includes, quotient, trim
-from binsquares.folding import LOOP_MIN, fold, syntax_checker, unfold
+from binsquares.folding import LOOP_MIN, fold, fold_layout, syntax_checker, unfold
 from binsquares.lemma_machines import (
     FAMILY_COVERS,
     FAMILY_NAMES,
@@ -377,7 +377,7 @@ def test_decoding_an_edge_the_union_lacks_raises():
     runtime = family_runtime("generalized-odd")
     union = runtime.union
     # an edge into a member's accepting state; every member has one, and
-    # they all have the same generator key
+    # they all have the same walk state
     src, sym_id, dst = next(e for e in union.walk() if e[2] in union.final)
     owner = runtime.profile_at(dst)
     elsewhere = next(q for q in union.final if runtime.profile_at(q) is not owner)
@@ -497,21 +497,33 @@ def test_family_machines_match_golden_digests(name):
     assert family_digests(family_runtime(name)) == (GOLDEN_UNIONS[name], GOLDEN_MEMBERS[name])
 
 
+def node_key(runtime, q):
+    """The (pos, slots, used) node of union state q, or None for a member's
+    accept state, whose node is -1."""
+    node = runtime.states[q][0]
+    return runtime._tables[runtime.profile_at(q)].node_keys[node] if node >= 0 else None
+
+
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_members_move_in_lockstep_with_the_minimal_checker(name):
-    # the position of a uniform generator key is a state of the minimal
-    # syntax checker, and every move of a member steps the checker on the
-    # same letter, so each member's language lies inside the checker's
+    # the position of a uniform node is a state of the minimal syntax
+    # checker, and every move of a member steps the checker on the same
+    # letter, so each member's language lies inside the checker's
     runtime = family_runtime(name)
     parity = runtime.profiles[0].parity
     checker = syntax_checker(parity, LOOP_MIN[parity])
-    position = [key[0] for key in runtime.keys]
+    # the accept state takes the layout's last position
+    last = len(fold_layout(parity, LOOP_MIN[parity], True)) - 1
+    position = [
+        last if key is None else key[0]
+        for key in (node_key(runtime, q) for q in range(runtime.union.num_states))
+    ]
     assert {position[q] for q in runtime.union.initial} <= checker.initial
     for src, sym, dst in runtime.union.walk():
         assert position[dst] in checker.transitions[position[src]].get(sym, ())
-        # only the accept key sits at the checker's final state
+        # only the accept state sits at the checker's final state
         assert (dst in runtime.union.final) == (position[dst] in checker.final)
-        assert (dst in runtime.union.final) == (len(runtime.keys[dst]) == 1)
+        assert (dst in runtime.union.final) == (runtime.states[dst] == (-1, 0, 0))
 
 
 # member totals as generated, before trim drops the dead states
@@ -613,10 +625,15 @@ def test_generator_nodes_count_each_shape_once(name):
 
 
 def member_bytes(runtime):
-    """Each member's machine_bytes, with its generator keys, by label."""
+    """Each member's machine_bytes, with its states, by label.  Node ids
+    follow a table's interning order, so each state is named by its node's
+    (pos, slots, used) and its two carries."""
     stops = runtime.starts[1:] + (runtime.union.num_states,)
     return {
-        profile.label: (machine_bytes(nfa, runtime, start), runtime.keys[start:stop])
+        profile.label: (
+            machine_bytes(nfa, runtime, start),
+            [(node_key(runtime, q), *runtime.states[q][1:]) for q in range(start, stop)],
+        )
         for (profile, nfa), start, stop in zip(runtime.members, runtime.starts, stops)
     }
 
@@ -624,7 +641,7 @@ def member_bytes(runtime):
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_members_do_not_depend_on_build_order(name):
     # the shared tables intern nodes in another order, which must not reach
-    # a member's numbering, its keys or the records decoded for its edges
+    # a member's numbering, its states or the records decoded for its edges
     expected = member_bytes(family_runtime(name))
     reverse = family_profiles(name)[::-1]
     runtime = lemma_machines.FamilyRuntime(reverse)
@@ -642,7 +659,7 @@ def test_members_do_not_depend_on_sharing_a_table(name, monkeypatch):
     runtime = lemma_machines.FamilyRuntime(family_profiles(name))
     assert len(set(map(id, runtime._tables.values()))) == len(runtime.profiles)
     assert runtime.generator_nodes > shared.generator_nodes
-    assert runtime.keys == shared.keys and runtime.starts == shared.starts
+    assert member_bytes(runtime) == member_bytes(shared) and runtime.starts == shared.starts
     counts = (runtime.generated_states, runtime.generated_transitions)
     assert counts == (shared.generated_states, shared.generated_transitions)
     assert family_digests(runtime) == (GOLDEN_UNIONS[name], GOLDEN_MEMBERS[name])
