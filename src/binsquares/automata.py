@@ -15,14 +15,14 @@ contained state's row at once, through tables whose entries hold a chunk's
 successors on all those symbols.  When inclusion fails it returns a
 shortest counterexample, the shortlex-least one when the contained machine
 is deterministic, so results are reproducible.
-Accepting-path search runs a word through a :class:`PathKernel`, with
-64-bit chunks, one state mask per position, and recovers the
-lexicographically least run to the lowest reachable final state.
-Accept-set enumeration in :mod:`lemma_machines` steps a path kernel
-through every word of one length, depth first.  The path kernel is also a
-lazily built subset automaton: it remembers each whole-mask step it takes,
-since the same frontiers come back word after word.  The row kernel
-remembers none, since its row steps do not repeat (see :class:`_RowKernel`).
+Accepting-path search steps a word backward through a :class:`PathKernel`,
+with 64-bit chunks, one state mask per position, and recovers the
+lexicographically least accepting run.  Accept-set enumeration in
+:mod:`lemma_machines` steps a path kernel forward through every word of one
+length, depth first.  The path kernel is also a lazily built subset
+automaton: it remembers each whole-mask step it takes, since the same masks
+come back word after word.  The row kernel remembers none, since its row
+steps do not repeat (see :class:`_RowKernel`).
 Both kernels cap each chunk table at the same ``_TABLE_LIMIT`` entries.
 
 :func:`quotient` merges the states of a machine by a forward bisimulation;
@@ -52,17 +52,14 @@ _BIG_ENDIAN = sys.byteorder == "big"
 # as slow.  A path kernel's 64-bit-chunk tables see only the steps its memo
 # misses: after a perfbench certify pass (a warm-up and three rounds, seeds
 # 1 to 4) the largest table of each cover kernel, a-odd to
-# generalized-even, holds at most 47, 129, 44, 155, 40 and 38 entries, and
-# at most 183 (a-even) after twelve rounds, so none starts over.  A cap of
-# 48 makes a-even's and square-power-even's tables start over again and
-# again: a steady round builds about twice the entries, and the path
-# searches take about 1.4 times as long.
+# generalized-even, holds at most 15, 14, 18, 24, 12 and 9 entries, and at
+# most 47 (square-power-even) after twelve rounds, so none starts over.
 _TABLE_LIMIT = 256
 # Whole-mask steps a compiled path kernel remembers, forward and backward
 # together; a full memo is cleared before its next insertion.  A perfbench
 # certify pass (a warm-up and three rounds of 24 decompositions of 64 to 4001
-# bits) leaves at most 5 138, in square-power-even's cover kernel (seeds 1
-# to 4), and at most 1 353 in each of the other five.  An entry holds two
+# bits) leaves at most 263, in square-power-even's cover kernel (seeds 1 to
+# 4), and at most 148 in each of the other five.  An entry holds two
 # masks of n bits, each about 28 + n / 7.5 bytes as a Python int, plus a
 # dict slot of under 100 bytes, so a full memo of the largest union a
 # decomposition walks (a-odd's cover, 2 748 states) takes at most about
@@ -402,10 +399,11 @@ def _cut(mask: int, typecode: str, num_bytes: int) -> array:
 class PathKernel:
     """A machine compiled to int bitsets for :func:`accepting_path` and for
     :func:`lemma_machines.accept_set`: bit q of a mask stands for state q.
+    Path search steps only backward and accept sets only forward.
 
     A step ORs the successor masks of the mask's states 64 states at a time,
     through one lookup table per (symbol, chunk).  Path search steps wide
-    frontiers, hundreds of states, with few distinct patterns per 64-state
+    masks, up to hundreds of states, with few distinct patterns per 64-state
     chunk, so 64-bit chunks take far fewer lookups than narrower ones;
     accept sets step narrow masks, a median of two states, and still run
     faster with 64-bit chunks than with 32-bit ones.  An entry is built from
@@ -416,7 +414,7 @@ class PathKernel:
     certify pass fill none that far.  A backward step works the same way on
     predecessor tuples, built on the first backward step, so a kernel that
     only steps forward never pays for them.  Path search meets the same
-    frontiers again and again, so every step goes through a memo first: one
+    masks again and again, so every step goes through a memo first: one
     dict per symbol and direction maps a whole mask to its successor mask,
     so the kernel is also a lazily built subset automaton, and only a miss
     goes through the chunk tables.  ``memo_hits`` counts the steps the memo
@@ -569,10 +567,11 @@ class AcceptingPath(NamedTuple):
 
     ``states`` is the state sequence of the path, one more than the symbols,
     or None when the word is rejected; ``visited`` sums the sizes of the
-    forward layers and ``frontier_max`` is the largest of them.
-    ``memo_hits`` counts the forward and backward steps the kernel's memo
-    answered and ``table_builds`` the chunk-table entries the other steps
-    built; both depend on what the kernel stepped before.
+    backward masks, the states from which the rest of the word is accepted
+    at each position, and ``frontier_max`` is the largest of them.
+    ``memo_hits`` counts the backward steps the kernel's memo answered and
+    ``table_builds`` the chunk-table entries the other steps built; both
+    depend on what the kernel stepped before.
     """
 
     states: list[int] | None
@@ -585,42 +584,36 @@ class AcceptingPath(NamedTuple):
 def accepting_path(compiled: PathKernel, symbol_ids: Sequence[int]) -> AcceptingPath:
     """An accepting run of a compiled machine over a word of symbol ids.
 
-    The forward pass keeps one mask per layer, the states reachable after
-    each prefix.  With f the lowest final state of the last layer, a
-    backward pass intersects each layer with the states that reach f on the
-    rest of the word, and a greedy walk then takes the lowest such state at
-    every step, the first one in the current state's successor tuple, which
-    every builder of this module and the family runtimes write in
-    increasing order.  The result is the lexicographically least state
-    sequence from an initial state to f, the run that breadth-first
-    simulation with first-found parent pointers also picks.
+    One backward pass keeps one mask per position, the states from which
+    the rest of the word is accepted: the final states after the last
+    symbol, and the states that step into the next mask before each one.
+    It stops at the first empty mask, since every earlier one is empty too.
+    The run starts at the lowest initial state of the first mask, and a
+    greedy walk then takes at every step the first successor, in the
+    current state's successor tuple, that lies in the next mask; every
+    builder of this module and the family runtimes writes those tuples in
+    increasing order.  The result is the lexicographically least accepting
+    state sequence.
     """
     hits, builds = compiled.memo_hits, compiled.table_builds
-    layers = [compiled.initial]
-    for sym_id in symbol_ids:
-        if not layers[-1]:
-            break
-        layers.append(compiled.step(layers[-1], sym_id))
-    sizes = [layer.bit_count() for layer in layers]
-    visited, widest = sum(sizes), max(sizes)
-    accepted = layers[-1] & compiled.final  # an early stop leaves an empty layer
-    if not accepted:
-        return AcceptingPath(
-            None, visited, widest, compiled.memo_hits - hits, compiled.table_builds - builds
-        )
-    alive = [0] * len(layers)
-    alive[-1] = accepted & -accepted
+    alive = [0] * len(symbol_ids) + [compiled.final]
     for k in range(len(symbol_ids) - 1, -1, -1):
-        alive[k] = layers[k] & compiled.back(alive[k + 1], symbol_ids[k])
+        if not alive[k + 1]:
+            break
+        alive[k] = compiled.back(alive[k + 1], symbol_ids[k])
+    sizes = [mask.bit_count() for mask in alive]
+    visited, widest = sum(sizes), max(sizes)
     transitions = compiled.transitions
-    state = (alive[0] & -alive[0]).bit_length() - 1
-    states = [state]
-    for sym_id, live in zip(symbol_ids, alive[1:]):
-        # an alive state always has an alive successor, so the loop breaks
-        for state in transitions[state][sym_id]:
-            if live >> state & 1:
-                break
-        states.append(state)
+    start, states = alive[0] & compiled.initial, None
+    if start:
+        state = (start & -start).bit_length() - 1
+        states = [state]
+        for sym_id, live in zip(symbol_ids, alive[1:]):
+            # an alive state always has an alive successor, so the loop breaks
+            for state in transitions[state][sym_id]:
+                if live >> state & 1:
+                    break
+            states.append(state)
     return AcceptingPath(
         states, visited, widest, compiled.memo_hits - hits, compiled.table_builds - builds
     )

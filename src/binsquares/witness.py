@@ -4,12 +4,12 @@ Small inputs go through the exhaustive sumset tables.  Large inputs fold
 into a tagged word and run through the union of a machine family's cover,
 the members its theorem is proved on (:func:`lemma_machines.cover_runtime`),
 compiled once per family into the path kernel of :mod:`automata`:
-a forward pass keeps one state mask per word position, a backward pass
-keeps the states that still reach the chosen final state, and a greedy
-walk takes the lowest such state at each step.  The kernel lives as long
-as the process and remembers the whole-mask steps it takes, so the
-frontiers that come back from word to word cost one dict lookup each
-after the first time.  Every value from the machine floors up has such a
+a backward pass keeps one state mask per word position, the states from
+which the rest of the word is accepted, and a greedy walk from the lowest
+initial state takes the lowest such state at each step.  The kernel lives
+as long as the process and remembers the whole-mask steps it takes, so the
+masks that come back from word to word cost one dict lookup each after the
+first time.  Every value from the machine floors up has such a
 path: ``verify`` proves that the cover union accepts every word of the
 syntax checker from the family's gate up, and the floors sit at or above
 the gates.  The accepting path lands inside exactly one member, which the
@@ -63,12 +63,13 @@ class InvalidInput(ValueError):
 class Decomposition:
     """A target with its certified parts, each tagged by role.
 
-    Machine-backed results name the member profile that accepted, the
-    states the path search visited summed over word positions,
-    ``frontier_max``, the most states alive at any one position,
-    ``stage_seconds``, the seconds of each stage by name: "fold" the value,
-    find the accepting "path", "replay" it into summands and "verify" the
-    result, ``path_memo_hits``, the path search's forward and backward
+    Machine-backed results name the member profile that accepted,
+    ``states_visited``, the states of the path search's backward masks
+    summed over word positions, each mask holding the states from which the
+    rest of the word is accepted, ``frontier_max``, the widest of those
+    masks, ``stage_seconds``, the seconds of each stage by name: "fold" the
+    value, find the accepting "path", "replay" it into summands and
+    "verify" the result, ``path_memo_hits``, the path search's backward
     steps that the cover kernel's memo answered, and ``path_table_builds``,
     the chunk-table entries the other steps built.  Table-backed results
     leave these empty, with both counts None.  The stage seconds depend on

@@ -188,32 +188,41 @@ def test_criterion_10_exactly_four_positive_list(capsys):
 
 
 def test_criterion_11_witness_extraction_scaling():
+    # extraction is linear in the bit length when the path search steps one
+    # mask per position and the widest mask stops growing with the length:
+    # the widest mask above 200 bits, up to 4 010, is no wider than the
+    # widest at 200 bits or fewer, in each parity family
     rng = random.Random(11)
     by_parity = {0: ([], []), 1: ([], [])}
-    for _ in range(200):
-        length = rng.randrange(18, 401)
+    widest = {(parity, long): 0 for parity in (0, 1) for long in (False, True)}
+    linear = True
+    for count in range(208):
+        length = rng.randrange(18, 401) if count < 200 else rng.randrange(4000, 4011)
         value = rng.randrange(1 << (length - 1), 1 << length)
         result = decompose(value)
         result.verify()
-        bits, visited = by_parity[length % 2]
-        bits.append(value.bit_length())
-        visited.append(result.states_visited)
+        positions = len(fold(value).ids)
+        linear &= result.states_visited <= result.frontier_max * (positions + 1)
+        key = (length % 2, length > 200)
+        widest[key] = max(widest[key], result.frontier_max)
+        if length <= 400:
+            bits, visited = by_parity[length % 2]
+            bits.append(value.bit_length())
+            visited.append(result.states_visited)
+    bounded = all(widest[parity, True] <= widest[parity, False] for parity in (0, 1))
+    # the states visited follow the value as well as its length, so the
+    # correlations are informational
     correlations = {
         parity: statistics.correlation(bits, visited)
         for parity, (bits, visited) in by_parity.items()
     }
-    mixed = statistics.correlation(
-        [b for bits, _ in by_parity.values() for b in bits],
-        [v for _, visited in by_parity.values() for v in visited],
-    )
-    # the two parity families have different union widths, so the linear
-    # law is asserted per family and the pooled figure is informational
-    ok = all(r > 0.99 for r in correlations.values())
+    ok = linear and bounded
     report(
         11,
         ok,
-        f"200 verified witnesses; states-vs-bits correlation odd "
-        f"{correlations[1]:.5f}, even {correlations[0]:.5f} (pooled {mixed:.3f})",
+        f"208 verified witnesses; widest mask odd {widest[1, False]} at <= 200 bits, "
+        f"{widest[1, True]} above; even {widest[0, False]}, {widest[0, True]}; "
+        f"states-vs-bits correlation odd {correlations[1]:.3f}, even {correlations[0]:.3f}",
     )
 
 

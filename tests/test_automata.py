@@ -254,25 +254,69 @@ def test_includes_property_matches_enumeration_and_reference(
     assert res.antichain_peak <= res.explored
 
 
+def runs_of(nfa, ids):
+    """Every run of the machine over the word, from each initial state."""
+    runs = [(q,) for q in sorted(nfa.initial)]
+    for sym_id in ids:
+        runs = [r + (d,) for r in runs for d in nfa.transitions[r[-1]].get(sym_id, ())]
+    return runs
+
+
+def backward_sets(nfa, ids):
+    """Per position, the states from which the rest of the word is accepted,
+    down to the first empty set."""
+    sets = [set(nfa.final)]
+    for sym_id in reversed(ids):
+        if not sets[0]:
+            break
+        rows = enumerate(nfa.transitions)
+        sets.insert(0, {q for q, row in rows if sets[0].intersection(row.get(sym_id, ()))})
+    return sets
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(machines(5), st.lists(st.integers(0, len(BITS) - 1), max_size=5))
-def test_accepting_path_is_least_run_to_lowest_final(nfa, ids):
-    runs = [(q,) for q in sorted(nfa.initial)]
-    layers = [nfa.initial]
-    for sym_id in ids:
-        if not runs:
-            break
-        runs = [r + (d,) for r in runs for d in nfa.transitions[r[-1]].get(sym_id, ())]
-        layers.append({r[-1] for r in runs})
-    accepting = [r for r in runs if r[-1] in nfa.final]
+def test_accepting_path_is_least_accepting_run(nfa, ids):
+    accepting = [r for r in runs_of(nfa, ids) if r[-1] in nfa.final]
+    sets = backward_sets(nfa, ids)
     path = accepting_path(PathKernel(nfa), ids)
-    assert path.visited == sum(map(len, layers))
-    assert path.frontier_max == max(map(len, layers))
+    assert path.visited == sum(map(len, sets))
+    assert path.frontier_max == max(map(len, sets))
     if not accepting:
         assert path.states is None
     else:
-        lowest = min(r[-1] for r in accepting)
-        assert tuple(path.states) == min(r for r in accepting if r[-1] == lowest)
+        assert tuple(path.states) == min(accepting)
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Small machines side by side, numbered one after another, each with
+    its first state initial and one final state of its own, and no edge
+    from one machine to another: the shape of a family runtime's union."""
+    transitions, initial, final = [], set(), set()
+    for _ in range(draw(st.integers(1, 4))):
+        base, n = len(transitions), draw(st.integers(1, 4))
+        state = st.integers(base, base + n - 1)
+        for _ in range(n):
+            row = {sym_id: tuple(sorted(draw(st.sets(state, max_size=n)))) for sym_id in range(len(BITS))}
+            transitions.append({sym_id: d for sym_id, d in row.items() if d})
+        initial.add(base)
+        final.add(draw(state))
+    return Nfa(BITS, len(transitions), frozenset(initial), frozenset(final), transitions)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(disjoint_unions(), st.lists(st.integers(0, len(BITS) - 1), max_size=6))
+def test_least_accepting_run_of_a_disjoint_union_ends_at_the_lowest_final(nfa, ids):
+    # the run to the lowest reachable final state, which an earlier path
+    # search returned, is the least accepting run on such unions
+    runs = runs_of(nfa, ids)
+    reached = [r[-1] for r in runs if r[-1] in nfa.final]
+    path = accepting_path(PathKernel(nfa), ids)
+    if not reached:
+        assert path.states is None
+    else:
+        assert tuple(path.states) == min(r for r in runs if r[-1] == min(reached))
 
 
 def test_kernel_steps_forward_and_back_across_chunks():

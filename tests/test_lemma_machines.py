@@ -789,3 +789,19 @@ def test_successor_tuples_increase(name):
         for row in nfa.transitions:
             for dsts in row.values():
                 assert all(a < b for a, b in zip(dsts, dsts[1:]))
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_each_member_has_its_first_state_initial_and_one_final(name):
+    # the least accepting run of such a union ends at the lowest reachable
+    # final state, so the path search's backward pass from every final
+    # state finds the run that a search towards that one state would
+    for runtime in (family_runtime(name), cover_runtime(name)):
+        union = runtime.union
+        stops = runtime.starts[1:] + (union.num_states,)
+        for start, stop in zip(runtime.starts, stops):
+            inside = range(start, stop)
+            assert [q for q in union.initial if q in inside] == [start]
+            assert len([q for q in union.final if q in inside]) == 1
+            for q in inside:
+                assert all(d in inside for dsts in union.transitions[q].values() for d in dsts)
