@@ -6,7 +6,9 @@ per-state dict from symbol id to a tuple of successors.  There are no epsilon
 moves.  Multiple initial states are allowed.
 
 Two kernels step state sets as int bitsets, a chunk of states at a time
-through lazily filled tables of successor masks.  Language inclusion
+through lazily filled tables of neighbour masks, each in one direction.
+The row kernel steps forward, for language inclusion, and the path kernel
+steps backward, for path search and accept sets.  Language inclusion
 compiles the container into the row kernel, with 32-bit chunks, and runs a
 lazy subset construction interleaved with the contained machine, pruned by
 one antichain of subsets per contained state, indexed by the lowest and the
@@ -18,11 +20,11 @@ is deterministic, so results are reproducible.
 Accepting-path search steps a word backward through a :class:`PathKernel`,
 with 64-bit chunks, one state mask per position, and recovers the
 lexicographically least accepting run.  Accept-set enumeration in
-:mod:`lemma_machines` steps a path kernel forward through every word of one
-length, depth first.  The path kernel is also a lazily built subset
-automaton: it remembers each whole-mask step it takes, since the same masks
-come back word after word.  The row kernel remembers none, since its row
-steps do not repeat (see :class:`_RowKernel`).
+:mod:`lemma_machines` steps a path kernel backward through every word of
+one length, depth first from the last letter.  The path kernel is also a
+lazily built subset automaton: it remembers each whole-mask step it takes,
+since the same masks come back word after word.  The row kernel remembers
+none, since its row steps do not repeat (see :class:`_RowKernel`).
 Both kernels cap each chunk table at the same ``_TABLE_LIMIT`` entries.
 
 :func:`quotient` merges the states of a machine by a forward bisimulation;
@@ -55,11 +57,11 @@ _BIG_ENDIAN = sys.byteorder == "big"
 # generalized-even, holds at most 15, 14, 18, 24, 12 and 9 entries, and at
 # most 47 (square-power-even) after twelve rounds, so none starts over.
 _TABLE_LIMIT = 256
-# Whole-mask steps a compiled path kernel remembers, forward and backward
-# together; a full memo is cleared before its next insertion.  A perfbench
-# certify pass (a warm-up and three rounds of 24 decompositions of 64 to 4001
-# bits) leaves at most 263, in square-power-even's cover kernel (seeds 1 to
-# 4), and at most 148 in each of the other five.  An entry holds two
+# Whole-mask steps a compiled path kernel remembers over all its symbols; a
+# full memo is cleared before its next insertion.  A perfbench certify pass
+# (a warm-up and three rounds of 24 decompositions of 64 to 4001 bits)
+# leaves at most 263, in square-power-even's cover kernel (seeds 1 to 4),
+# and at most 148 in each of the other five.  An entry holds two
 # masks of n bits, each about 28 + n / 7.5 bytes as a Python int, plus a
 # dict slot of under 100 bytes, so a full memo of the largest union a
 # decomposition walks (a-odd's cover, 2 748 states) takes at most about
@@ -397,59 +399,50 @@ def _cut(mask: int, typecode: str, num_bytes: int) -> array:
 
 
 class PathKernel:
-    """A machine compiled to int bitsets for :func:`accepting_path` and for
-    :func:`lemma_machines.accept_set`: bit q of a mask stands for state q.
-    Path search steps only backward and accept sets only forward.
+    """A machine compiled to int bitsets that steps masks backward, for
+    :func:`accepting_path` and :func:`lemma_machines.accept_set`: bit q of a
+    mask stands for state q, and a step takes a mask to the states that
+    reach one of its states on a symbol.
 
-    A step ORs the successor masks of the mask's states 64 states at a time,
-    through one lookup table per (symbol, chunk).  Path search steps wide
-    masks, up to hundreds of states, with few distinct patterns per 64-state
-    chunk, so 64-bit chunks take far fewer lookups than narrower ones;
-    accept sets step narrow masks, a median of two states, and still run
-    faster with 64-bit chunks than with 32-bit ones.  An entry is built from
-    the machine's successor tuples the first time its chunk pattern occurs,
-    so compiling costs nothing up front and only patterns that occur take
-    memory; a table that reaches ``_TABLE_LIMIT`` entries starts over, so a
-    long-lived kernel's tables stay bounded, though the decompositions of a
-    certify pass fill none that far.  A backward step works the same way on
-    predecessor tuples, built on the first backward step, so a kernel that
-    only steps forward never pays for them.  Path search meets the same
-    masks again and again, so every step goes through a memo first: one
-    dict per symbol and direction maps a whole mask to its successor mask,
-    so the kernel is also a lazily built subset automaton, and only a miss
-    goes through the chunk tables.  ``memo_hits`` counts the steps the memo
-    answered and ``table_builds`` the table entries the misses built.  The
-    memo starts over when it holds ``_MEMO_LIMIT`` entries over both
-    directions.
+    The predecessor tuples are built when the kernel is.  A step ORs the
+    predecessor masks of the mask's states 64 states at a time, through one
+    lookup table per (symbol, chunk).  Path search steps wide masks, up to
+    hundreds of states, with few distinct patterns per 64-state chunk, so
+    64-bit chunks take far fewer lookups than narrower ones.  An entry is
+    built from the predecessor tuples the first time its chunk pattern
+    occurs, so only patterns that occur take memory; a table that reaches
+    ``_TABLE_LIMIT`` entries starts over, so a long-lived kernel's tables
+    stay bounded, though the decompositions of a certify pass fill none that
+    far.  Path search meets the same masks again and again, so every step
+    goes through a memo first: one dict per symbol maps a whole mask to the
+    mask it steps to, so the kernel is also a lazily built subset automaton
+    of the reversed machine, and only a miss goes through the chunk tables.
+    ``memo_hits`` counts the steps the memo answered and ``table_builds``
+    the table entries the misses built.  The memo starts over when it holds
+    ``_MEMO_LIMIT`` entries.
     """
 
     def __init__(self, nfa: Nfa):
         self.transitions = nfa.transitions
-        self._num_symbols = len(nfa.alphabet)
         self.initial = sum(1 << q for q in nfa.initial)
         self.final = sum(1 << q for q in nfa.final)
         self._chunks = (nfa.num_states + 63) // 64
-        self._predecessors: list[dict[int, tuple[int, ...]]] | None = None
-        self._tables = self._empty_tables()
-        self._back_tables: list[list[dict[int, int]]] = []
-        # per symbol, the forward and then the backward steps remembered
-        self._memo: list[dict[int, int]] = [{} for _ in range(2 * self._num_symbols)]
+        self._predecessors = _reverse(nfa.transitions)
+        symbols = range(len(nfa.alphabet))
+        self._tables: list[list[dict[int, int]]] = [[{} for _ in range(self._chunks)] for _ in symbols]
+        self._memo: list[dict[int, int]] = [{} for _ in symbols]
         self._memo_size = 0
         self.memo_hits = 0
         self.table_builds = 0
 
-    def _empty_tables(self) -> list[list[dict[int, int]]]:
-        return [[{} for _ in range(self._chunks)] for _ in range(self._num_symbols)]
-
-    def _apply(
-        self,
-        adjacency: Sequence[Mapping[int, Sequence[int]]],
-        sym_id: int,
-        tables: list[dict[int, int]],
-        memo: dict[int, int],
-        mask: int,
-    ) -> int:
-        limit = _TABLE_LIMIT
+    def back(self, mask: int, sym_id: int) -> int:
+        """The states that reach some state of ``mask`` on the symbol."""
+        memo = self._memo[sym_id]
+        out = memo.get(mask)
+        if out is not None:
+            self.memo_hits += 1
+            return out
+        limit, tables, predecessors = _TABLE_LIMIT, self._tables[sym_id], self._predecessors
         out = 0
         for chunk, word in enumerate(_cut(mask, "Q", 8 * self._chunks)):
             if not word:
@@ -460,8 +453,8 @@ class PathKernel:
                 part, base, rest = 0, 64 * chunk, word
                 while rest:
                     low = rest & -rest
-                    for d in adjacency[base + low.bit_length() - 1].get(sym_id, ()):
-                        part |= 1 << d
+                    for p in predecessors[base + low.bit_length() - 1].get(sym_id, ()):
+                        part |= 1 << p
                     rest ^= low
                 if len(table) >= limit:
                     table.clear()
@@ -475,27 +468,6 @@ class PathKernel:
         memo[mask] = out
         self._memo_size += 1
         return out
-
-    def step(self, mask: int, sym_id: int) -> int:
-        """The states some state of ``mask`` reaches on the symbol."""
-        memo = self._memo[sym_id]
-        out = memo.get(mask)
-        if out is not None:
-            self.memo_hits += 1
-            return out
-        return self._apply(self.transitions, sym_id, self._tables[sym_id], memo, mask)
-
-    def back(self, mask: int, sym_id: int) -> int:
-        """The states that reach some state of ``mask`` on the symbol."""
-        if self._predecessors is None:
-            self._predecessors = _reverse(self.transitions)
-            self._back_tables = self._empty_tables()
-        memo = self._memo[self._num_symbols + sym_id]
-        out = memo.get(mask)
-        if out is not None:
-            self.memo_hits += 1
-            return out
-        return self._apply(self._predecessors, sym_id, self._back_tables[sym_id], memo, mask)
 
 
 class _RowKernel:

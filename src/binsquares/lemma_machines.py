@@ -841,9 +841,12 @@ def machine_manifest(name: str) -> dict:
 
 def accept_set(nfa: Nfa, parity: str, source_length: int) -> set[int]:
     """All values of the given bit length whose folded word the machine
-    accepts.  Steps the machine's path kernel through the word tree depth
-    first, so prefixes share their work and the stack grows with the length
-    alone."""
+    accepts.  Steps the machine's path kernel backward through the word
+    tree depth first, from the final states over the last letter first, so
+    suffixes share their work and the stack grows with the length alone.
+    A value is kept when the states that accept its whole word hold an
+    initial state.  Only states with a path to a final state are entered,
+    so the search never walks the dead states of an untrimmed machine."""
     i = pair_count(parity, source_length)
     if nfa.alphabet.symbols != alphabet_for(parity).symbols:
         raise ValueError(f"the machine does not read {parity} folds")
@@ -859,15 +862,15 @@ def accept_set(nfa: Nfa, parity: str, source_length: int) -> set[int]:
     ]
     kernel = PathKernel(nfa)
     found: set[int] = set()
-    stack = [(0, kernel.initial, 0)]
+    stack = [(len(columns), kernel.final, 0)]
     while stack:
         k, mask, value = stack.pop()
-        if k == len(columns):
-            if mask & kernel.final:
+        if not k:
+            if mask & kernel.initial:
                 found.add(value)
             continue
-        for bits, sym_id in columns[k]:
-            after = kernel.step(mask, sym_id)
-            if after:
-                stack.append((k + 1, after, value | bits))
+        for bits, sym_id in columns[k - 1]:
+            before = kernel.back(mask, sym_id)
+            if before:
+                stack.append((k - 1, before, value | bits))
     return found

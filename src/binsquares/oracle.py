@@ -341,6 +341,8 @@ def decompose_brute(value: int, kind: GroundSetKind, k: int) -> list[int] | None
     ``_CACHED_BITS`` bits are cached; larger ones live for the call only.
     Works up to 2**24 and ``MAX_SUMMANDS`` summands.
     """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"value must be an int, not {type(value).__name__}")
     if value < 0 or value >= MAX_BOUND:
         raise ValueError("value must lie in [0, 2**24)")
     if k < 0:

@@ -149,10 +149,18 @@ def _certified(target, parts, stats: dict | None = None) -> Decomposition:
 # -- public operations -----------------------------------------------------
 
 
-def decompose(value: int) -> Decomposition:
-    """Four binary squares summing to a value above the exception range."""
+def _check_natural(value: int) -> None:
+    """Raise :class:`InvalidInput` unless the value is a natural number: an
+    ``int``, but not a ``bool``, which would pass for 0 or 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInput(f"value must be an int, not {type(value).__name__}")
     if value < 0:
         raise InvalidInput("value must be a natural number")
+
+
+def decompose(value: int) -> Decomposition:
+    """Four binary squares summing to a value above the exception range."""
+    _check_natural(value)
     if value <= _LAST_EXCEPTION:
         parts = decompose_brute(value, GroundSetKind.BINARY_SQUARE, 4)
         if parts is None:
@@ -176,8 +184,7 @@ def decompose(value: int) -> Decomposition:
 
 def decompose_square_power(value: int) -> Decomposition:
     """At most two binary squares plus at most two powers of two."""
-    if value < 0:
-        raise InvalidInput("value must be a natural number")
+    _check_natural(value)
     if value < _SHORT_FLOOR:
         pads = [()] + [((1 << a),) for a in range(10)]
         pads += [
@@ -202,8 +209,7 @@ def decompose_square_power(value: int) -> Decomposition:
 
 def decompose_generalized(value: int) -> Decomposition:
     """Exactly three generalized binary squares (zeros count)."""
-    if value < 0:
-        raise InvalidInput("value must be a natural number")
+    _check_natural(value)
     if value < _SHORT_FLOOR:
         parts = decompose_brute(value, GroundSetKind.GENERALIZED_BINARY_SQUARE, 3)
         if parts is None:

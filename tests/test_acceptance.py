@@ -12,9 +12,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from binsquares import cli
-from binsquares.automata import Alphabet, NfaBuilder, Symbol, includes
+from binsquares.automata import Alphabet, NfaBuilder, PathKernel, Symbol, includes
 from binsquares.folding import fold, unfold
-from binsquares.lemma_machines import accept_set, family_members
+from binsquares.lemma_machines import accept_set, cover_runtime, family_members
 from binsquares.numberforms import GroundSetKind, ground_set_upto
 from binsquares.oracle import (
     congruence_two_solutions,
@@ -187,42 +187,63 @@ def test_criterion_10_exactly_four_positive_list(capsys):
     report(10, ok, "112 exactly-four-positive holdouts match the golden list")
 
 
+def _widest_backward_mask(union) -> tuple[int, int]:
+    """The number of masks that stepping back from the final states on every
+    symbol reaches, and the widest of them: no backward mask of a path
+    search over any word is wider.  A kernel of its own leaves the
+    runtime's memo counts alone."""
+    kernel = PathKernel(union)
+    seen, stack = {kernel.final}, [kernel.final]
+    while stack:
+        mask = stack.pop()
+        for sym_id in range(len(union.alphabet)):
+            before = kernel.back(mask, sym_id)
+            if before not in seen:
+                seen.add(before)
+                stack.append(before)
+    return len(seen), max(mask.bit_count() for mask in seen)
+
+
 def test_criterion_11_witness_extraction_scaling():
     # extraction is linear in the bit length when the path search steps one
-    # mask per position and the widest mask stops growing with the length:
-    # the widest mask above 200 bits, up to 4 010, is no wider than the
-    # widest at 200 bits or fewer, in each parity family
+    # mask per position and no mask grows past a width fixed by the machine:
+    # the widest mask the backward subset construction of each parity's
+    # cover reaches bounds every value's widest mask, and its number of
+    # positions times that bounds the states visited
+    subsets, bound = {}, {}
+    for parity, family in ((1, "a-odd"), (0, "a-even")):
+        subsets[parity], bound[parity] = _widest_backward_mask(cover_runtime(family).union)
     rng = random.Random(11)
     by_parity = {0: ([], []), 1: ([], [])}
-    widest = {(parity, long): 0 for parity in (0, 1) for long in (False, True)}
-    linear = True
+    widest = {0: 0, 1: 0}
+    bounded = True
     for count in range(208):
         length = rng.randrange(18, 401) if count < 200 else rng.randrange(4000, 4011)
         value = rng.randrange(1 << (length - 1), 1 << length)
         result = decompose(value)
         result.verify()
         positions = len(fold(value).ids)
-        linear &= result.states_visited <= result.frontier_max * (positions + 1)
-        key = (length % 2, length > 200)
-        widest[key] = max(widest[key], result.frontier_max)
+        parity = length % 2
+        bounded &= result.frontier_max <= bound[parity]
+        bounded &= result.states_visited <= bound[parity] * (positions + 1)
+        widest[parity] = max(widest[parity], result.frontier_max)
         if length <= 400:
-            bits, visited = by_parity[length % 2]
+            bits, visited = by_parity[parity]
             bits.append(value.bit_length())
             visited.append(result.states_visited)
-    bounded = all(widest[parity, True] <= widest[parity, False] for parity in (0, 1))
     # the states visited follow the value as well as its length, so the
     # correlations are informational
     correlations = {
         parity: statistics.correlation(bits, visited)
         for parity, (bits, visited) in by_parity.items()
     }
-    ok = linear and bounded
     report(
         11,
-        ok,
-        f"208 verified witnesses; widest mask odd {widest[1, False]} at <= 200 bits, "
-        f"{widest[1, True]} above; even {widest[0, False]}, {widest[0, True]}; "
-        f"states-vs-bits correlation odd {correlations[1]:.3f}, even {correlations[0]:.3f}",
+        bounded,
+        f"208 verified witnesses; widest mask odd {widest[1]} of at most {bound[1]} "
+        f"({subsets[1]} backward subsets), even {widest[0]} of at most {bound[0]} "
+        f"({subsets[0]}); states-vs-bits correlation odd {correlations[1]:.3f}, "
+        f"even {correlations[0]:.3f}",
     )
 
 

@@ -231,7 +231,7 @@ def machines(draw, max_states, deterministic=False):
     )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(machines(5), st.booleans(), st.data())
 def test_includes_property_matches_enumeration_and_reference(
     container, deterministic, data
@@ -274,7 +274,7 @@ def backward_sets(nfa, ids):
     return sets
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(machines(5), st.lists(st.integers(0, len(BITS) - 1), max_size=5))
 def test_accepting_path_is_least_accepting_run(nfa, ids):
     accepting = [r for r in runs_of(nfa, ids) if r[-1] in nfa.final]
@@ -305,7 +305,7 @@ def disjoint_unions(draw):
     return Nfa(BITS, len(transitions), frozenset(initial), frozenset(final), transitions)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(disjoint_unions(), st.lists(st.integers(0, len(BITS) - 1), max_size=6))
 def test_least_accepting_run_of_a_disjoint_union_ends_at_the_lowest_final(nfa, ids):
     # the run to the lowest reachable final state, which an earlier path
@@ -319,7 +319,7 @@ def test_least_accepting_run_of_a_disjoint_union_ends_at_the_lowest_final(nfa, i
         assert tuple(path.states) == min(r for r in runs if r[-1] == min(reached))
 
 
-def test_kernel_steps_forward_and_back_across_chunks():
+def test_kernel_steps_back_across_chunks():
     rng = random.Random(17)
     nfa = random_nfa(rng, BITS, 200, edge_prob=0.02)
     kernel = PathKernel(nfa)
@@ -327,18 +327,16 @@ def test_kernel_steps_forward_and_back_across_chunks():
     for mask in masks:
         chosen = {q for q in range(200) if mask >> q & 1}
         for sym_id in range(len(BITS)):
-            forward = sum(1 << d for d in nfa.successors(frozenset(chosen), sym_id))
             backward = sum(
                 1 << q for q in range(200) if chosen & set(nfa.transitions[q].get(sym_id, ()))
             )
             # the second answer of each pair comes from the memo
             hits = kernel.memo_hits
-            assert [kernel.step(mask, sym_id) for _ in range(2)] == [forward] * 2
             assert [kernel.back(mask, sym_id) for _ in range(2)] == [backward] * 2
-            assert kernel.memo_hits == hits + 2
+            assert kernel.memo_hits == hits + 1
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(
     machines(8),
     st.lists(st.lists(st.integers(0, len(BITS) - 1), max_size=12), max_size=12),
@@ -355,7 +353,7 @@ def test_long_lived_kernel_finds_the_paths_of_fresh_ones(nfa, words):
 
 
 def _largest_table(kernel):
-    return max(len(t) for tables in (kernel._tables, kernel._back_tables) for row in tables for t in row)
+    return max(len(t) for row in kernel._tables for t in row)
 
 
 def _largest_row_table(kernel):
@@ -485,7 +483,7 @@ def antichain_cases(draw):
     return n, family, candidate
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(antichain_cases())
 def test_antichain_index_agrees_with_brute_force(case):
     n, family, candidate = case
@@ -539,7 +537,7 @@ def row_cases(draw):
 
 
 @pytest.mark.parametrize("limit", [automata._TABLE_LIMIT, 1])
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(row_cases())
 def test_row_step_matches_successors_per_symbol(limit, case):
     # a limit of 1 clears a table on every insertion
@@ -614,7 +612,7 @@ def naive_blocks(rows, marked):
         block = refined
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(triple_machines())
 def test_quotient_keeps_the_language(nfa):
     collapsed = quotient(nfa)

@@ -79,7 +79,7 @@ def long_values(draw):
     return draw(st.integers(1 << n - 1, (1 << n) - 1))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(long_values())
 def test_fold_round_trips_long_values(value):
     word = fold(value)
@@ -105,7 +105,7 @@ def bin_unfold(word):
     return int("".join(map(str, reversed(lsd_first))), 2)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.integers(5, 5000).flatmap(lambda n: st.integers(1 << n - 1, (1 << n) - 1)))
 def test_fold_and_unfold_agree_with_bin_up_to_5000_bits(value):
     word = fold(value).symbols

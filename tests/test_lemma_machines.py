@@ -7,10 +7,12 @@ two sides share no code path."""
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binsquares import cli, lemma_machines
-from binsquares.automata import includes, quotient, trim
-from binsquares.folding import LOOP_MIN, fold, fold_layout, syntax_checker, unfold
+from binsquares.automata import Nfa, includes, quotient, trim
+from binsquares.folding import LOOP_MIN, alphabet_for, fold, fold_layout, syntax_checker, unfold
 from binsquares.lemma_machines import (
     FAMILY_COVERS,
     FAMILY_NAMES,
@@ -578,6 +580,35 @@ def test_accept_set_matches_frozenset_simulation(machine, n):
         nfa = max((m for _, m in family_members(machine)), key=lambda m: m.num_states)
     expected = {v for v in range(1 << (n - 1), 1 << n) if nfa.accepts(fold(v).symbols)}
     assert expected
+    assert accept_set(nfa, parity, n) == expected
+
+
+@st.composite
+def parity_machines(draw):
+    """A random machine over a parity's folded alphabet, for a source length
+    of 5 to 10 bits: several initial and final states, and dead states that
+    no final state is reached from, which live states may step into."""
+    n = draw(st.integers(5, 10))
+    parity = "odd" if n % 2 else "even"
+    alphabet = alphabet_for(parity)
+    live, dead = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    transitions = []
+    for q in range(live + dead):
+        targets = st.integers(0, live + dead - 1) if q < live else st.integers(live, live + dead - 1)
+        row = draw(st.lists(st.sets(targets, max_size=2), min_size=len(alphabet), max_size=len(alphabet)))
+        transitions.append({sym_id: tuple(sorted(dsts)) for sym_id, dsts in enumerate(row) if dsts})
+    initial = draw(st.frozensets(st.integers(0, live + dead - 1), min_size=2))
+    final = draw(st.frozensets(st.integers(0, live - 1), min_size=2))
+    return Nfa(alphabet, live + dead, initial, final, transitions), parity, n
+
+
+@settings(max_examples=100)
+@given(parity_machines())
+def test_accept_set_matches_the_machine_on_every_value(case):
+    # accept_set steps back from the final states; Nfa.accepts steps
+    # frozensets forward from the initial ones
+    nfa, parity, n = case
+    expected = {v for v in range(1 << (n - 1), 1 << n) if nfa.accepts(fold(v).symbols)}
     assert accept_set(nfa, parity, n) == expected
 
 

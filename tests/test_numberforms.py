@@ -47,7 +47,7 @@ def bin_bits(value):
     return tuple(int(c) for c in reversed(bin(value)[2:])) if value else ()
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.integers(0, 5000).flatmap(lambda n: st.integers(0, (1 << n) - 1)))
 def test_bits_agree_with_bin_up_to_5000_bits(value):
     bits = to_bits(value)
@@ -157,7 +157,7 @@ def reference_ground_set(kind, bound):
     return sorted(members)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.sampled_from(list(GroundSetKind)), st.integers(-3, 1 << 14))
 def test_progressions_expand_to_the_member_by_member_ground_set(kind, bound):
     progressions = ground_progressions(kind, bound)

@@ -148,7 +148,7 @@ def test_uniqueness_holds_one_residue_class_of_sums_at_once():
     assert peak < 1 << 20, f"traced peak {peak} bytes"
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     st.lists(st.integers(0, 40), min_size=1, max_size=12),
     st.lists(st.integers(0, 40), min_size=1, max_size=12),
@@ -253,7 +253,7 @@ def test_progression_shift_or_matches_per_member_levels():
     assert square_power_mask(300) == expected
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     st.lists(st.tuples(st.integers(0, 200), st.integers(1, 40), st.integers(1, 70)), max_size=4),
     st.integers(0, (1 << 120) - 1),
@@ -266,7 +266,7 @@ def test_shift_or_level_matches_per_member_loop(progressions, prev, bound):
     assert oracle._shift_or_level(prev, progressions, bound) == per_member_level(prev, members, bound)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     st.lists(st.tuples(st.integers(1, 6).map(lambda n: 2 * n), st.integers(0, 3)), max_size=3),
     st.integers(1, 3000),
@@ -282,7 +282,7 @@ def test_profile_sum_mask_matches_per_member_blocks(length_counts, bound, genera
     assert profile_sum_mask(length_counts, bound, generalized) == expected
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     st.integers(1, 150),
     st.integers(1, 150),

@@ -12,7 +12,7 @@ from binsquares.automata import accepting_path
 from binsquares.folding import fold
 from binsquares.lemma_machines import FAMILY_COVERS, cover_runtime, family_runtime
 from binsquares.numberforms import GroundSetKind, is_binary_square
-from binsquares.oracle import sumset_table
+from binsquares.oracle import decompose_brute, sumset_table
 from binsquares.witness import (
     InvalidInput,
     NotRepresentable,
@@ -44,6 +44,28 @@ def test_below_range_but_representable_rejected():
         decompose(100)
     with pytest.raises(InvalidInput):
         decompose(-3)
+
+
+def _brute_squares4(value):
+    return decompose_brute(value, GroundSetKind.BINARY_SQUARE, 4)
+
+
+@pytest.mark.parametrize(
+    "fn, error",
+    [
+        (decompose, InvalidInput),
+        (decompose_square_power, InvalidInput),
+        (decompose_generalized, InvalidInput),
+        (_brute_squares4, ValueError),
+    ],
+    ids=["squares4", "square-power", "generalized", "brute"],
+)
+@pytest.mark.parametrize("value", [5000.0, 1e30, True, "999", -1], ids=repr)
+def test_non_integer_and_negative_values_are_rejected(fn, error, value):
+    # a float or a str would fail deep inside with another error, and True
+    # would pass for 1
+    with pytest.raises(error):
+        fn(value)
 
 
 def test_table_machine_boundary():
@@ -317,7 +339,7 @@ def folded_inputs(draw):
     return runtime, ids
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(folded_inputs())
 def test_kernel_path_search_matches_dict_reference(case):
     runtime, ids = case
@@ -326,7 +348,7 @@ def test_kernel_path_search_matches_dict_reference(case):
     assert (path.visited, path.frontier_max) == reference_backward_counts(runtime.union, ids)
 
 
-@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@settings(max_examples=6)
 @given(st.integers(18, 5000), st.data())
 def test_decompositions_verify_in_every_mode(bits, data):
     value = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
@@ -346,7 +368,7 @@ MACHINE_FLOORS = {
 
 @pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
 @pytest.mark.parametrize("mode", sorted(MODES))
-@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@settings(max_examples=8)
 @given(data=st.data())
 def test_cover_members_decompose_from_the_floor_up(mode, parity, data):
     # the least machine-backed value of the parity, then a drawn one
@@ -425,7 +447,7 @@ def test_a_repeated_decomposition_is_answered_from_the_memo(monkeypatch):
 
 
 def _path_tables(kernel):
-    return [t for tables in (kernel._tables, kernel._back_tables) for row in tables for t in row]
+    return [t for row in kernel._tables for t in row]
 
 
 def test_path_tables_stay_below_the_cap_on_a_certify_mix(monkeypatch):
