@@ -6,9 +6,7 @@ from .lemma_machines import (
     FAMILY_NAMES,
     Profile,
     Summand,
-    family_members,
     family_union,
-    machine_manifest,
 )
 from .numberforms import (
     GroundSetKind,
@@ -47,7 +45,6 @@ __all__ = [
     "decompose_generalized",
     "decompose_square_power",
     "exceptions_four_squares",
-    "family_members",
     "family_union",
     "fold",
     "four_squares_counts",
@@ -55,7 +52,6 @@ __all__ = [
     "is_generalized_binary_square",
     "is_power_of_two",
     "lower_density_estimate",
-    "machine_manifest",
     "sumset_table",
     "syntax_checker",
     "two_squares_density",

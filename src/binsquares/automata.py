@@ -210,54 +210,13 @@ class NfaBuilder:
         )
 
 
-def restrict(nfa: Nfa, keep: list[int]) -> Nfa:
-    """The machine on the states ``keep``, renumbered densely in the order
-    given; edges to other states are dropped."""
-    remap = {old: new for new, old in enumerate(keep)}
-    table: list[dict[int, tuple[int, ...]]] = []
-    for old in keep:
-        row = {}
-        for sym_id, dsts in nfa.transitions[old].items():
-            kept = tuple(sorted(remap[d] for d in dsts if d in remap))
-            if kept:
-                row[sym_id] = kept
-        table.append(row)
-    return Nfa(
-        alphabet=nfa.alphabet,
-        num_states=len(keep),
-        initial=frozenset(remap[q] for q in nfa.initial if q in remap),
-        final=frozenset(remap[q] for q in nfa.final if q in remap),
-        transitions=table,
-    )
-
-
-def live_states(nfa: Nfa) -> list[int]:
-    """The states both reachable and co-reachable, in increasing order."""
-    transitions = nfa.transitions
-    forward: set[int] = set(nfa.initial)
-    queue = deque(forward)
-    while queue:
-        q = queue.popleft()
-        for dsts in transitions[q].values():
-            for d in dsts:
-                if d not in forward:
-                    forward.add(d)
-                    queue.append(d)
-    # successors of reachable states are reachable, so the co-reachable
-    # ones among them are found by walking back over their edges alone
-    return co_reachable(transitions, forward.intersection(nfa.final), forward)
-
-
 def co_reachable(
-    transitions: Sequence[Mapping[int, Iterable[int]]],
-    targets: Iterable[int],
-    sources: Iterable[int] | None = None,
+    transitions: Sequence[Mapping[int, Iterable[int]]], targets: Iterable[int]
 ) -> list[int]:
-    """The states with a path to one of ``targets``, in increasing order,
-    walking back over the edges of ``sources`` (every state by default)."""
+    """The states with a path to one of ``targets``, in increasing order."""
     reverse: list[list[int]] = [[] for _ in transitions]
-    for src in range(len(transitions)) if sources is None else sources:
-        for dsts in transitions[src].values():
+    for src, row in enumerate(transitions):
+        for dsts in row.values():
             for d in dsts:
                 reverse[d].append(src)
     backward = set(targets)
@@ -268,11 +227,6 @@ def co_reachable(
                 backward.add(p)
                 stack.append(p)
     return sorted(backward)
-
-
-def trim(nfa: Nfa) -> Nfa:
-    """Restrict to the live states, renumbered densely in their order."""
-    return restrict(nfa, live_states(nfa))
 
 
 class Quotient(NamedTuple):

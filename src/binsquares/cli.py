@@ -31,6 +31,7 @@ from .automata import includes, to_automata_script, to_dot
 from .folding import render_word, syntax_checker, unfold
 from .lemma_machines import (
     FAMILY_NAMES,
+    TARGETS,
     Summand,
     accept_set,
     cover_runtime,
@@ -56,16 +57,6 @@ from .witness import (
     decompose_square_power,
     render_part,
 )
-
-# target -> (machine family, parity, shortest source length the checker admits)
-_VERIFY_TARGETS = {
-    "odd-squares": ("a-odd", "odd", 13),
-    "even-squares": ("a-even", "even", 18),
-    "square-power-odd": ("square-power-odd", "odd", 11),
-    "square-power-even": ("square-power-even", "even", 12),
-    "generalized-odd": ("generalized-odd", "odd", 11),
-    "generalized-even": ("generalized-even", "even", 12),
-}
 
 _EXPORT_MACHINES = FAMILY_NAMES + ("syntax-odd", "syntax-even")
 
@@ -93,7 +84,7 @@ def _emit(args: argparse.Namespace, record: dict, lines: Iterable[str]) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    family, parity, shortest = _VERIFY_TARGETS[args.target]
+    family, parity, shortest = TARGETS[args.target]
     started = time.perf_counter()
     # the cover's union accepts some of the family's words, so inclusion in
     # it proves the family theorem through a stronger lemma
@@ -389,7 +380,7 @@ def cmd_uniqueness(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     if args.machine.startswith("syntax-"):
         parity = args.machine.removeprefix("syntax-")
-        _, _, shortest = _VERIFY_TARGETS[f"{parity}-squares"]
+        _, _, shortest = TARGETS[f"{parity}-squares"]
         nfa = syntax_checker(parity, shortest)
     else:
         nfa = cover_runtime(args.machine).union
@@ -436,7 +427,7 @@ def build_parser() -> _Parser:
     verify = commands.add_parser(
         "verify", parents=[common], help="run a machine inclusion assertion"
     )
-    verify.add_argument("target", choices=sorted(_VERIFY_TARGETS))
+    verify.add_argument("target", choices=sorted(TARGETS))
     verify.set_defaults(func=cmd_verify)
 
     cross = commands.add_parser(

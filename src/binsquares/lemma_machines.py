@@ -69,7 +69,6 @@ from .automata import (
     PathKernel,
     co_reachable,
     quotient,
-    restrict,
 )
 from .folding import (
     LOOP_MIN,
@@ -618,6 +617,18 @@ FAMILY_COVERS = {
     "generalized-even": ("G(1)",),
 }
 
+# target -> (family, parity, gate): each target's theorem is proved on the
+# family's cover, for every source length of the parity from the gate up,
+# the shortest length the syntax checker admits
+TARGETS = {
+    "odd-squares": ("a-odd", "odd", 13),
+    "even-squares": ("a-even", "even", 18),
+    "square-power-odd": ("square-power-odd", "odd", 11),
+    "square-power-even": ("square-power-even", "even", 12),
+    "generalized-odd": ("generalized-odd", "odd", 11),
+    "generalized-even": ("generalized-even", "even", 12),
+}
+
 
 def select_profiles(name: str, labels: tuple[str, ...]) -> tuple[Profile, ...]:
     """The profiles of a named family with these labels, in family order.
@@ -627,11 +638,6 @@ def select_profiles(name: str, labels: tuple[str, ...]) -> tuple[Profile, ...]:
     if unknown:
         raise ValueError(f"family {name!r} has no member {', '.join(sorted(unknown))}")
     return tuple(p for p in profiles if p.label in labels)
-
-
-def family_members(name: str) -> tuple[tuple[Profile, Nfa], ...]:
-    """The (profile, trimmed machine) pairs of a named family, in fixed order."""
-    return family_runtime(name).members
 
 
 def _shape_tables(profiles: tuple[Profile, ...]) -> dict[Profile, _ShapeTable]:
@@ -666,8 +672,8 @@ class FamilyRuntime:
     Each member is walked into raw rows, and only its live states, those
     that can still reach acceptance, are written into the union, so the
     union is trim as it stands and its states number the members one after
-    another.  Only the union is kept: ``members`` cuts each member back out
-    of it on request.
+    another.  Only the union is kept: each member is the block of states
+    from its start up to the next member's, and no edge leaves its block.
     """
 
     def __init__(self, profiles: tuple[Profile, ...]):
@@ -713,15 +719,6 @@ class FamilyRuntime:
         self.states = tuple(states)
         # guess records of the union edges decoded so far
         self._records: dict[tuple[int, int, int], tuple] = {}
-
-    @property
-    def members(self) -> tuple[tuple[Profile, Nfa], ...]:
-        """The (profile, trimmed machine) pairs, in family order."""
-        stops = self.starts[1:] + (self.union.num_states,)
-        return tuple(
-            (profile, restrict(self.union, list(range(start, stop))))
-            for profile, start, stop in zip(self.profiles, self.starts, stops)
-        )
 
     @cached_property
     def kernel(self) -> PathKernel:
@@ -798,8 +795,9 @@ class FamilyRuntime:
 
 @lru_cache(maxsize=None)
 def family_runtime(name: str) -> FamilyRuntime:
-    """The runtime of every member of a family, which only the library's
-    whole-family views below build; the commands run on the cover."""
+    """The runtime of every member of a family, which no command builds:
+    the commands run on the cover, and the library's :func:`family_union`
+    is the whole family's one view."""
     return FamilyRuntime(family_profiles(name))
 
 
@@ -814,26 +812,6 @@ def cover_runtime(name: str) -> FamilyRuntime:
 
 def family_union(name: str) -> Nfa:
     return family_runtime(name).union
-
-
-def machine_manifest(name: str) -> dict:
-    members = family_members(name)
-    combined = family_union(name)
-    return {
-        "family": name,
-        "parity": members[0][0].parity,
-        "members": [
-            {
-                "label": p.label,
-                "carry": p.carry,
-                "states": nfa.num_states,
-                "transitions": nfa.num_transitions(),
-            }
-            for p, nfa in members
-        ],
-        "states": combined.num_states,
-        "transitions": combined.num_transitions(),
-    }
 
 
 # -- enumeration helpers ---------------------------------------------------

@@ -345,6 +345,8 @@ def decompose_brute(value: int, kind: GroundSetKind, k: int) -> list[int] | None
         raise ValueError(f"value must be an int, not {type(value).__name__}")
     if value < 0 or value >= MAX_BOUND:
         raise ValueError("value must lie in [0, 2**24)")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"k must be an int, not {type(k).__name__}")
     if k < 0:
         raise ValueError("k must be non-negative")
     if k > MAX_SUMMANDS:

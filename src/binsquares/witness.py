@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .automata import accepting_path
 from .folding import fold
-from .lemma_machines import cover_runtime
+from .lemma_machines import TARGETS, cover_runtime
 from .numberforms import (
     GroundSetKind,
     is_binary_square,
@@ -38,11 +38,15 @@ ROLE_SQUARE = "BinarySquare"
 ROLE_GENERALIZED = "GeneralizedBinarySquare"
 ROLE_POWER = "PowerOfTwo"
 
-# a-odd is proved from 13 bits up and a-even from 18 (`cli._VERIFY_TARGETS`),
-# so the even gate sets this floor; 2^16 would also be sound, since 17-bit
-# values fold into odd words, and waits until the coverage bounds share one table
-_MACHINE_FLOOR = 1 << 17
-_SHORT_FLOOR = 1 << 10  # mixed and generalized families from 11 bits up
+# each floor is the least value of one target's gate length.  a-odd is
+# proved from 13 bits up and a-even from 18, so the even gate sets the
+# squares floor.  2^16 would also be sound, since 17-bit values fold into odd
+# words, but moving the floor changes which values the benchmark's tables
+# workload decomposes through the sumset tables, so it waits until the
+# benchmark's baselines are regenerated.  The mixed and generalized targets
+# are proved from 11 and 12 bits, and the odd gate sets their floor.
+_MACHINE_FLOOR = 1 << (TARGETS["even-squares"][2] - 1)
+_SHORT_FLOOR = 1 << (TARGETS["square-power-odd"][2] - 1)
 _LAST_EXCEPTION = 686
 
 

@@ -21,11 +21,11 @@ from binsquares.automata import (
     PathKernel,
     Symbol,
     accepting_path,
+    co_reachable,
     includes,
     quotient,
     to_automata_script,
     to_dot,
-    trim,
 )
 from binsquares.proofcheck import check_forward
 
@@ -120,24 +120,30 @@ def test_machine_rejects_a_malformed_table():
             build(1, initial, final)
 
 
-def test_trim_preserves_language_and_drops_dead_states():
+def test_co_reachable_matches_frozenset_simulation():
+    # a state with a path to a final state has one of fewer letters than
+    # there are states; Nfa.accepts steps frozensets forward and shares no
+    # code with the reverse walk
     rng = random.Random(14)
+    dead = 0
     for _ in range(20):
         m = random_nfa(rng, BITS, 5)
-        t = trim(m)
-        assert t.num_states <= m.num_states
-        for w in words_shortlex(BITS, 6):
-            assert t.accepts(w) == m.accepts(w)
-        # every surviving state lies on some accepting path
-        for q in range(t.num_states):
+        found = co_reachable(m.transitions, m.final)
+        assert found == sorted(found)
+        expected = []
+        for q in range(m.num_states):
             probe = Nfa(
-                alphabet=t.alphabet,
-                num_states=t.num_states,
+                alphabet=m.alphabet,
+                num_states=m.num_states,
                 initial=frozenset({q}),
-                final=t.final,
-                transitions=t.transitions,
+                final=m.final,
+                transitions=m.transitions,
             )
-            assert any(probe.accepts(w) for w in words_shortlex(BITS, 4))
+            if any(probe.accepts(w) for w in words_shortlex(BITS, m.num_states)):
+                expected.append(q)
+        assert found == expected
+        dead += m.num_states - len(found)
+    assert dead
 
 
 def brute_inclusion(container, contained, max_len):

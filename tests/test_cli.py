@@ -265,6 +265,9 @@ def test_export_dot_and_ats(capsys, tmp_path):
 # when the families' exports moved from the whole family unions to the
 # cover unions
 EXPORT_DIGEST = "5519184fbb86e68621b172a9426ea3350d30c5011c81f7d5c349f12894574027"
+# the machines export writes: each family's cover union and the two
+# squares syntax checkers
+EXPORT_MACHINES = lemma_machines.FAMILY_NAMES + ("syntax-odd", "syntax-even")
 
 
 def test_export_writes_the_cover_union(capsys, tmp_path):
@@ -280,7 +283,7 @@ def test_export_writes_the_cover_union(capsys, tmp_path):
 def test_export_digest(capsys, tmp_path):
     digest = hashlib.sha256()
     out = tmp_path / "machine"
-    for machine in sorted(cli._EXPORT_MACHINES):
+    for machine in sorted(EXPORT_MACHINES):
         for fmt in ("dot", "ats"):
             code, _, _ = run(capsys, "export", machine, "--format", fmt, "--out", str(out))
             assert code == 0

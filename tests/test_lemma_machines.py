@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsquares import cli, lemma_machines
-from binsquares.automata import Nfa, includes, quotient, trim
+from binsquares import lemma_machines
+from binsquares.automata import Nfa, co_reachable, includes, quotient
 from binsquares.folding import LOOP_MIN, alphabet_for, fold, fold_layout, syntax_checker, unfold
 from binsquares.lemma_machines import (
     FAMILY_COVERS,
     FAMILY_NAMES,
+    TARGETS,
     FamilyRuntime,
     Profile,
     Summand,
@@ -23,12 +24,10 @@ from binsquares.lemma_machines import (
     accept_set,
     alignment,
     cover_runtime,
-    family_members,
     family_profiles,
     family_runtime,
     family_union,
     fixed_machine,
-    machine_manifest,
     select_profiles,
     uniform_machine,
 )
@@ -37,6 +36,25 @@ from binsquares.oracle import profile_sum_mask
 
 def window(mask: int, n: int) -> set[int]:
     return {v for v in range(1 << (n - 1), 1 << n) if mask >> v & 1}
+
+
+def member_machines(runtime):
+    """The (profile, machine) pairs of a runtime's members, in its order.
+    A member is the block of union states from its start up to the next
+    member's, and no edge leaves it, so its machine is that slice of the
+    union's rows, renumbered from 0."""
+    union = runtime.union
+    stops = runtime.starts[1:] + (union.num_states,)
+    members = []
+    for profile, start, stop in zip(runtime.profiles, runtime.starts, stops):
+        rows = [
+            {sym: tuple(d - start for d in dsts) for sym, dsts in row.items()}
+            for row in union.transitions[start:stop]
+        ]
+        initial = frozenset(q - start for q in union.initial if start <= q < stop)
+        final = frozenset(q - start for q in union.final if start <= q < stop)
+        members.append((profile, Nfa(union.alphabet, stop - start, initial, final, rows)))
+    return members
 
 
 def union_accepts(parity, summands, carries, n, max_powers=0, fixed=False):
@@ -230,13 +248,15 @@ def test_carry_ranges():
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_families_ship_exactly_the_carries_that_accept_a_word(name):
     # below the summand count (plus the power budget) every seam carry is
-    # possible; the family ships those whose member trims to some state
+    # possible; the family ships those whose member has an initial state
+    # with a path to a final state
     wrong = []
     for summands, carries in family_shapes(name).items():
         p = next(p for p in family_profiles(name) if p.summands == summands)
         for m in range(p.total_count() + p.max_powers):
-            nfa = trim(uniform_machine(p.parity, summands, m, p.max_powers))
-            if (nfa.num_states > 0) != (m in carries):
+            nfa = uniform_machine(p.parity, summands, m, p.max_powers)
+            accepts_a_word = not nfa.initial.isdisjoint(co_reachable(nfa.transitions, nfa.final))
+            if accepts_a_word != (m in carries):
                 wrong.append((tuple(s.count for s in summands), m))
     assert not wrong
 
@@ -332,16 +352,14 @@ def test_proof_machine_accepts_what_the_union_accepts(name):
 
 
 def test_manifest_shape():
-    info = machine_manifest("a-odd")
-    assert info["family"] == "a-odd"
-    assert info["parity"] == "odd"
-    assert len(info["members"]) == 13
-    assert info["states"] > 0
-    labels = [m["label"] for m in info["members"]]
+    profiles = family_profiles("a-odd")
+    assert {p.parity for p in profiles} == {"odd"}
+    assert len(profiles) == 13
+    labels = [p.label for p in profiles]
     assert labels[0] == "A(1,1,1)"
     assert "B(1,1,1,2)" in labels
     with pytest.raises(ValueError):
-        machine_manifest("no-such-family")
+        family_profiles("no-such-family")
     assert set(FAMILY_NAMES) == {
         "a-odd",
         "a-even",
@@ -355,7 +373,7 @@ def test_manifest_shape():
 def test_edge_annotations_route_to_known_sites():
     for name in ("a-odd", "generalized-even", "square-power-odd"):
         runtime = family_runtime(name)
-        for (profile, nfa), start in zip(runtime.members, runtime.starts):
+        for (profile, nfa), start in zip(member_machines(runtime), runtime.starts):
             seen = 0
             for src, sym_id, dst in nfa.walk():
                 data = runtime.edge_record(start + src, sym_id, start + dst)
@@ -425,12 +443,18 @@ def test_family_union_of_trimmed_members_is_trim(name):
     combined = family_union(name)
     assert combined is runtime.union and family_runtime(name) is runtime
     assert combined.num_states == UNION_STATES[name]
-    trimmed = trim(combined)
-    assert trimmed.num_states == combined.num_states
-    assert trimmed.transitions == combined.transitions
-    assert (trimmed.initial, trimmed.final) == (combined.initial, combined.final)
+    # every state has a path to a final state and is reached from an
+    # initial one
+    every_state = list(range(combined.num_states))
+    assert co_reachable(combined.transitions, combined.final) == every_state
+    reached, stack = set(combined.initial), list(combined.initial)
+    while stack:
+        for dsts in combined.transitions[stack.pop()].values():
+            stack += [d for d in dsts if d not in reached]
+            reached.update(dsts)
+    assert sorted(reached) == every_state
     # the member offsets partition the union's states in member order
-    for (profile, nfa), start in zip(runtime.members, runtime.starts):
+    for (profile, nfa), start in zip(member_machines(runtime), runtime.starts):
         for q in (start, start + nfa.num_states - 1):
             assert runtime.profile_at(q) is profile
 
@@ -484,7 +508,7 @@ def union_digest(runtime):
 
 def members_digest(runtime):
     digest = hashlib.sha256()
-    for (profile, nfa), start in zip(runtime.members, runtime.starts):
+    for (profile, nfa), start in zip(member_machines(runtime), runtime.starts):
         digest.update(profile.label.encode())
         digest.update(machine_bytes(nfa, runtime, start))
     return digest.hexdigest()[:16]
@@ -577,7 +601,7 @@ def test_accept_set_matches_frozenset_simulation(machine, n):
         nfa = fixed_machine(parity, n, *FIXED_SHAPES[machine][parity])
     else:
         # the family's largest member
-        nfa = max((m for _, m in family_members(machine)), key=lambda m: m.num_states)
+        nfa = max((m for _, m in member_machines(family_runtime(machine))), key=lambda m: m.num_states)
     expected = {v for v in range(1 << (n - 1), 1 << n) if nfa.accepts(fold(v).symbols)}
     assert expected
     assert accept_set(nfa, parity, n) == expected
@@ -665,7 +689,7 @@ def member_bytes(runtime):
             machine_bytes(nfa, runtime, start),
             [(node_key(runtime, q), *runtime.states[q][1:]) for q in range(start, stop)],
         )
-        for (profile, nfa), start, stop in zip(runtime.members, runtime.starts, stops)
+        for (profile, nfa), start, stop in zip(member_machines(runtime), runtime.starts, stops)
     }
 
 
@@ -710,7 +734,7 @@ def test_fixed_members_on_one_table_match_one_member_builds(shape, parity):
 
 # -- the covers verify proves on ---------------------------------------------
 
-GATES = {family: (parity, gate) for family, parity, gate in cli._VERIFY_TARGETS.values()}
+GATES = {family: (parity, gate) for family, parity, gate in TARGETS.values()}
 
 # (explored, subset_steps, antichain_peak) of each whole family's proof search
 # at its verify gate, so that kernel changes stay checked on the same searches
@@ -762,8 +786,8 @@ def test_cover_runtime_builds_the_cover_in_family_order(name):
     assert labels == list(FAMILY_COVERS[name]) == sorted(labels, key=order.index)
     assert len(labels) < len(order)
     # each member is the one the whole family's union holds
-    whole = dict(family_members(name))
-    assert all(nfa == whole[profile] for profile, nfa in runtime.members)
+    whole = dict(member_machines(family_runtime(name)))
+    assert all(nfa == whole[profile] for profile, nfa in member_machines(runtime))
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)

@@ -1,12 +1,16 @@
 """Source checks that hold for the whole package."""
 
 import ast
+import doctest
 import sys
 from pathlib import Path
 
 import pytest
 
+import binsquares
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "binsquares"
+README = PACKAGE.parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -102,9 +106,29 @@ def test_oracle_imports_nothing_from_the_machine_side(name):
 def test_readme_layout_lists_every_module_once():
     # the README's Layout table has one row per module, so a module cannot
     # be added, renamed or deleted without its row
-    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     section = readme.partition("\n## Layout\n")[2].partition("\n## ")[0]
     table = [line for line in section.splitlines() if line.startswith("|")][2:]
     rows = [line.split("|")[1].strip().strip("`") for line in table]
     modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
     assert sorted(rows) == modules
+
+
+def test_every_exported_name_resolves():
+    # a name dropped from the package must leave __all__ with it
+    missing = [name for name in binsquares.__all__ if not hasattr(binsquares, name)]
+    assert not missing, f"__all__ names {missing}, which the package lacks"
+
+
+def test_readme_library_examples_run():
+    # the README's Library block is a doctest, so a dropped or changed
+    # public name cannot leave a stale example behind
+    readme = README.read_text(encoding="utf-8")
+    section = readme.partition("\n## Library\n")[2].partition("\n## ")[0]
+    block = section.partition("```python\n")[2].partition("```")[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README Library", str(README), 0)
+    runner = doctest.DocTestRunner(optionflags=doctest.NORMALIZE_WHITESPACE)
+    report = []
+    results = runner.run(test, out=report.append)
+    assert results.attempted == len(test.examples) > 0
+    assert not results.failed, "".join(report)

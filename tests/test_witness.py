@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsquares import automata, cli, witness
+from binsquares import automata, witness
 from binsquares.automata import accepting_path
 from binsquares.folding import fold
-from binsquares.lemma_machines import FAMILY_COVERS, cover_runtime, family_runtime
+from binsquares.lemma_machines import FAMILY_COVERS, TARGETS, cover_runtime, family_runtime
 from binsquares.numberforms import GroundSetKind, is_binary_square
 from binsquares.oracle import decompose_brute, sumset_table
 from binsquares.witness import (
@@ -50,6 +50,10 @@ def _brute_squares4(value):
     return decompose_brute(value, GroundSetKind.BINARY_SQUARE, 4)
 
 
+def _brute_summands(k):
+    return decompose_brute(50, GroundSetKind.BINARY_SQUARE, k)
+
+
 @pytest.mark.parametrize(
     "fn, error",
     [
@@ -57,13 +61,14 @@ def _brute_squares4(value):
         (decompose_square_power, InvalidInput),
         (decompose_generalized, InvalidInput),
         (_brute_squares4, ValueError),
+        (_brute_summands, ValueError),
     ],
-    ids=["squares4", "square-power", "generalized", "brute"],
+    ids=["squares4", "square-power", "generalized", "brute", "brute-k"],
 )
-@pytest.mark.parametrize("value", [5000.0, 1e30, True, "999", -1], ids=repr)
+@pytest.mark.parametrize("value", [5000.0, 2.0, 1e30, True, "999", -1], ids=repr)
 def test_non_integer_and_negative_values_are_rejected(fn, error, value):
     # a float or a str would fail deep inside with another error, and True
-    # would pass for 1
+    # would pass for 1, also as decompose_brute's summand count
     with pytest.raises(error):
         fn(value)
 
@@ -77,19 +82,22 @@ def test_table_machine_boundary():
 
 
 @pytest.mark.parametrize(
-    "fn, floor",
+    "fn, floor, pinned",
     [
-        (decompose, witness._MACHINE_FLOOR),
-        (decompose_square_power, witness._SHORT_FLOOR),
-        (decompose_generalized, witness._SHORT_FLOOR),
+        (decompose, witness._MACHINE_FLOOR, 1 << 17),
+        (decompose_square_power, witness._SHORT_FLOOR, 1 << 10),
+        (decompose_generalized, witness._SHORT_FLOOR, 1 << 10),
     ],
     ids=["squares4", "square-power", "generalized"],
 )
-def test_machine_floors_stand_on_the_verified_gates(monkeypatch, fn, floor):
+def test_machine_floors_stand_on_the_verified_gates(monkeypatch, fn, floor, pinned):
+    # the floors are read from the target table, and moving one changes
+    # which values the sumset tables decompose
+    assert floor == pinned
     # a family's verify proves it for source lengths from its gate up, so the
     # least machine-backed value of each parity must reach the gate of the
     # family it is sent to
-    gates = {family: shortest for family, _, shortest in cli._VERIFY_TARGETS.values()}
+    gates = {family: shortest for family, _, shortest in TARGETS.values()}
     asked = []
     runtime = witness.cover_runtime
     monkeypatch.setattr(witness, "cover_runtime", lambda name: asked.append(name) or runtime(name))
