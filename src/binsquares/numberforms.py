@@ -49,6 +49,9 @@ def from_bits(bits: tuple[int, ...]) -> int:
 
 
 def is_binary_square(value: int) -> bool:
+    """True for 0 and for a(2**n + 1) with 2**(n-1) <= a < 2**n: a value of
+    even length whose high half equals its low half; the high half's top
+    bit is the value's own, so a >= 2**(n-1) holds by itself."""
     if value < 0:
         return False
     if value == 0:
@@ -57,8 +60,7 @@ def is_binary_square(value: int) -> bool:
     if n % 2:
         return False
     half = n // 2
-    a, rest = divmod(value, (1 << half) + 1)
-    return rest == 0 and a >> (half - 1) == 1
+    return value >> half == value & ((1 << half) - 1)
 
 
 def square_half_width(value: int) -> int | None:
@@ -66,16 +68,17 @@ def square_half_width(value: int) -> int | None:
     ``value`` is a(2**p + 1) with a < 2**p, or None when it is not one.
 
     Such a value is the bit string of a written twice, the low copy p bits
-    wide; 2**(2p) > value needs p >= half the length, and the least such p
-    is taken.  Zero has width 0.
+    wide; 2**(2p) > value needs p >= half the length, so the low copy lies
+    in the value's low floor(n/2) bits with zeros above it, and those bits
+    are a.  That fixes p = n - a.bit_length(), the only width that can
+    fit; zero has width 0.
     """
     if value < 0:
         return None
     n = value.bit_length()
-    for p in range((n + 1) // 2, n + 1):
-        if value >> p == value & ((1 << p) - 1):
-            return p
-    return None
+    a = value & ((1 << n // 2) - 1)
+    p = n - a.bit_length()
+    return p if a << p | a == value else None
 
 
 def is_generalized_binary_square(value: int) -> bool:

@@ -39,6 +39,11 @@ MAX_SUMMANDS = 8
 # decompose_brute keeps the tables of the witness small paths, which stay
 # below 2**17; a table for a larger value is built for that call alone
 _CACHED_BITS = 17
+# width of the blocks that _window_minimum bounds before it scans runs: at
+# 2**18, 11 of 192 blocks are scanned, and the scan took 0.93 ms against
+# 0.92 ms at 512, 1.23 ms at 4096 and 6.6 ms run by run over the whole
+# window (best of 15 in one process, 2-vCPU x86-64 host)
+_DENSITY_BLOCK = 1024
 
 
 def _shift_or_level(prev: int, progressions: list[tuple[int, int, int]], bound: int) -> int:
@@ -163,19 +168,40 @@ def two_squares_density(m: int) -> Fraction:
 def _window_minimum(member: int, lo: int, hi: int) -> tuple[int, int]:
     """(|S cap [1, m]|, m) for the first m in [lo, hi) with the least ratio
     |S cap [1, m]| / m, where bit x of ``member`` marks x in S; needs
-    1 <= lo < hi."""
+    1 <= lo < hi.
+
+    A member at m cannot lower the ratio (count <= m - 1 before it); in a
+    run of gaps the count is fixed and m grows, so only a run's last m, a
+    gap followed by a member or the window's last m, can set a new minimum.
+    A first pass counts the members of each ``_DENSITY_BLOCK``-wide block
+    of the window, and the least ratio U at a block's last m bounds the
+    minimum from above.  No m in a block has a ratio below (members before
+    the block) / (the block's last m), so only the blocks where that is at
+    most U are scanned run by run, in order, and the first m wins a tie.
+    """
     count = bin(member & ((1 << (lo + 1)) - 2)).count("1")
+    width = hi - lo - 1
+    # window[i] marks lo + 1 + i; the "1" past its end closes the last gap run
+    window = format(member >> (lo + 1), "b")[::-1].ljust(width, "0")[:width] + "1"
     best_count, best_m = count, lo
-    # a member at m cannot lower the ratio (count <= m - 1 before it); in a
-    # run of gaps the count is fixed and m grows, so only a run's last m can
-    # set a new minimum.  Gap run i follows the window's first i members.
-    window = format(member >> (lo + 1), "b")[::-1].ljust(hi - lo - 1, "0")
-    m = lo
-    for members_before, gaps in enumerate(window[: hi - lo - 1].split("1")):
-        m += len(gaps)
-        if gaps and (count + members_before) * best_m < best_count * m:
-            best_count, best_m = count + members_before, m
-        m += 1  # the member that ends the run
+    bound_count, bound_m = count, lo
+    blocks = []  # (first index, end index, members in [1, lo + first])
+    for first in range(0, width, _DENSITY_BLOCK):
+        end = min(first + _DENSITY_BLOCK, width)
+        blocks.append((first, end, count))
+        count += window.count("1", first, end)
+        if count * bound_m < bound_count * (lo + end):
+            bound_count, bound_m = count, lo + end
+    for first, end, before in blocks:
+        if before * bound_m > bound_count * (lo + end):
+            continue
+        m = lo + first
+        # the run cut off at the block's end is scanned with the next block
+        for members_before, gaps in enumerate(window[first : end + 1].split("1")[:-1]):
+            m += len(gaps)
+            if gaps and (before + members_before) * best_m < best_count * m:
+                best_count, best_m = before + members_before, m
+            m += 1  # the member that ends the run
     return best_count, best_m
 
 
@@ -208,22 +234,29 @@ def _distinct_sums(left: list[int], right: list[int], modulus: int) -> int:
     """|{s + t : s in left, t in right}|, counted one residue class of
     s + t mod ``modulus`` at a time.
 
-    Equal sums share a class, so the per-class counts add up exactly, and
-    only one class's sums are held at once.
+    Equal sums share a class, so the per-class counts add up exactly.  A
+    class that one (left class, t) pair alone reaches holds as many sums as
+    that left class has distinct values, since adding t is one-to-one;
+    only the other classes are collected, one class's sums at a time.
     """
     left_classes: dict[int, list[int]] = {}
     for s in left:
         left_classes.setdefault(s % modulus, []).append(s)
+    distinct = {s_class: len(set(ss)) for s_class, ss in left_classes.items()}
     right_classes: dict[int, list[int]] = {}
     for t in right:
         right_classes.setdefault(t % modulus, []).append(t)
     total = 0
     for r in range(modulus):
-        sums: set[int] = set()
-        for s_class, ss in left_classes.items():
-            for t in right_classes.get((r - s_class) % modulus, ()):
-                sums.update([s + t for s in ss])
-        total += len(sums)
+        pairs = [
+            (s_class, t)
+            for s_class in left_classes
+            for t in right_classes.get((r - s_class) % modulus, ())
+        ]
+        if len(pairs) == 1:
+            total += distinct[pairs[0][0]]
+        else:
+            total += len({s + t for s_class, t in pairs for s in left_classes[s_class]})
     return total
 
 
@@ -232,9 +265,12 @@ def sumset_uniqueness(n: int) -> int:
 
     Distinctness of all pairwise sums makes this 2**(2n-1).  The sums are
     counted per class mod 2**n + 1: every left square a(2**n + 1) lies in
-    class 0, and the right squares' classes all differ, so a class holds
-    at most 2**(n-1) sums.
+    class 0, and the right squares' classes all differ, so each class is
+    reached by one right square alone and counted without building its
+    2**(n-1) sums.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an int, not {type(n).__name__}")
     if not 1 <= n <= 12:
         raise ValueError("n must be in [1, 12]")
     left = squares_of_length(2 * n)
@@ -409,6 +445,6 @@ def square_power_mask(bound: int, max_squares: int = 2, max_powers: int = 2) -> 
 
 
 def verify_is_binary_square_consistency(bound: int) -> bool:
-    """Membership agreement between the divisor test and ground-set sweep."""
+    """Membership agreement between the halves test and ground-set sweep."""
     members = set(ground_set_upto(GroundSetKind.BINARY_SQUARE, bound))
     return all((v in members) == is_binary_square(v) for v in range(bound))

@@ -310,6 +310,14 @@ def test_density_reports_both_ratios(capsys):
     assert 0.1 < low < high < 0.3
 
 
+def test_density_at_2_18_reports_the_exact_ratios(capsys):
+    code, out, _ = run(capsys, "--json", "density", "--bound", str(1 << 18))
+    assert code == 0
+    (record,) = records(out)
+    assert record["pointwise"] == [31259, 131072]
+    assert record["window_min"] == [20616, 141551]
+
+
 def test_uniqueness_holds(capsys):
     code, out, _ = run(capsys, "--json", "uniqueness", "--n", "4")
     assert code == 0
@@ -360,6 +368,14 @@ def test_optimality_rejects_max_n_out_of_range(capsys, max_n):
     assert code == 3
     assert out == ""
     assert "max_n" in err
+
+
+@pytest.mark.parametrize("n", ["0", "13", "-1", "true"])
+def test_uniqueness_rejects_n_out_of_range(capsys, n):
+    code, out, err = run(capsys, "uniqueness", "--n", n)
+    assert code == 3
+    assert out == ""
+    assert err
 
 
 def test_verify_reports_the_mean_subset_popcount(capsys):

@@ -13,6 +13,7 @@ from binsquares.numberforms import (
     is_binary_square,
     is_generalized_binary_square,
     is_power_of_two,
+    square_half_width,
     squares_of_length,
     to_bits,
 )
@@ -100,6 +101,64 @@ def test_generalized_matches_division_form():
         values.append(values[-2] + 1)
     for v in values:
         assert is_generalized_binary_square(v) == by_division(v)
+
+
+def division_is_binary_square(value):
+    """The divisor test: a(2**half + 1) with a leading 1 in a."""
+    if value <= 0:
+        return value == 0
+    n = value.bit_length()
+    if n % 2:
+        return False
+    a, rest = divmod(value, (1 << n // 2) + 1)
+    return rest == 0 and a >> (n // 2 - 1) == 1
+
+
+def loop_square_half_width(value):
+    """The least p from half the length up whose halves agree, tried in turn."""
+    if value < 0:
+        return None
+    n = value.bit_length()
+    for p in range((n + 1) // 2, n + 1):
+        if value >> p == value & ((1 << p) - 1):
+            return p
+    return None
+
+
+def predicate_edge_values():
+    rng = random.Random(27)
+    values = list(range(-3, 1 << 12))
+    for p in (1, 2, 3, 7, 31, 32, 64, 65, 200, 1001):
+        a = rng.getrandbits(p) | 1 << (p - 1)
+        small = a >> rng.randrange(1, p + 1)  # a zero-padded low half
+        for v in (
+            (1 << p) + 1,
+            (1 << 2 * p) + 1,
+            a * ((1 << p) + 1),
+            small * ((1 << p) + 1),
+            small << p,
+            a << p,
+            a * ((1 << p) + 1) << 1,
+            rng.getrandbits(2 * p),
+            rng.getrandbits(2 * p + 1),
+        ):
+            values += [v - 1, v, v + 1]
+    return values
+
+
+def test_linear_predicates_match_the_division_and_loop_forms():
+    for v in predicate_edge_values():
+        assert is_binary_square(v) == division_is_binary_square(v), v
+        assert square_half_width(v) == loop_square_half_width(v), v
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 300), st.integers(0, 2**300), st.integers(-2, 2), st.integers(0, 3))
+def test_linear_predicates_match_on_random_squares(p, a, offset, shift):
+    # a(2**p + 1) for any a < 2**p, padded or not, and its neighbours
+    v = (a % (1 << p) * ((1 << p) + 1) << shift) + offset
+    assert is_binary_square(v) == division_is_binary_square(v)
+    assert square_half_width(v) == loop_square_half_width(v)
 
 
 def test_sequence_prefixes():

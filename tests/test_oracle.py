@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -132,8 +133,14 @@ def test_sumset_bound_is_capped():
 
 
 def test_uniqueness_counts():
-    for n in range(1, 12):
+    for n in range(1, 13):
         assert sumset_uniqueness(n) == 1 << (2 * n - 1)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+def test_uniqueness_rejects_a_non_int_n(n):
+    with pytest.raises(ValueError, match="n must be an int"):
+        sumset_uniqueness(n)
 
 
 def test_uniqueness_holds_one_residue_class_of_sums_at_once():
@@ -158,6 +165,21 @@ def test_residue_class_count_matches_one_set_of_sums(left, right, modulus):
     sums = [s + t for s in left for t in right]
     assume(len(set(sums)) < len(sums))  # some sums collide
     assert oracle._distinct_sums(left, right, modulus) == len(set(sums))
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(2, 16),
+    st.lists(st.integers(0, 60), min_size=1, max_size=10),
+    st.lists(st.integers(0, 60), min_size=1, max_size=10),
+)
+def test_distinct_sums_mixes_one_pair_and_shared_classes(modulus, left, right):
+    # pairs (left class, t) per class of sums: some classes take the count of
+    # their one pair's left class, the others collect their sums
+    pairs = Counter((s_class + t) % modulus for s_class in {s % modulus for s in left} for t in right)
+    assume(1 in pairs.values() and max(pairs.values()) > 1)
+    expected = len({s + t for s in left for t in right})
+    assert oracle._distinct_sums(left, right, modulus) == expected
 
 
 def test_residue_formula_examples():
@@ -300,6 +322,52 @@ def test_window_minimum_matches_a_per_m_scan(lo, width, bits, dense):
         if best is None or count * best[1] < best[0] * m:  # ties keep the first m
             best = (count, m)
     assert oracle._window_minimum(member, lo, hi) == best
+
+
+def brute_window_minimum(member, lo, hi):
+    """The first m in [lo, hi) with the least ratio, one m at a time."""
+    bits = format(member, "b")[::-1]
+    count, best = 0, None
+    for m in range(1, hi):
+        count += m < len(bits) and bits[m] == "1"
+        if m >= lo and (best is None or count * best[1] < best[0] * m):
+            best = (count, m)
+    return best
+
+
+@settings(max_examples=120)
+@given(st.integers(2, 4), st.integers(0, 64), st.integers(0, 100), st.integers(0, 2**32), st.data())
+def test_window_minimum_matches_brute_force_across_blocks(blocks, period, percent, seed, data):
+    # masks several blocks wide; period > 0 repeats `members` members then
+    # gaps from 1 on, so every multiple of the period ties at the minimum
+    rng = random.Random(seed)
+    width = blocks * oracle._DENSITY_BLOCK + rng.randrange(oracle._DENSITY_BLOCK)
+    members = data.draw(st.integers(0, period))
+    if period:
+        bits = "".join("1" if x % period < members else "0" for x in range(width - 1))
+    else:
+        bits = "".join("1" if rng.randrange(100) < percent else "0" for _ in range(width - 1))
+    member = int(bits[::-1], 2) << 1  # bits[i] marks 1 + i
+    lo = data.draw(st.integers(1, width - 1))
+    hi = data.draw(st.integers(lo + 1, width + oracle._DENSITY_BLOCK))
+    best = oracle._window_minimum(member, lo, hi)
+    assert best == brute_window_minimum(member, lo, hi)
+    if 0 < members < period:
+        first = -(-lo // period) * period
+        if first < hi <= width:
+            assert best == (first // period * members, first)
+
+
+@pytest.mark.parametrize("lo, gap_block", [(1, 0), (5, 1), (700, 2)])
+def test_window_minimum_scans_a_block_whose_bound_ties(lo, gap_block):
+    # members fill [1, lo + 4 blocks) but for one whole block of the window,
+    # so the least ratio sits at that block's last m and equals its bound
+    block = oracle._DENSITY_BLOCK
+    first, end = lo + 1 + gap_block * block, lo + (gap_block + 1) * block
+    member = (1 << (lo + 4 * block)) - 2 & ~((1 << end + 1) - (1 << first))
+    hi = lo + 4 * block
+    assert oracle._window_minimum(member, lo, hi) == (end - block, end)
+    assert oracle._window_minimum(member, lo, hi) == brute_window_minimum(member, lo, hi)
 
 
 def reference_decompose_brute(value, kind, k):
