@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -69,21 +68,22 @@ _TABLE_LIMIT = 256
 _MEMO_LIMIT = 8192
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
-    """One letter of a folded word: a tag plus one or two bits.
+class Symbol(namedtuple("Symbol", "tag bits")):
+    """One letter of a folded word: a ``tag`` plus a tuple of one or two
+    ``bits``.
 
     Two bits make a fold pair (high half bit first), one bit a tail single.
+    Symbols order as (tag, bits) tuples, which sets every alphabet's order.
     """
 
-    tag: str
-    bits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, tag: str, bits: tuple[int, ...]) -> Symbol:
         # 1.0 and True compare equal to 1 but are not bits
-        bits_ok = all(type(b) is int and b in (0, 1) for b in self.bits)
-        if len(self.bits) not in (1, 2) or not bits_ok:
-            raise ValueError(f"malformed symbol payload: {self.bits!r}")
+        bits_ok = all(type(b) is int and b in (0, 1) for b in bits)
+        if len(bits) not in (1, 2) or not bits_ok:
+            raise ValueError(f"malformed symbol payload: {bits!r}")
+        return super().__new__(cls, tag, bits)
 
     @property
     def is_pair(self) -> bool:
@@ -117,23 +117,35 @@ class Alphabet:
         return tuple(self.symbols[i] for i in ids)
 
 
-@dataclass
 class Nfa:
     """Nondeterministic finite automaton with interned symbols.  An edge
     carries nothing but its symbol."""
 
-    alphabet: Alphabet
-    num_states: int
-    initial: frozenset[int]
-    final: frozenset[int]
-    transitions: list[dict[int, tuple[int, ...]]]
+    __slots__ = ("alphabet", "num_states", "initial", "final", "transitions")
 
-    def __post_init__(self) -> None:
-        if len(self.transitions) != self.num_states:
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        num_states: int,
+        initial: frozenset[int],
+        final: frozenset[int],
+        transitions: list[dict[int, tuple[int, ...]]],
+    ) -> None:
+        if len(transitions) != num_states:
             raise ValueError("transition table size mismatch")
-        for q in self.initial | self.final:
-            if not 0 <= q < self.num_states:
+        for q in initial | final:
+            if not 0 <= q < num_states:
                 raise ValueError(f"state {q} out of range")
+        self.alphabet = alphabet
+        self.num_states = num_states
+        self.initial = initial
+        self.final = final
+        self.transitions = transitions
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def num_transitions(self) -> int:
         return sum(
@@ -320,8 +332,7 @@ def quotient(nfa: Nfa) -> Quotient:
     return Quotient(machine, tuple(forward))
 
 
-@dataclass(frozen=True)
-class InclusionResult:
+class InclusionResult(NamedTuple):
     """Verdict of :func:`includes` plus counters of the work the search did.
 
     ``explored`` counts the (contained state, container subset) pairs stored,
@@ -340,7 +351,17 @@ class InclusionResult:
     subset_steps: int
     antichain_peak: int
     subset_popcount_mean: float
-    table_entries: int = field(compare=False)
+    table_entries: int
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    __ne__ = object.__ne__  # tuple's own != would compare every field
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
 
 def _cut(mask: int, typecode: str, num_bytes: int) -> array:

@@ -20,9 +20,8 @@ drives both the syntax checkers and the machine generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .automata import Alphabet, Nfa, NfaBuilder, Symbol
 from .numberforms import from_bits, to_bits
@@ -128,8 +127,7 @@ def fold_layout(parity: str, source_length: int, loop: bool) -> tuple[tuple[tupl
     return tuple(map(tuple, moves))
 
 
-@dataclass(frozen=True)
-class FoldedWord:
+class FoldedWord(NamedTuple):
     """A folded number as letter ids of its parity's alphabet."""
 
     parity: str

@@ -60,9 +60,10 @@ necessarily smallest.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from .automata import (
     Nfa,
@@ -87,27 +88,24 @@ from .proofcheck import check_forward
 TOP_KINDS = ("exact", "free", "zero")
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(namedtuple("Summand", "offset count top")):
     """A block of `count` equal-width squares, `offset` bits narrower than
     the source word (negative offsets mean wider).  `top` says what the
     stacked top digit must be: the full `count` for exact-width squares,
     anything for free halves, zero when the top column would fall outside
     the word."""
 
-    offset: int
-    count: int
-    top: str = "exact"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.count < 0:
+    def __new__(cls, offset: int, count: int, top: str = "exact") -> Summand:
+        if count < 0:
             raise ValueError("summand count must be >= 0")
-        if self.top not in TOP_KINDS:
+        if top not in TOP_KINDS:
             raise ValueError(f"top must be one of {TOP_KINDS}")
+        return super().__new__(cls, offset, count, top)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """A machine recipe: parity, summand blocks, seam carry, power budget."""
 
     parity: str

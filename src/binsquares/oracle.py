@@ -15,9 +15,9 @@ tables are the oracle the machine constructions are validated against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .numberforms import (
     GroundSetKind,
@@ -74,8 +74,7 @@ def _shift_or_level(prev: int, progressions: list[tuple[int, int, int]], bound: 
     return acc & mask
 
 
-@dataclass(frozen=True)
-class SumsetTable:
+class SumsetTable(NamedTuple):
     """Reachability masks for sums of up to ``max_k`` ground-set members."""
 
     kind: GroundSetKind
@@ -154,6 +153,13 @@ def exceptions_exact_four_positive(bound: int) -> list[int]:
     return table.missing(4)
 
 
+@lru_cache(maxsize=1)
+def _two_square_sums(limit: int) -> int:
+    """Bit x marks x in [0, limit) as a sum of two binary squares.  The last
+    mask is kept: ``density`` asks for [0, B] and then for [0, B)."""
+    return sumset_table(GroundSetKind.BINARY_SQUARE, limit, 2).reach[2]
+
+
 def two_squares_density(m: int) -> Fraction:
     """|{x : 1 <= x <= m, x is a sum of two binary squares}| / m, exactly."""
     if m < 1:
@@ -161,7 +167,7 @@ def two_squares_density(m: int) -> Fraction:
     if m >= MAX_BOUND:
         # the table below covers [0, m], one more than m values
         raise ValueError(f"m {m} exceeds the supported maximum 2**24 - 1")
-    member = sumset_table(GroundSetKind.BINARY_SQUARE, m + 1, 2).reach[2]
+    member = _two_square_sums(m + 1)
     return Fraction(bin(member >> 1).count("1"), m)  # drop x = 0
 
 
@@ -215,7 +221,10 @@ def lower_density_estimate(bound: int) -> Fraction:
     """
     if bound < 8:
         raise ValueError("bound too small for a full period")
-    member = sumset_table(GroundSetKind.BINARY_SQUARE, bound, 2).reach[2]
+    # the scan reads no bit past its window, so it shares the [0, bound]
+    # mask of two_squares_density(bound); sumset_table rejects a bound
+    # past MAX_BOUND
+    member = _two_square_sums(bound + 1 if bound < MAX_BOUND else bound)
     return Fraction(*_window_minimum(member, bound // 4, bound))
 
 

@@ -20,7 +20,7 @@ module."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .automata import accepting_path
 from .folding import fold
@@ -63,8 +63,13 @@ class InvalidInput(ValueError):
     """The value lies outside the operation's stated domain."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(
+    namedtuple(
+        "Decomposition",
+        "target parts profile states_visited frontier_max"
+        " stage_seconds path_memo_hits path_table_builds",
+    )
+):
     """A target with its certified parts, each tagged by role.
 
     Machine-backed results name the member profile that accepted,
@@ -81,14 +86,41 @@ class Decomposition:
     of them takes part in comparisons.
     """
 
-    target: int
-    parts: tuple[tuple[int, str], ...]
-    profile: str = ""
-    states_visited: int = 0
-    frontier_max: int = 0
-    stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
-    path_memo_hits: int | None = field(default=None, compare=False)
-    path_table_builds: int | None = field(default=None, compare=False)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        target: int,
+        parts: tuple[tuple[int, str], ...],
+        profile: str = "",
+        states_visited: int = 0,
+        frontier_max: int = 0,
+        stage_seconds: dict[str, float] | None = None,
+        path_memo_hits: int | None = None,
+        path_table_builds: int | None = None,
+    ) -> Decomposition:
+        return super().__new__(
+            cls,
+            target,
+            parts,
+            profile,
+            states_visited,
+            frontier_max,
+            # each result its own dict, since _certified adds "verify" to it
+            {} if stage_seconds is None else stage_seconds,
+            path_memo_hits,
+            path_table_builds,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:5] == other[:5]
+
+    __ne__ = object.__ne__  # tuple's own != would compare every field
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
 
     def values(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.parts)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from binsquares import automata, cli, folding, lemma_machines, witness
+from binsquares import automata, cli, folding, lemma_machines, oracle, witness
 
 GOLDEN = Path(__file__).parent / "data" / "four_squares_exceptions.txt"
 
@@ -310,9 +310,15 @@ def test_density_reports_both_ratios(capsys):
     assert 0.1 < low < high < 0.3
 
 
-def test_density_at_2_18_reports_the_exact_ratios(capsys):
+def test_density_at_2_18_reports_the_exact_ratios(capsys, monkeypatch):
+    builds = []
+    real = oracle.sumset_table
+    monkeypatch.setattr(oracle, "sumset_table", lambda *args: builds.append(args[1:]) or real(*args))
+    oracle._two_square_sums.cache_clear()
     code, out, _ = run(capsys, "--json", "density", "--bound", str(1 << 18))
     assert code == 0
+    # both ratios read one two-square table, on [0, 2**18]
+    assert builds == [((1 << 18) + 1, 2)]
     (record,) = records(out)
     assert record["pointwise"] == [31259, 131072]
     assert record["window_min"] == [20616, 141551]

@@ -2,6 +2,9 @@
 
 import ast
 import doctest
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,10 +24,8 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert statements at lines {lines}"
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_imports_only_the_standard_library(path):
-    # the package has no runtime dependencies: a module imports the standard
-    # library or the package itself
+def absolute_imports(path):
+    """The modules a source file imports by absolute name."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     names = []
     for node in ast.walk(tree):
@@ -32,12 +33,49 @@ def test_imports_only_the_standard_library(path):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names.append(node.module)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    # the package has no runtime dependencies: a module imports the standard
+    # library or the package itself
     outside = {
         name
-        for name in names
+        for name in absolute_imports(path)
         if name.partition(".")[0] not in sys.stdlib_module_names | {"binsquares"}
     }
     assert not outside, f"{path.name}: imports {sorted(outside)}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # dataclasses pulls in inspect, ast and tokenize, and each decorator
+    # compiles its methods at import: a cost every cold proof process pays
+    assert "dataclasses" not in absolute_imports(path), f"{path.name} imports dataclasses"
+
+
+def modules_loaded_by(statement, watched):
+    """Which of the ``watched`` modules the import ``statement`` loads in a
+    fresh interpreter, beyond those loaded at start-up."""
+    script = (
+        f"import json, sys\nbefore = set(sys.modules)\n{statement}\n"
+        f"print(json.dumps([m for m in {watched!r} if m in set(sys.modules) - before]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    assert modules_loaded_by("import binsquares.cli", ["dataclasses", "inspect"]) == []
+
+
+def test_machine_modules_load_without_the_oracle_and_witness():
+    # the package's exports load on first use, so a refutation job loads
+    # only the machine side
+    watched = ["binsquares.oracle", "binsquares.witness"]
+    assert modules_loaded_by("import binsquares.automata, binsquares.lemma_machines", watched) == []
 
 
 def package_imports(name):
@@ -118,6 +156,13 @@ def test_every_exported_name_resolves():
     # a name dropped from the package must leave __all__ with it
     missing = [name for name in binsquares.__all__ if not hasattr(binsquares, name)]
     assert not missing, f"__all__ names {missing}, which the package lacks"
+
+
+def test_dir_and_star_import_cover_every_exported_name():
+    assert set(binsquares.__all__) <= set(dir(binsquares))
+    namespace = {}
+    exec("from binsquares import *", namespace)
+    assert set(binsquares.__all__) <= set(namespace)
 
 
 def test_readme_library_examples_run():
