@@ -222,23 +222,19 @@ class NfaBuilder:
         )
 
 
-def co_reachable(
-    transitions: Sequence[Mapping[int, Iterable[int]]], targets: Iterable[int]
-) -> list[int]:
-    """The states with a path to one of ``targets``, in increasing order."""
-    reverse: list[list[int]] = [[] for _ in transitions]
-    for src, row in enumerate(transitions):
-        for dsts in row.values():
-            for d in dsts:
-                reverse[d].append(src)
-    backward = set(targets)
-    stack = list(backward)
+def co_reachable(predecessors: Sequence[Iterable[int]], targets: Iterable[int]) -> list[int]:
+    """The states with a path to one of ``targets``, in increasing order,
+    where ``predecessors[q]`` holds the source of every edge into q."""
+    seen = bytearray(len(predecessors))
+    stack = list(targets)
+    for q in stack:
+        seen[q] = 1
     while stack:
-        for p in reverse[stack.pop()]:
-            if p not in backward:
-                backward.add(p)
+        for p in predecessors[stack.pop()]:
+            if not seen[p]:
+                seen[p] = 1
                 stack.append(p)
-    return sorted(backward)
+    return [q for q, flag in enumerate(seen) if flag]
 
 
 class Quotient(NamedTuple):

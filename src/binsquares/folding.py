@@ -41,6 +41,8 @@ def pair_count(parity: str, length: int) -> int:
     """Pair columns of the fold of a ``length``-bit number of the parity."""
     if parity not in SPAN:
         raise ValueError(f"unknown parity {parity!r}")
+    if not isinstance(length, int) or isinstance(length, bool):
+        raise ValueError(f"length must be an int, not {type(length).__name__}")
     span = SPAN[parity]
     if length % 2 != span % 2:
         raise ValueError(f"length {length} is not {parity}")
@@ -104,7 +106,8 @@ def pair_letters(parity: str) -> dict[str, tuple[int, ...]]:
     }
 
 
-@lru_cache(maxsize=None)
+# typed, so that a length of 11.0 misses the entry of 11 and is refused
+@lru_cache(maxsize=None, typed=True)
 def fold_layout(parity: str, source_length: int, loop: bool) -> tuple[tuple[tuple[str, int], ...], ...]:
     """The tag chain of the folds of a length: the (tag, next position)
     moves of each position, pairs first, then the tail singles; the last

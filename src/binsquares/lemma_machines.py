@@ -42,9 +42,9 @@ output letters, depend on the position, the slots and the powers used so
 far, never on the two carries or the seam carry.  So a shape's table
 interns each (position, slots, used) as one node and expands it once, and
 every member of the shape walks states (node, low carry, high carry) that
-only add their carries to the sums.  A family walks each member into raw
-rows, keeps the states that can still reach acceptance, and writes only
-those straight into its union.
+only add their carries to the sums.  A family walks each member once into
+flat edge lists and predecessor lists, keeps the states that can still
+reach acceptance, and writes only those straight into its union.
 
 Each family's theorem is proved on its cover (``FAMILY_COVERS``), a
 sub-list of its members whose union still accepts every word the syntax
@@ -98,6 +98,10 @@ class Summand(namedtuple("Summand", "offset count top")):
     __slots__ = ()
 
     def __new__(cls, offset: int, count: int, top: str = "exact") -> Summand:
+        for name, value in (("offset", offset), ("count", count)):
+            # a bool would pass for 0 or 1
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"summand {name} must be an int, not {type(value).__name__}")
         if count < 0:
             raise ValueError("summand count must be >= 0")
         if top not in TOP_KINDS:
@@ -184,9 +188,9 @@ class _ShapeTable:
         self.node_keys: list[tuple] = []
         self._node_ids: dict[tuple, int] = {}
         # move lists by node while members are walked, and the (moves,
-        # records) of each node an edge decode has expanded
+        # records) by target node of each node an edge decode has expanded
         self._moves: dict[int, list] = {}
-        self._decoded: dict[int, tuple[list, list]] = {}
+        self._decoded: dict[int, dict[int, tuple[list, list]]] = {}
         slots = tuple(((), ()) if a else () for a in self.aligns)
         self._node((0, slots, 0))
 
@@ -241,16 +245,25 @@ class _ShapeTable:
             out.append((letters[(total_hi & 1) << 1 | total_lo & 1], dst))
         return out
 
-    def walk(self, carry: int) -> tuple[list[dict[int, set[int]]], list[tuple], int | None]:
-        """One member's reachable states, numbered in worklist order: its
-        rows (symbol id -> successor ids), the state of each id, and the id
-        of the accept state if a word reaches it."""
+    def walk(
+        self, carry: int
+    ) -> tuple[list[list[tuple[int, int]]], list[list[int]], list[tuple], int | None]:
+        """One member's reachable states, numbered in worklist order, in one
+        pass over its edges: per id its (symbol id, successor id) pairs in
+        landing order and the ids of its predecessors, one per edge, then the
+        state of each id and the id of the accept state if a word reaches it.
+        Distinct moves of a node land on distinct pairs, since the symbol
+        and the successor's carries give back both adds, and identical
+        moves count once, so no pair repeats."""
+        if not isinstance(carry, int) or isinstance(carry, bool):
+            raise ValueError(f"seam carry must be an int, not {type(carry).__name__}")
         if carry < 0:
             raise ValueError("seam carry must be >= 0")
         moves_of, expand, landings = self._moves, self.expand, self.landings
         states = [(0, 0, carry)]  # the low chain starts at zero
         ids = {states[0]: 0}
-        rows: list[dict[int, set[int]]] = [{}]
+        edges: list[list[tuple[int, int]]] = [[]]
+        preds: list[list[int]] = [[]]
         work = [0]
         while work:
             q = work.pop()
@@ -260,35 +273,39 @@ class _ShapeTable:
                 continue  # the accept state has no moves
             moves = moves_of.get(node)
             if moves is None:
-                moves = moves_of[node] = expand(node)[0]
-            row = rows[q]
-            for landing in landings(moves, state, carry):
-                if landing is None:
-                    continue
-                sym, dst = landing
+                moves = moves_of[node] = list(dict.fromkeys(expand(node)[0]))
+            out = edges[q]
+            for sym, dst in filter(None, landings(moves, state, carry)):
                 d = ids.get(dst)
                 if d is None:
                     d = ids[dst] = len(states)
                     states.append(dst)
-                    rows.append({})
+                    edges.append([])
+                    preds.append([q])
                     work.append(d)
-                dsts = row.get(sym)
-                if dsts is None:
-                    row[sym] = {d}
                 else:
-                    dsts.add(d)
-        return rows, states, ids.get(_ACCEPT)
+                    preds[d].append(q)
+                out.append((sym, d))
+        return edges, preds, states, ids.get(_ACCEPT)
 
     def decode(self, src: tuple, sym_id: int, dst: tuple, carry: int) -> set[tuple]:
         """The guess records of the moves that take the state ``src`` over
         ``sym_id`` to the state ``dst`` in the member with this seam carry;
-        the moves are those of the node of ``src``."""
+        the moves are those of the node of ``src`` into the node of ``dst``."""
         node = src[0]
         if node < 0:
             return set()  # the accept state has no moves
-        if node not in self._decoded:
-            self._decoded[node] = self.expand(node)
-        moves, records = self._decoded[node]
+        by_target = self._decoded.get(node)
+        if by_target is None:
+            # the node's moves and records, grouped by target node once
+            by_target = self._decoded[node] = {}
+            for move, record in zip(*self.expand(node)):
+                group = by_target.get(move[2])
+                if group is None:
+                    group = by_target[move[2]] = ([], [])
+                group[0].append(move)
+                group[1].append(record)
+        moves, records = by_target.get(dst[0], ((), ()))
         landings = self.landings(moves, src, carry)
         return {rec for rec, landing in zip(records, landings) if landing == (sym_id, dst)}
 
@@ -493,15 +510,31 @@ class _ShapeTable:
         return 0, slot
 
 
+def _row(pairs: list[tuple[int, int]], remap) -> dict[int, tuple[int, ...]]:
+    """A row from a state's walk pairs: symbols in first-landing order, each
+    with its successors' ids under ``remap`` in increasing order, where -1
+    marks a dropped successor and a symbol left with none drops out."""
+    row: dict[int, list[int]] = {}
+    for sym, d in pairs:
+        d = remap[d]
+        if sym in row:
+            if d >= 0:
+                row[sym].append(d)
+        else:
+            row[sym] = [d] if d >= 0 else []
+    return {sym: tuple(sorted(dsts)) for sym, dsts in row.items() if dsts}
+
+
 def _walked_machine(table: _ShapeTable, carry: int) -> Nfa:
     """The member of a shape with this seam carry, dead states included."""
-    rows, _, accept = table.walk(carry)
+    edges, _, _, accept = table.walk(carry)
+    identity = range(len(edges))
     return Nfa(
         alphabet=alphabet_for(table.parity),
-        num_states=len(rows),
+        num_states=len(edges),
         initial=frozenset({0}),
         final=frozenset(() if accept is None else (accept,)),
-        transitions=[{sym: tuple(sorted(dsts)) for sym, dsts in row.items()} for row in rows],
+        transitions=[_row(pairs, identity) for pairs in edges],
     )
 
 
@@ -630,7 +663,10 @@ TARGETS = {
 
 def select_profiles(name: str, labels: tuple[str, ...]) -> tuple[Profile, ...]:
     """The profiles of a named family with these labels, in family order.
-    Raises :class:`ValueError` for a label the family does not have."""
+    Raises :class:`ValueError` for a label the family does not have, or for
+    a bare string, which would read as its characters."""
+    if isinstance(labels, str):
+        raise ValueError(f"labels must be a collection of labels, not the string {labels!r}")
     profiles = family_profiles(name)
     unknown = set(labels) - {p.label for p in profiles}
     if unknown:
@@ -667,11 +703,14 @@ class FamilyRuntime:
     (:func:`family_runtime`) or its cover (:func:`cover_runtime`); a tuple
     with no profile, or with both parities, raises :class:`ValueError`.
 
-    Each member is walked into raw rows, and only its live states, those
-    that can still reach acceptance, are written into the union, so the
-    union is trim as it stands and its states number the members one after
-    another.  Only the union is kept: each member is the block of states
-    from its start up to the next member's, and no edge leaves its block.
+    Each member is walked once into flat (symbol, successor) lists, with
+    the predecessors of every state recorded as its edges are found.  A
+    backward search over those marks the live states, those that can still
+    reach acceptance, and only they are written into the union, through a
+    list from walk id to union id, so the union is trim as it stands and its
+    states number the members one after another.  Only the union is kept:
+    each member is the block of states from its start up to the next
+    member's, and no edge leaves its block.
     """
 
     def __init__(self, profiles: tuple[Profile, ...]):
@@ -683,25 +722,23 @@ class FamilyRuntime:
         starts, states, initial, final = [], [], [], []
         self.generated_states = self.generated_transitions = 0
         for p in self.profiles:
-            table = self._tables[p]
-            raw, walked, accept = table.walk(p.carry)
-            self.generated_states += len(raw)
-            self.generated_transitions += sum(len(d) for row in raw for d in row.values())
-            live = co_reachable(raw, () if accept is None else (accept,))
+            edges, preds, walked, accept = self._tables[p].walk(p.carry)
+            self.generated_states += len(edges)
+            self.generated_transitions += sum(map(len, edges))
+            live = co_reachable(preds, () if accept is None else (accept,))
             offset = len(rows)
-            remap = dict(zip(live, range(offset, offset + len(live))))
-            for q in live:
-                row = {}
-                for sym, dsts in raw[q].items():
-                    kept = sorted(remap[d] for d in dsts if d in remap)
-                    if kept:
-                        row[sym] = tuple(kept)
-                rows.append(row)
+            # union id by walk id, -1 for a dead state
+            remap = [-1] * len(edges)
+            for new, q in enumerate(live, offset):
+                remap[q] = new
+            rows += [_row(edges[q], remap) for q in live]
             if live:
                 initial.append(offset)
                 final.append(remap[accept])
             starts.append(offset)
             states += [walked[q] for q in live]
+            # free this member's walk before the next member's is built
+            del edges, preds, walked
         self.generator_nodes = 0
         for table in set(self._tables.values()):
             table.drop_moves()

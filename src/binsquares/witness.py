@@ -76,9 +76,10 @@ class Decomposition(
     ``states_visited``, the states of the path search's backward masks
     summed over word positions, each mask holding the states from which the
     rest of the word is accepted, ``frontier_max``, the widest of those
-    masks, ``stage_seconds``, the seconds of each stage by name: "fold" the
-    value, find the accepting "path", "replay" it into summands and
-    "verify" the result, ``path_memo_hits``, the path search's backward
+    masks, ``stage_seconds``, the seconds of each stage by name: "build"
+    the cover runtime and its path kernel, which only the family's first
+    request does, "fold" the value, find the accepting "path", "replay" it
+    into summands and "verify" the result, ``path_memo_hits``, the path search's backward
     steps that the cover kernel's memo answered, and ``path_table_builds``,
     the chunk-table entries the other steps built.  Table-backed results
     leave these empty, with both counts None.  The stage seconds depend on
@@ -147,16 +148,24 @@ class Decomposition(
 def _machine_decompose(value: int, family: str):
     """The squares and powers of two on an accepting path, with the path's
     statistics and stage seconds as :class:`Decomposition` fields."""
-    runtime = cover_runtime(family)
     started = time.perf_counter()
+    # the cover runtime and its kernel are built on first use, then cached
+    runtime = cover_runtime(family)
+    kernel = runtime.kernel
+    built = time.perf_counter()
     word = fold(value)
     folded = time.perf_counter()
-    path = accepting_path(runtime.kernel, word.ids)
+    path = accepting_path(kernel, word.ids)
     if path.states is None:
         raise NotRepresentable(value, family)
     found = time.perf_counter()
     profile, squares, powers = runtime.replay(word, path.states)
-    seconds = {"fold": folded - started, "path": found - folded, "replay": time.perf_counter() - found}
+    seconds = {
+        "build": built - started,
+        "fold": folded - built,
+        "path": found - folded,
+        "replay": time.perf_counter() - found,
+    }
     stats = {
         "profile": profile.label,
         "states_visited": path.visited,

@@ -123,12 +123,15 @@ def test_machine_rejects_a_malformed_table():
 def test_co_reachable_matches_frozenset_simulation():
     # a state with a path to a final state has one of fewer letters than
     # there are states; Nfa.accepts steps frozensets forward and shares no
-    # code with the reverse walk
+    # code with the backward search over predecessor lists
     rng = random.Random(14)
     dead = 0
     for _ in range(20):
         m = random_nfa(rng, BITS, 5)
-        found = co_reachable(m.transitions, m.final)
+        predecessors = [[] for _ in range(m.num_states)]
+        for src, _, dst in m.walk():
+            predecessors[dst].append(src)
+        found = co_reachable(predecessors, m.final)
         assert found == sorted(found)
         expected = []
         for q in range(m.num_states):

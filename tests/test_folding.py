@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from binsquares.automata import Symbol
 from binsquares.folding import (
+    LOOP_MIN,
     SINGLE_TAGS,
     FoldedWord,
     alphabet_for,
@@ -205,6 +206,14 @@ def test_checker_bounds_are_validated():
         syntax_checker("even", 13)
     with pytest.raises(ValueError):
         syntax_checker("even", 10)
+
+
+@pytest.mark.parametrize("parity, length", [("odd", 11.0), ("even", 12.0), ("odd", True), ("odd", "11")])
+def test_checker_length_must_be_an_int(parity, length):
+    # the layouts are cached, and 11.0 == 11 must not find the entry of 11
+    syntax_checker(parity, LOOP_MIN[parity])
+    with pytest.raises(ValueError, match="length must be an int"):
+        syntax_checker(parity, length)
 
 
 def test_odd_checker_language():

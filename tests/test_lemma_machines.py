@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binsquares import lemma_machines
-from binsquares.automata import Nfa, co_reachable, includes, quotient
+from binsquares.automata import Nfa, includes, quotient
 from binsquares.folding import LOOP_MIN, alphabet_for, fold, fold_layout, syntax_checker, unfold
 from binsquares.lemma_machines import (
     FAMILY_COVERS,
@@ -255,7 +255,7 @@ def test_families_ship_exactly_the_carries_that_accept_a_word(name):
         p = next(p for p in family_profiles(name) if p.summands == summands)
         for m in range(p.total_count() + p.max_powers):
             nfa = uniform_machine(p.parity, summands, m, p.max_powers)
-            accepts_a_word = not nfa.initial.isdisjoint(co_reachable(nfa.transitions, nfa.final))
+            accepts_a_word = not nfa.initial.isdisjoint(reference_live(nfa.transitions, nfa.final))
             if accepts_a_word != (m in carries):
                 wrong.append((tuple(s.count for s in summands), m))
     assert not wrong
@@ -446,7 +446,7 @@ def test_family_union_of_trimmed_members_is_trim(name):
     # every state has a path to a final state and is reached from an
     # initial one
     every_state = list(range(combined.num_states))
-    assert co_reachable(combined.transitions, combined.final) == every_state
+    assert reference_live(combined.transitions, combined.final) == frozenset(every_state)
     reached, stack = set(combined.initial), list(combined.initial)
     while stack:
         for dsts in combined.transitions[stack.pop()].values():
@@ -570,6 +570,136 @@ def test_generated_counts_cover_the_untrimmed_members(name):
     assert (runtime.generated_states, runtime.generated_transitions) == (states, transitions)
     assert states > runtime.union.num_states
     assert transitions > runtime.union.num_transitions()
+
+
+# -- the build against a reference pipeline ---------------------------------
+#
+# The reference walks a member into dict-of-set rows with the shape table's
+# moves and landing rule, keeps its live states by a frozenset closure and
+# writes them into the union through a dict remap, one sorted successor
+# tuple per symbol.  It shares no code with the runtime's flat edge lists,
+# predecessor lists and list remap.
+
+
+def reference_walk(table, carry):
+    """A member's rows (symbol id -> set of successor ids, symbols in first
+    landing order), the walk state of each id and the accept state's id."""
+    states = [(0, 0, carry)]
+    ids = {states[0]: 0}
+    rows = [{}]
+    work = [0]
+    moves_of = {}
+    while work:
+        q = work.pop()
+        node = states[q][0]
+        if node < 0:
+            continue
+        if node not in moves_of:
+            moves_of[node] = table.expand(node)[0]
+        for landing in table.landings(moves_of[node], states[q], carry):
+            if landing is None:
+                continue
+            sym, dst = landing
+            if dst not in ids:
+                ids[dst] = len(states)
+                states.append(dst)
+                rows.append({})
+                work.append(ids[dst])
+            rows[q].setdefault(sym, set()).add(ids[dst])
+    return rows, states, ids.get((-1, 0, 0))
+
+
+def reference_live(rows, targets):
+    """The states with a path into ``targets``: grown a layer at a time
+    until no state outside has an edge into it."""
+    live = frozenset(targets)
+    while True:
+        layer = frozenset(
+            q
+            for q, row in enumerate(rows)
+            if q not in live and any(not live.isdisjoint(dsts) for dsts in row.values())
+        )
+        if not layer:
+            return live
+        live |= layer
+
+
+def reference_build(profiles):
+    """The union rows as (symbol, successors) lists, with the walk states,
+    starts, initial and final states and generated totals of a runtime."""
+    tables = lemma_machines._shape_tables(profiles)
+    rows, states, starts, initial, final = [], [], [], [], []
+    generated_states = generated_transitions = 0
+    for p in profiles:
+        raw, walked, accept = reference_walk(tables[p], p.carry)
+        generated_states += len(raw)
+        generated_transitions += sum(len(dsts) for row in raw for dsts in row.values())
+        live = sorted(reference_live(raw, () if accept is None else (accept,)))
+        offset = len(rows)
+        remap = {q: offset + k for k, q in enumerate(live)}
+        for q in live:
+            row = []
+            for sym, dsts in raw[q].items():
+                kept = sorted(remap[d] for d in dsts if d in remap)
+                if kept:
+                    row.append((sym, tuple(kept)))
+            rows.append(row)
+        if live:
+            initial.append(offset)
+            final.append(remap[accept])
+        starts.append(offset)
+        states += [walked[q] for q in live]
+    return {
+        "rows": rows,
+        "states": tuple(states),
+        "starts": tuple(starts),
+        "initial": frozenset(initial),
+        "final": frozenset(final),
+        "generated": (generated_states, generated_transitions),
+    }
+
+
+def built(runtime):
+    union = runtime.union
+    return {
+        "rows": [list(row.items()) for row in union.transitions],
+        "states": runtime.states,
+        "starts": runtime.starts,
+        "initial": union.initial,
+        "final": union.final,
+        "generated": (runtime.generated_states, runtime.generated_transitions),
+    }
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_runtimes_match_the_reference_build(name):
+    for runtime in (family_runtime(name), cover_runtime(name)):
+        assert built(runtime) == reference_build(runtime.profiles)
+
+
+# (parity, summands, carry, max powers, fixed source length or None); the
+# two equal summands give nodes with identical moves, which land alike
+WALKED_SHAPES = [
+    ("odd", (Summand(1, 1), Summand(3, 1), Summand(5, 1)), 1, 0, None),
+    ("odd", (Summand(1, 1), Summand(1, 1)), 1, 0, None),
+    ("even", (Summand(2, 1, "free"), Summand(4, 1)), 1, 2, None),
+    ("odd", (Summand(1, 1), Summand(3, 1)), 1, 0, 9),
+    ("even", (Summand(2, 3), Summand(4, 1)), 2, 0, 12),
+]
+
+
+@pytest.mark.parametrize("parity, summands, carry, max_powers, n", WALKED_SHAPES)
+def test_walked_machines_match_the_reference_walk(parity, summands, carry, max_powers, n):
+    if n is None:
+        nfa = uniform_machine(parity, summands, carry, max_powers)
+    else:
+        nfa = fixed_machine(parity, n, summands, carry, max_powers)
+    rows, _, accept = reference_walk(_ShapeTable(parity, summands, max_powers, n), carry)
+    assert [list(row.items()) for row in nfa.transitions] == [
+        [(sym, tuple(sorted(dsts))) for sym, dsts in row.items()] for row in rows
+    ]
+    assert nfa.initial == {0}
+    assert nfa.final == (set() if accept is None else {accept})
 
 
 # -- accept sets against the frozenset simulator ---------------------------
@@ -830,6 +960,27 @@ def test_an_unknown_cover_label_or_family_is_refused():
         select_profiles("generalized-odd", ("G(0)", "G(3)"))
     with pytest.raises(ValueError, match="unknown machine family"):
         cover_runtime("no-such-family")
+
+
+def test_a_bare_label_string_is_refused():
+    # a string is a collection of its characters, none of them a label
+    with pytest.raises(ValueError, match="not the string 'A\\(1,1,1\\)'"):
+        select_profiles("a-odd", "A(1,1,1)")
+    assert [p.label for p in select_profiles("a-odd", ["A(1,1,1)"])] == ["A(1,1,1)"]
+
+
+@pytest.mark.parametrize("offset, count", [(1, 1.5), (1, True), (1.0, 1), (False, 1), (1, "1")])
+def test_summand_offset_and_count_must_be_ints(offset, count):
+    with pytest.raises(ValueError, match="must be an int"):
+        Summand(offset, count)
+
+
+@pytest.mark.parametrize("carry", [1.0, True, "1"])
+def test_seam_carry_must_be_an_int(carry):
+    with pytest.raises(ValueError, match="seam carry must be an int"):
+        uniform_machine("odd", (Summand(1, 1), Summand(3, 1)), carry)
+    with pytest.raises(ValueError, match="seam carry must be an int"):
+        fixed_machine("odd", 11, (Summand(1, 1), Summand(3, 1)), carry)
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)

@@ -406,7 +406,7 @@ def test_machine_results_time_their_stages():
     value = (1 << 300) + 987654321
     for fn, _ in MODES.values():
         d = fn(value)
-        assert list(d.stage_seconds) == ["fold", "path", "replay", "verify"]
+        assert list(d.stage_seconds) == ["build", "fold", "path", "replay", "verify"]
         assert min(d.stage_seconds.values()) >= 0 and d.stage_seconds["path"] > 0
         # the timings take no part in comparing results
         assert d == fn(value)
