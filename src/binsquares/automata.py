@@ -2,8 +2,11 @@
 
 Machines are immutable once built: states are dense ints, symbols are interned
 to dense ids through an :class:`Alphabet`, and the transition table is a
-per-state dict from symbol id to a tuple of successors.  There are no epsilon
-moves.  Multiple initial states are allowed.
+per-state dict from symbol id to a tuple of successors, which the modules
+that generate machines write directly.  There are no epsilon moves.
+Multiple initial states are allowed.  Symbols are opaque here: any sortable,
+hashable values, shown with ``str``; what a letter means is known only to
+the module that makes it.
 
 Two kernels step state sets as int bitsets, a chunk of states at a time
 through lazily filled tables of neighbour masks, each in one direction.
@@ -35,10 +38,10 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import deque, namedtuple
+from collections import deque
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 # the array typecode of an unsigned 32-bit int; "Q" is one of 64 bits
 _UINT32 = next(code for code in "IL" if array(code).itemsize == 4)
@@ -68,52 +71,26 @@ _TABLE_LIMIT = 256
 _MEMO_LIMIT = 8192
 
 
-class Symbol(namedtuple("Symbol", "tag bits")):
-    """One letter of a folded word: a ``tag`` plus a tuple of one or two
-    ``bits``.
-
-    Two bits make a fold pair (high half bit first), one bit a tail single.
-    Symbols order as (tag, bits) tuples, which sets every alphabet's order.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, tag: str, bits: tuple[int, ...]) -> Symbol:
-        # 1.0 and True compare equal to 1 but are not bits
-        bits_ok = all(type(b) is int and b in (0, 1) for b in bits)
-        if len(bits) not in (1, 2) or not bits_ok:
-            raise ValueError(f"malformed symbol payload: {bits!r}")
-        return super().__new__(cls, tag, bits)
-
-    @property
-    def is_pair(self) -> bool:
-        return len(self.bits) == 2
-
-    def render(self) -> str:
-        if self.is_pair:
-            return f"[{self.bits[0]},{self.bits[1]}]{self.tag}"
-        return f"{self.bits[0]}{self.tag}"
-
-
 class Alphabet:
-    """Interned, ordered symbol set shared by the machines that speak it."""
+    """Interned, ordered symbol set shared by the machines that speak it:
+    ``symbols`` in sorted order, and ``ids`` maps each to its index there."""
 
-    def __init__(self, symbols: Iterable[Symbol]):
-        self.symbols: tuple[Symbol, ...] = tuple(sorted(set(symbols)))
+    def __init__(self, symbols: Iterable[Hashable]):
+        self.symbols: tuple[Hashable, ...] = tuple(sorted(set(symbols)))
         if not self.symbols:
             raise ValueError("alphabet cannot be empty")
-        self._ids: dict[Symbol, int] = {s: i for i, s in enumerate(self.symbols)}
+        self.ids: dict[Hashable, int] = {s: i for i, s in enumerate(self.symbols)}
 
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def id_of(self, symbol: Symbol) -> int:
+    def id_of(self, symbol: Hashable) -> int:
         try:
-            return self._ids[symbol]
+            return self.ids[symbol]
         except KeyError:
-            raise KeyError(f"symbol {symbol.render()} not in alphabet") from None
+            raise KeyError(f"symbol {symbol} not in alphabet") from None
 
-    def decode(self, ids: Iterable[int]) -> tuple[Symbol, ...]:
+    def decode(self, ids: Iterable[int]) -> tuple[Hashable, ...]:
         return tuple(self.symbols[i] for i in ids)
 
 
@@ -158,7 +135,7 @@ class Nfa:
             out.update(self.transitions[q].get(sym_id, ()))
         return frozenset(out)
 
-    def accepts(self, word: Iterable[Symbol]) -> bool:
+    def accepts(self, word: Iterable[Hashable]) -> bool:
         frontier = self.initial
         for symbol in word:
             if not frontier:
@@ -171,55 +148,6 @@ class Nfa:
             for sym_id, dsts in row.items():
                 for dst in dsts:
                     yield src, sym_id, dst
-
-
-class NfaBuilder:
-    """Accumulates states and edges, then freezes into an :class:`Nfa`.
-
-    States are interned by an arbitrary hashable key, so generators can work
-    with structured descriptions and never see raw ids.
-    """
-
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self._ids: dict[object, int] = {}
-        self._edges: list[dict[int, set[int]]] = []
-        self._initial: set[int] = set()
-        self._final: set[int] = set()
-
-    def state(self, key: object) -> int:
-        q = self._ids.get(key)
-        if q is None:
-            q = self._ids[key] = len(self._edges)
-            self._edges.append({})
-        return q
-
-    def mark_initial(self, key: object) -> None:
-        self._initial.add(self.state(key))
-
-    def mark_final(self, key: object) -> None:
-        self._final.add(self.state(key))
-
-    def add_edge(self, src: object, symbol: Symbol | int, dst: object) -> None:
-        """Add the edge src -> dst on ``symbol``, a letter of the alphabet or
-        its id, interning new state keys."""
-        s, d = self.state(src), self.state(dst)
-        sym_id = symbol if isinstance(symbol, int) else self.alphabet.id_of(symbol)
-        self._edges[s].setdefault(sym_id, set()).add(d)
-
-    def build(self) -> Nfa:
-        n = len(self._ids)
-        table: list[dict[int, tuple[int, ...]]] = [
-            {sym: tuple(sorted(dsts)) for sym, dsts in self._edges[q].items()}
-            for q in range(n)
-        ]
-        return Nfa(
-            alphabet=self.alphabet,
-            num_states=n,
-            initial=frozenset(self._initial),
-            final=frozenset(self._final),
-            transitions=table,
-        )
 
 
 def co_reachable(predecessors: Sequence[Iterable[int]], targets: Iterable[int]) -> list[int]:
@@ -342,7 +270,7 @@ class InclusionResult(NamedTuple):
     """
 
     holds: bool
-    counterexample: tuple[Symbol, ...] | None
+    counterexample: tuple[Hashable, ...] | None
     explored: int
     subset_steps: int
     antichain_peak: int
@@ -534,9 +462,9 @@ def accepting_path(compiled: PathKernel, symbol_ids: Sequence[int]) -> Accepting
     The run starts at the lowest initial state of the first mask, and a
     greedy walk then takes at every step the first successor, in the
     current state's successor tuple, that lies in the next mask; every
-    builder of this module and the family runtimes writes those tuples in
-    increasing order.  The result is the lexicographically least accepting
-    state sequence.
+    machine the package writes, from the syntax checkers to the family
+    runtimes and their quotients, holds those tuples in increasing order.
+    The result is the lexicographically least accepting state sequence.
     """
     hits, builds = compiled.memo_hits, compiled.table_builds
     alive = [0] * len(symbol_ids) + [compiled.final]
@@ -693,9 +621,7 @@ def to_dot(nfa: Nfa, name: str = "machine") -> str:
         lines.append(f"  start{i} -> q{q};")
     grouped: dict[tuple[int, int], list[str]] = {}
     for src, sym_id, dst in nfa.walk():
-        grouped.setdefault((src, dst), []).append(
-            nfa.alphabet.symbols[sym_id].render()
-        )
+        grouped.setdefault((src, dst), []).append(str(nfa.alphabet.symbols[sym_id]))
     for (src, dst), labels in sorted(grouped.items()):
         text = ", ".join(sorted(labels))
         lines.append(f'  q{src} -> q{dst} [label="{text}"];')
@@ -705,17 +631,13 @@ def to_dot(nfa: Nfa, name: str = "machine") -> str:
 
 def to_automata_script(nfa: Nfa, name: str = "machine") -> str:
     """NestedWordAutomaton text block (internal transitions only)."""
-
-    def sym_name(symbol: Symbol) -> str:
-        return f'"{symbol.render()}"'
-
     used = sorted({sym_id for _, sym_id, _ in nfa.walk()})
-    letters = ", ".join(sym_name(nfa.alphabet.symbols[i]) for i in used)
+    letters = ", ".join(f'"{nfa.alphabet.symbols[i]}"' for i in used)
     states = " ".join(f'"q{q}"' for q in range(nfa.num_states))
     initial = " ".join(f'"q{q}"' for q in sorted(nfa.initial))
     final = " ".join(f'"q{q}"' for q in sorted(nfa.final))
     edges = "\n".join(
-        f'    ("q{src}" {sym_name(nfa.alphabet.symbols[sym_id])} "q{dst}")'
+        f'    ("q{src}" "{nfa.alphabet.symbols[sym_id]}" "q{dst}")'
         for src, sym_id, dst in sorted(nfa.walk())
     )
     return (

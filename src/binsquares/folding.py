@@ -11,19 +11,22 @@ into pairs tagged a b c...c d e and keep four singles f g h i, the last
 being the leading 1.  Short words truncate the tag runs: the interior run
 (a for odd, c for even) empties first, then b drops, then a.
 
-This module is the only one that knows the folded word.  Letters travel as
-ids: one ``(tag, bits) -> id`` table per parity (:func:`letter_ids`) numbers
-them, and :func:`fold` reads a value's bits straight into that table.  One
-layout table (:func:`fold_layout`) gives the tag moves of each position, and
-drives both the syntax checkers and the machine generators.
+This module is the only one that knows the folded word: a letter is a
+:class:`Symbol`, and :mod:`automata` only sorts, hashes and prints them.
+Letters travel as ids: the ``ids`` of each parity's alphabet
+(:func:`alphabet_for`) are the one ``(tag, bits) -> id`` table, and
+:func:`fold` reads a value's bits straight into it.  One layout table
+(:func:`fold_layout`) gives the tag moves of each position, and drives both
+the syntax checkers and the machine generators.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .automata import Alphabet, Nfa, NfaBuilder, Symbol
+from .automata import Alphabet, Nfa
 from .numberforms import from_bits, to_bits
 
 PAIR_TAGS = ("a", "b", "c", "d", "e")
@@ -35,6 +38,38 @@ SPAN = {parity: len(tags) for parity, tags in SINGLE_TAGS.items()}
 # starts where the fold has an a pair (odd) or an a and a b pair (even)
 INTERIOR = {"odd": "a", "even": "c"}
 LOOP_MIN = {"odd": 11, "even": 12}
+
+
+class Symbol(namedtuple("Symbol", "tag bits")):
+    """One letter of a folded word: a ``tag`` plus a tuple of one or two
+    ``bits``.
+
+    Two bits make a fold pair (high half bit first), one bit a tail single.
+    Symbols order as (tag, bits) tuples, which sets every alphabet's order,
+    and hash as them, so an alphabet's ``ids`` answer (tag, bits) keys.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tag: str, bits: tuple[int, ...]) -> Symbol:
+        if not isinstance(tag, str) or not isinstance(bits, tuple):
+            raise ValueError(f"malformed symbol: {tag!r}, {bits!r}")
+        # 1.0 and True compare equal to 1 but are not bits
+        bits_ok = all(type(b) is int and b in (0, 1) for b in bits)
+        if len(bits) not in (1, 2) or not bits_ok:
+            raise ValueError(f"malformed symbol payload: {bits!r}")
+        return super().__new__(cls, tag, bits)
+
+    @property
+    def is_pair(self) -> bool:
+        return len(self.bits) == 2
+
+    def render(self) -> str:
+        if self.is_pair:
+            return f"[{self.bits[0]},{self.bits[1]}]{self.tag}"
+        return f"{self.bits[0]}{self.tag}"
+
+    __str__ = render
 
 
 def pair_count(parity: str, length: int) -> int:
@@ -76,30 +111,19 @@ def alphabet_for(parity: str) -> Alphabet:
     Final singles exist only with bit 1: a canonical number always has a
     leading 1, so 0f (odd) and 0i (even) label no word at all.
     """
-    symbols = [Symbol(tag, (hi, lo)) for tag in PAIR_TAGS for hi in (0, 1) for lo in (0, 1)]
-    if parity == "odd":
-        symbols.append(Symbol("f", (1,)))
-    elif parity == "even":
-        for tag in ("f", "g", "h"):
-            symbols.append(Symbol(tag, (0,)))
-            symbols.append(Symbol(tag, (1,)))
-        symbols.append(Symbol("i", (1,)))
-    else:
+    if parity not in SINGLE_TAGS:
         raise ValueError(f"unknown parity {parity!r}")
-    return Alphabet(symbols)
-
-
-@lru_cache(maxsize=None)
-def letter_ids(parity: str) -> dict[tuple[str, tuple[int, ...]], int]:
-    """The id of each letter of the parity's alphabet, by (tag, bits)."""
-    return {(s.tag, s.bits): k for k, s in enumerate(alphabet_for(parity).symbols)}
+    *inner, last = SINGLE_TAGS[parity]
+    pairs = [Symbol(tag, (hi, lo)) for tag in PAIR_TAGS for hi in (0, 1) for lo in (0, 1)]
+    singles = [Symbol(tag, (bit,)) for tag in inner for bit in (0, 1)]
+    return Alphabet(pairs + singles + [Symbol(last, (1,))])
 
 
 @lru_cache(maxsize=None)
 def pair_letters(parity: str) -> dict[str, tuple[int, ...]]:
     """Per pair tag, the ids of its four letters, indexed by 2 * high bit +
     low bit."""
-    letters = letter_ids(parity)
+    letters = alphabet_for(parity).ids
     return {
         tag: tuple(letters[tag, (hi, lo)] for hi in (0, 1) for lo in (0, 1))
         for tag in PAIR_TAGS
@@ -161,7 +185,7 @@ def fold(value: int) -> FoldedWord:
     bits = to_bits(value)
     parity = "odd" if len(bits) % 2 else "even"
     i = pair_count(parity, len(bits))
-    quads, letters = pair_letters(parity), letter_ids(parity)
+    quads, letters = pair_letters(parity), alphabet_for(parity).ids
     ids = [quads[tag][2 * hi + lo] for tag, hi, lo in zip(pair_tags(parity, i), bits[i:], bits)]
     ids += [letters[tag, (bits[2 * i + t],)] for t, tag in enumerate(SINGLE_TAGS[parity])]
     return FoldedWord(parity, tuple(ids))
@@ -204,16 +228,14 @@ def syntax_checker(parity: str, min_source_length: int) -> Nfa:
     add one more interior pair, so one looping state covers all lengths.
     """
     layout = fold_layout(parity, min_source_length, True)
-    letters = letter_ids(parity)
-    builder = NfaBuilder(alphabet_for(parity))
-    builder.mark_initial(0)
-    for pos, moves in enumerate(layout):
-        for tag, nxt in moves:
-            for (letter_tag, _), sym_id in letters.items():
-                if letter_tag == tag:
-                    builder.add_edge(pos, sym_id, nxt)
-    builder.mark_final(len(layout) - 1)
-    return builder.build()
+    alphabet = alphabet_for(parity)
+    # state k is position k; each row takes its moves in order, and a tag's
+    # letters in id order
+    rows = [
+        {sym_id: (nxt,) for tag, nxt in moves for letter, sym_id in alphabet.ids.items() if letter.tag == tag}
+        for moves in layout
+    ]
+    return Nfa(alphabet, len(layout), frozenset({0}), frozenset({len(layout) - 1}), rows)
 
 
 def render_word(symbols: Iterable[Symbol]) -> str:

@@ -78,7 +78,6 @@ from .folding import (
     FoldedWord,
     alphabet_for,
     fold_layout,
-    letter_ids,
     pair_count,
     pair_letters,
     pair_tags,
@@ -163,6 +162,9 @@ class _ShapeTable:
     ) -> None:
         if parity not in ("odd", "even"):
             raise ValueError("parity must be 'odd' or 'even'")
+        # a bool would pass for 0 or 1, and a negative budget walks no node
+        if not isinstance(max_powers, int) or isinstance(max_powers, bool) or max_powers < 0:
+            raise ValueError(f"max_powers must be an int >= 0, not {max_powers!r}")
         self.parity = parity
         self.max_powers = max_powers
         self.active = tuple(s for s in summands if s.count > 0)
@@ -183,7 +185,7 @@ class _ShapeTable:
                     raise ValueError(f"offset {s.offset} needs more pair columns")
                 if a > 0 and self.i < a:
                     raise ValueError(f"offset {s.offset} needs more pair columns")
-        self.letters = letter_ids(parity)
+        self.letters = alphabet_for(parity).ids
         self.pair_letters = pair_letters(parity)
         self.node_keys: list[tuple] = []
         self._node_ids: dict[tuple, int] = {}
@@ -863,7 +865,7 @@ def accept_set(nfa: Nfa, parity: str, source_length: int) -> set[int]:
     i = pair_count(parity, source_length)
     if nfa.alphabet.symbols != alphabet_for(parity).symbols:
         raise ValueError(f"the machine does not read {parity} folds")
-    letters = letter_ids(parity)
+    letters = alphabet_for(parity).ids
     # per word position, the value bits and letter id of each letter it may
     # hold; the leading 0f and 0i are no letters and label no word
     columns = [

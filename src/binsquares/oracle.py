@@ -46,6 +46,13 @@ _CACHED_BITS = 17
 _DENSITY_BLOCK = 1024
 
 
+def _check_ints(**values: object) -> None:
+    # a bool would pass for 0 or 1, and a float dies deep in a sweep
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def _shift_or_level(prev: int, progressions: list[tuple[int, int, int]], bound: int) -> int:
     """The OR of ``prev << g`` over the terms g of the progressions, cut
     to [0, bound).
@@ -118,6 +125,7 @@ def sumset_table(
 ) -> SumsetTable:
     """Build reachability masks.  ``include_zero=False`` drops 0 from the
     ground set, turning level k into sums of exactly k positive members."""
+    _check_ints(bound=bound, max_k=max_k)
     if bound <= 0 or max_k < 0:
         raise ValueError("bound must be positive and max_k non-negative")
     if max_k > MAX_SUMMANDS:
@@ -162,6 +170,7 @@ def _two_square_sums(limit: int) -> int:
 
 def two_squares_density(m: int) -> Fraction:
     """|{x : 1 <= x <= m, x is a sum of two binary squares}| / m, exactly."""
+    _check_ints(m=m)
     if m < 1:
         raise ValueError("m must be positive")
     if m >= MAX_BOUND:
@@ -219,6 +228,7 @@ def lower_density_estimate(bound: int) -> Fraction:
     [bound/4, bound).  Pointwise ratios at round powers sit near the top of
     the oscillation and are not representative.
     """
+    _check_ints(bound=bound)
     if bound < 8:
         raise ValueError("bound too small for a full period")
     # the scan reads no bit past its window, so it shares the [0, bound]
@@ -230,6 +240,7 @@ def lower_density_estimate(bound: int) -> Fraction:
 
 def density_floor_holds(lo: int, hi: int, ratio: Fraction) -> bool:
     """Whether the two-square density is >= ratio for every m in [lo, hi)."""
+    _check_ints(lo=lo, hi=hi)
     if lo < 1:
         raise ValueError("lo must be positive")
     if lo >= hi:
@@ -278,8 +289,7 @@ def sumset_uniqueness(n: int) -> int:
     reached by one right square alone and counted without building its
     2**(n-1) sums.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an int, not {type(n).__name__}")
+    _check_ints(n=n)
     if not 1 <= n <= 12:
         raise ValueError("n must be in [1, 12]")
     left = squares_of_length(2 * n)
@@ -321,8 +331,12 @@ def power_of_two_short_representations(n: int) -> list[tuple[int, ...]]:
     The pairs of summands below 2**n grow about 4 times per step of n, so a
     sweep first marks the sums of exactly two positive binary squares, and
     a smallest summand a whose rest 2**n - a is not one of them is skipped
-    without trying its second summands.
+    without trying its second summands.  n is capped at 25, where the call
+    already allocates about 23 MB at its peak.
     """
+    _check_ints(n=n)
+    if not 1 <= n <= 25:
+        raise ValueError("n must be in [1, 25]")
     target = 1 << n
     bound = target + 1
     positives = [
@@ -386,12 +400,9 @@ def decompose_brute(value: int, kind: GroundSetKind, k: int) -> list[int] | None
     ``_CACHED_BITS`` bits are cached; larger ones live for the call only.
     Works up to 2**24 and ``MAX_SUMMANDS`` summands.
     """
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"value must be an int, not {type(value).__name__}")
+    _check_ints(value=value, k=k)
     if value < 0 or value >= MAX_BOUND:
         raise ValueError("value must lie in [0, 2**24)")
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an int, not {type(k).__name__}")
     if k < 0:
         raise ValueError("k must be non-negative")
     if k > MAX_SUMMANDS:
@@ -425,10 +436,14 @@ def profile_sum_mask(
 
     ``length_counts`` pairs are (canonical length, count) with even lengths.
     """
+    _check_ints(bound=bound)
+    if not 0 < bound <= MAX_BOUND:
+        raise ValueError(f"bound {bound} outside [1, 2**24]")
     acc = 1
     for two_n, count in length_counts:
-        if two_n % 2 or two_n <= 0:
-            raise ValueError("summand lengths must be positive and even")
+        _check_ints(length=two_n, count=count)
+        if two_n % 2 or two_n <= 0 or count < 0:
+            raise ValueError("summand lengths must be positive and even, and counts non-negative")
         n = two_n // 2
         if generalized:
             block = [(0, (1 << n) + 1, 1 << n)]  # every half-block a < 2**n
@@ -444,6 +459,9 @@ def profile_sum_mask(
 def square_power_mask(bound: int, max_squares: int = 2, max_powers: int = 2) -> int:
     """Bitmask of sums of at most ``max_squares`` binary squares plus at most
     ``max_powers`` powers of two."""
+    _check_ints(max_powers=max_powers)
+    if max_powers < 0:
+        raise ValueError("max_powers must be non-negative")
     acc = sumset_table(GroundSetKind.BINARY_SQUARE, bound, max_squares).reach[
         max_squares
     ]

@@ -12,8 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from binsquares import cli
-from binsquares.automata import Alphabet, NfaBuilder, PathKernel, Symbol, includes
-from binsquares.folding import fold, unfold
+from binsquares.automata import Alphabet, Nfa, PathKernel, includes
+from binsquares.folding import Symbol, fold, unfold
 from binsquares.lemma_machines import accept_set, cover_runtime, family_profiles, uniform_machine
 from binsquares.numberforms import GroundSetKind, ground_set_upto
 from binsquares.oracle import (
@@ -250,21 +250,14 @@ def test_criterion_11_witness_extraction_scaling():
 
 
 def _random_machine(rng: random.Random, alphabet: Alphabet):
-    builder = NfaBuilder(alphabet)
     states = rng.randrange(3, 6)
-    for q in range(states):
-        builder.state(q)
-    builder.mark_initial(0)
-    for q in range(states):
-        if rng.random() < 0.4:
-            builder.mark_final(q)
+    final = frozenset(q for q in range(states) if rng.random() < 0.4)
+    rows = [{} for _ in range(states)]
     for _ in range(rng.randrange(4, 14)):
-        builder.add_edge(
-            rng.randrange(states),
-            rng.choice(alphabet.symbols),
-            rng.randrange(states),
-        )
-    return builder.build()
+        src, symbol, dst = rng.randrange(states), rng.choice(alphabet.symbols), rng.randrange(states)
+        rows[src].setdefault(alphabet.id_of(symbol), set()).add(dst)
+    table = [{sym_id: tuple(sorted(dsts)) for sym_id, dsts in row.items()} for row in rows]
+    return Nfa(alphabet, states, frozenset({0}), final, table)
 
 
 def _language(nfa, max_len: int):

@@ -1,7 +1,9 @@
 """Engine tests: hand-built machines plus randomized agreement checks.
 
 Random machines are small enough that exhaustive word enumeration decides
-every question the engine answers, so the checks are exact.
+every question the engine answers, so the checks are exact.  Most machines
+speak two folded letters, and one speaks plain strings, since the engine
+only sorts, hashes and prints its symbols.
 """
 
 import itertools
@@ -17,9 +19,7 @@ from binsquares import automata
 from binsquares.automata import (
     Alphabet,
     Nfa,
-    NfaBuilder,
     PathKernel,
-    Symbol,
     accepting_path,
     co_reachable,
     includes,
@@ -27,6 +27,7 @@ from binsquares.automata import (
     to_automata_script,
     to_dot,
 )
+from binsquares.folding import Symbol
 from binsquares.proofcheck import check_forward
 
 X0 = Symbol("x", (0,))
@@ -37,6 +38,17 @@ BITS = Alphabet([X0, X1])
 def words_shortlex(alphabet, max_len):
     for length in range(max_len + 1):
         yield from itertools.product(alphabet.symbols, repeat=length)
+
+
+def machine(alphabet, num_states, edges, initial=(0,), final=()):
+    """The machine with the (source, symbol id, target) edges: each row holds
+    its symbols in the order of their first edge, each with its successors
+    in increasing order."""
+    rows = [{} for _ in range(num_states)]
+    for src, sym_id, dst in edges:
+        rows[src].setdefault(sym_id, set()).add(dst)
+    table = [{sym_id: tuple(sorted(dsts)) for sym_id, dsts in row.items()} for row in rows]
+    return Nfa(alphabet, num_states, frozenset(initial), frozenset(final), table)
 
 
 def random_nfa(rng, alphabet, num_states, edge_prob=0.3, final_prob=0.4):
@@ -63,21 +75,6 @@ def random_nfa(rng, alphabet, num_states, edge_prob=0.3, final_prob=0.4):
     )
 
 
-def test_symbol_render_and_order():
-    pair = Symbol("b", (1, 0))
-    assert pair.is_pair
-    assert pair.render() == "[1,0]b"
-    assert X0.render() == "0x"
-    assert sorted([X1, X0]) == [X0, X1]
-
-
-def test_symbol_rejects_bad_payload():
-    with pytest.raises(ValueError):
-        Symbol("a", (0, 1, 1))
-    with pytest.raises(ValueError):
-        Symbol("a", (2,))
-
-
 def test_alphabet_interning_and_codec():
     assert len(BITS) == 2
     assert BITS.id_of(X0) == 0 and BITS.id_of(X1) == 1
@@ -90,14 +87,8 @@ def test_alphabet_interning_and_codec():
 
 
 def even_ones_machine():
-    b = NfaBuilder(BITS)
-    b.mark_initial("even")
-    b.mark_final("even")
-    b.add_edge("even", X0, "even")
-    b.add_edge("even", X1, "odd")
-    b.add_edge("odd", X0, "odd")
-    b.add_edge("odd", X1, "even")
-    return b.build()
+    # state 0 has read an even number of 1x, state 1 an odd number
+    return machine(BITS, 2, [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)], final={0})
 
 
 def test_builder_and_accepts():
@@ -408,22 +399,19 @@ def test_capped_lookup_tables_change_no_result(monkeypatch):
     assert max(map(_memo_entries, capped_kernels)) <= memo_limit
 
 
+def pruning_machines():
+    """A one-state container a that loops on 1x, and a contained machine
+    whose s (0) goes to t (1) on 0x and to u (2) on 1x, u to t on 1x, and t
+    loops on both letters."""
+    container = machine(BITS, 1, [(0, 1, 0)], final={0})
+    contained = machine(BITS, 3, [(0, 0, 1), (0, 1, 2), (2, 1, 1), (1, 0, 1), (1, 1, 1)])
+    return container, contained
+
+
 def test_includes_prunes_with_the_empty_subset():
     # "0" kills the container, so the pair (t, {}) is stored first and
     # subsumes (t, {a}), reached later by "11"
-    b = NfaBuilder(BITS)
-    b.mark_initial("a")
-    b.mark_final("a")
-    b.add_edge("a", X1, "a")
-    container = b.build()
-    c = NfaBuilder(BITS)
-    c.mark_initial("s")
-    c.add_edge("s", X0, "t")
-    c.add_edge("s", X1, "u")
-    c.add_edge("u", X1, "t")
-    c.add_edge("t", X0, "t")
-    c.add_edge("t", X1, "t")
-    contained = c.build()
+    container, contained = pruning_machines()
     res = includes(container, contained)
     assert res.holds
     assert res.explored == 3
@@ -440,13 +428,9 @@ def test_includes_is_reflexive():
 
 
 def test_empty_counterexample_word():
-    accept_nothing = NfaBuilder(BITS)
-    accept_nothing.mark_initial("q")
-    none_machine = accept_nothing.build()
-    accept_empty = NfaBuilder(BITS)
-    accept_empty.mark_initial("q")
-    accept_empty.mark_final("q")
-    res = includes(none_machine, accept_empty.build())
+    accept_nothing = machine(BITS, 1, [])
+    accept_empty = machine(BITS, 1, [], final={0})
+    res = includes(accept_nothing, accept_empty)
     assert not res.holds
     assert res.counterexample == ()
 
@@ -533,12 +517,7 @@ def row_cases(draw):
     n = draw(st.integers(1, 90))
     state = st.integers(0, n - 1)
     edges = draw(st.sets(st.tuples(state, st.integers(0, len(LETTERS) - 1), state), max_size=200))
-    builder = NfaBuilder(LETTERS)
-    for q in range(n):
-        builder.state(q)
-    for src, sym_id, dst in edges:
-        builder.add_edge(src, sym_id, dst)
-    nfa = builder.build()
+    nfa = machine(LETTERS, n, edges, initial=())
     chosen = draw(st.lists(st.sets(state), min_size=1, max_size=8))
     masks = [sum(1 << q for q in states) for states in chosen]
     sym_ids = tuple(sorted(draw(st.sets(st.integers(0, len(LETTERS) - 1)))))
@@ -562,23 +541,11 @@ def test_row_step_matches_successors_per_symbol(limit, case):
 
 def test_includes_reports_the_mean_subset_popcount():
     # the machines of the empty-subset test store {a}, {} and {a}
-    b = NfaBuilder(BITS)
-    b.mark_initial("a")
-    b.mark_final("a")
-    b.add_edge("a", X1, "a")
-    c = NfaBuilder(BITS)
-    c.mark_initial("s")
-    c.add_edge("s", X0, "t")
-    c.add_edge("s", X1, "u")
-    c.add_edge("u", X1, "t")
-    c.add_edge("t", X0, "t")
-    c.add_edge("t", X1, "t")
-    assert includes(b.build(), c.build()).subset_popcount_mean == 2 / 3
+    container, contained = pruning_machines()
+    assert includes(container, contained).subset_popcount_mean == 2 / 3
     # a counterexample at the initial pair leaves nothing stored
-    accept_empty = NfaBuilder(BITS)
-    accept_empty.mark_initial("q")
-    accept_empty.mark_final("q")
-    res = includes(c.build(), accept_empty.build())
+    accept_empty = machine(BITS, 1, [], final={0})
+    res = includes(contained, accept_empty)
     assert (res.holds, res.subset_popcount_mean) == (False, 0.0)
 
 
@@ -639,14 +606,56 @@ def test_quotient_keeps_the_language(nfa):
 
 
 def test_quotient_merges_states_with_the_same_future():
-    # two branches that accept x1 after x0 collapse into one chain
-    b = NfaBuilder(BITS)
-    b.mark_initial("s")
-    for branch in "ab":
-        b.add_edge("s", X0, branch)
-        b.add_edge(branch, X1, branch + "!")
-        b.mark_final(branch + "!")
-    nfa = b.build()
+    # two branches, s (0) to 1 to 2 and s to 3 to 4, that accept 1x after
+    # 0x collapse into one chain
+    nfa = machine(BITS, 5, [(0, 0, 1), (1, 1, 2), (0, 0, 3), (3, 1, 4)], final={2, 4})
     collapsed = quotient(nfa)
     assert (nfa.num_states, collapsed.machine.num_states) == (5, 3)
     assert collapsed.machine.num_transitions() == 2
+
+
+def test_the_kit_runs_on_plain_string_symbols():
+    # symbols are opaque to the engine: sorted, hashed and shown with str
+    letters = Alphabet(["b", "a"])
+    a, b = letters.id_of("a"), letters.id_of("b")
+    ends_in_b = machine(letters, 2, [(0, a, 0), (0, b, 0), (0, b, 1)], final={1})
+    a_star_b = machine(letters, 2, [(0, a, 0), (0, b, 1)], final={1})
+    assert includes(ends_in_b, a_star_b).holds
+    refuted = includes(a_star_b, ends_in_b)
+    assert (refuted.holds, refuted.counterexample) == (False, ("b", "b"))
+    assert accepting_path(PathKernel(ends_in_b), [a, b, b]).states == [0, 0, 0, 1]
+    with pytest.raises(KeyError, match="symbol c not in alphabet"):
+        letters.id_of("c")
+    forked = machine(letters, 5, [(0, a, 1), (1, b, 2), (0, a, 3), (3, b, 4)], final={2, 4})
+    collapsed = quotient(forked)
+    assert collapsed.machine.num_states == 3
+    check_forward(forked, collapsed.machine, collapsed.forward)
+    assert to_dot(ends_in_b, name="ends") == (
+        "digraph ends {\n"
+        "  rankdir=LR;\n"
+        "  node [shape=circle];\n"
+        "  q1 [shape=doublecircle];\n"
+        "  start0 [shape=point];\n"
+        "  start0 -> q0;\n"
+        '  q0 -> q0 [label="a, b"];\n'
+        '  q0 -> q1 [label="b"];\n'
+        "}\n"
+    )
+    assert to_automata_script(ends_in_b, name="ends") == (
+        "NestedWordAutomaton ends = (\n"
+        "  callAlphabet = { },\n"
+        '  internalAlphabet = { "a", "b" },\n'
+        "  returnAlphabet = { },\n"
+        '  states = { "q0" "q1" },\n'
+        '  initialStates = { "q0" },\n'
+        '  finalStates = { "q1" },\n'
+        "  callTransitions = { },\n"
+        "  internalTransitions = {\n"
+        '    ("q0" "a" "q0")\n'
+        '    ("q0" "b" "q0")\n'
+        '    ("q0" "b" "q1")\n'
+        "  },\n"
+        "  returnTransitions = { }\n"
+        ");\n"
+    )
+    assert letters.ids == {"a": a, "b": b} == {"a": 0, "b": 1}

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsquares.automata import Symbol
 from binsquares.folding import (
     LOOP_MIN,
     SINGLE_TAGS,
     FoldedWord,
+    Symbol,
     alphabet_for,
     fold,
     pair_tags,
@@ -176,6 +176,31 @@ def test_alphabet_sizes():
     assert len(alphabet_for("even")) == 27
     assert Symbol("f", (0,)) not in alphabet_for("odd").symbols
     assert Symbol("i", (0,)) not in alphabet_for("even").symbols
+
+
+def test_symbol_render_and_order():
+    pair, single = Symbol("b", (1, 0)), Symbol("x", (0,))
+    assert pair.is_pair and not single.is_pair
+    assert pair.render() == str(pair) == "[1,0]b"
+    assert single.render() == str(single) == "0x"
+    assert sorted([Symbol("x", (1,)), single]) == [single, Symbol("x", (1,))]
+
+
+def test_symbol_rejects_bad_payload():
+    with pytest.raises(ValueError):
+        Symbol("a", (0, 1, 1))
+    with pytest.raises(ValueError):
+        Symbol("a", (2,))
+
+
+def test_alphabet_ids_answer_tag_and_bits_keys():
+    # a Symbol hashes as its (tag, bits) tuple, so the alphabet's one id
+    # table serves fold, the checkers and the machine generators
+    for parity in ("odd", "even"):
+        alphabet = alphabet_for(parity)
+        assert list(alphabet.ids) == list(alphabet.symbols)
+        for k, symbol in enumerate(alphabet.symbols):
+            assert alphabet.ids[symbol.tag, symbol.bits] == k == alphabet.id_of(symbol)
 
 
 def count_words(nfa, length):

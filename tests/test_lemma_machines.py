@@ -983,6 +983,18 @@ def test_seam_carry_must_be_an_int(carry):
         fixed_machine("odd", 11, (Summand(1, 1), Summand(3, 1)), carry)
 
 
+@pytest.mark.parametrize("max_powers", [-1, True, 1.0, "1"])
+def test_power_budget_must_be_a_non_negative_int(max_powers):
+    # -1 built one dead state, and a runtime on it an empty union; True ran as 1
+    summands = (Summand(1, 1), Summand(3, 1))
+    with pytest.raises(ValueError, match="max_powers must be an int >= 0"):
+        uniform_machine("odd", summands, 0, max_powers)
+    with pytest.raises(ValueError, match="max_powers must be an int >= 0"):
+        fixed_machine("odd", 11, summands, 0, max_powers)
+    with pytest.raises(ValueError, match="max_powers must be an int >= 0"):
+        FamilyRuntime((Profile("odd", summands, 0, max_powers),))
+
+
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_successor_tuples_increase(name):
     # the path search's greedy walk takes the first alive successor in a

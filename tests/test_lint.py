@@ -111,6 +111,22 @@ def test_automata_imports_nothing_from_the_package():
     assert package_imports("automata.py") == []
 
 
+def test_automata_treats_symbols_as_opaque():
+    # folding owns the letter: the kit defines no Symbol and reads none of a
+    # folded letter's attributes, so its symbols only sort, hash and print
+    path = PACKAGE / "automata.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "Symbol":
+            found.append((node.lineno, "def Symbol"))
+        elif isinstance(node, ast.Name) and node.id == "Symbol":
+            found.append((node.lineno, "Symbol"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("tag", "bits", "is_pair", "render"):
+            found.append((node.lineno, f".{node.attr}"))
+    assert not found, f"automata.py: letter format at {found}"
+
+
 @pytest.mark.parametrize("name", ["witness.py", "lemma_machines.py"])
 def test_letters_reach_the_machine_side_only_as_ids(name):
     # folding owns the folded word: these modules never build a Symbol or

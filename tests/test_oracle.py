@@ -29,6 +29,7 @@ from binsquares.oracle import (
     four_squares_counts,
     lower_density_estimate,
     optimality_check,
+    power_of_two_short_representations,
     profile_sum_mask,
     residue_formula,
     square_power_mask,
@@ -511,3 +512,70 @@ def test_invalid_inputs():
         residue_formula(4, 2, 2)
     with pytest.raises(ValueError):
         sumset_uniqueness(0)
+
+
+SQUARE = GroundSetKind.BINARY_SQUARE
+
+
+# (entry point, arguments, the argument it must refuse)
+NON_INT_CASES = [
+    ("sumset_table", (SQUARE, True, 4), "bound"),
+    ("sumset_table", (SQUARE, 100.0, 4), "bound"),
+    ("sumset_table", (SQUARE, 100, True), "max_k"),
+    ("sumset_table", (SQUARE, 100, 2.0), "max_k"),
+    ("four_squares_counts", (True,), "bound"),
+    ("two_squares_density", (True,), "m"),
+    ("two_squares_density", (100.0,), "m"),
+    ("lower_density_estimate", (100.0,), "bound"),
+    ("density_floor_holds", (True, 100, Fraction(1, 40)), "lo"),
+    ("density_floor_holds", (14, 100.0, Fraction(1, 40)), "hi"),
+    ("power_of_two_short_representations", (True,), "n"),
+    ("profile_sum_mask", ([(4, 1)], True), "bound"),
+    ("profile_sum_mask", ([(4, 1.0)], 100), "count"),
+    ("profile_sum_mask", ([(4.0, 1)], 100), "length"),
+    ("square_power_mask", (100, 2, True), "max_powers"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, args, name",
+    NON_INT_CASES,
+    ids=[f"{k}-{entry}-{name}" for k, (entry, _, name) in enumerate(NON_INT_CASES)],
+)
+def test_oracle_entry_points_refuse_a_non_int(entry, args, name):
+    # a bool passed for 0 or 1, and a float died with AttributeError
+    with pytest.raises(ValueError, match=f"^{name} must be an int, not (bool|float)$"):
+        getattr(oracle, entry)(*args)
+
+
+def test_power_representations_are_capped_at_2_to_the_25():
+    # optimality_check's range; 2**25 already allocates about 23 MB
+    with pytest.raises(ValueError, match=r"n must be in \[1, 25\]"):
+        power_of_two_short_representations(26)
+    with pytest.raises(ValueError, match=r"n must be in \[1, 25\]"):
+        power_of_two_short_representations(0)
+    assert power_of_two_short_representations(9) == [(255, 221, 36), (238, 238, 36)]
+
+
+def test_profile_mask_refuses_a_bound_past_the_cap_before_any_sweep(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("a level was swept for a rejected bound")
+
+    monkeypatch.setattr(oracle, "_shift_or_level", no_sweep)
+    for bound in (MAX_BOUND + 1, 0):
+        with pytest.raises(ValueError, match=r"outside \[1, 2\*\*24\]"):
+            profile_sum_mask([(4, 1)], bound)
+
+
+def test_profile_mask_refuses_a_negative_count():
+    # [(2, -1)] returned 1, the mask of the empty sum
+    with pytest.raises(ValueError, match="non-negative"):
+        profile_sum_mask([(2, -1)], 100)
+    assert profile_sum_mask([(2, 0)], 100) == 1
+
+
+def test_square_power_mask_refuses_a_negative_power_budget():
+    # -1 was read as no powers at all
+    with pytest.raises(ValueError, match="max_powers must be non-negative"):
+        square_power_mask(100, 2, -1)
+    assert square_power_mask(100, 2, 0) == sumset_table(SQUARE, 100, 2).reach[2]

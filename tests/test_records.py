@@ -3,8 +3,8 @@ equality and validation.  ``Nfa``'s checks are in test_automata."""
 
 import pytest
 
-from binsquares.automata import InclusionResult, Symbol
-from binsquares.folding import FoldedWord
+from binsquares.automata import InclusionResult
+from binsquares.folding import FoldedWord, Symbol
 from binsquares.lemma_machines import Profile, Summand
 from binsquares.numberforms import GroundSetKind
 from binsquares.oracle import SumsetTable
@@ -128,10 +128,25 @@ def test_symbols_order_by_tag_then_bits():
         (lambda: Symbol("f", ()), "malformed symbol payload"),
         (lambda: Symbol("c", (0, 1, 1)), "malformed symbol payload"),
         (lambda: Symbol(tag="f", bits=(2,)), "malformed symbol payload"),
+        # a list of bits used to build, then fail unhashable inside Alphabet
+        (lambda: Symbol("a", [0, 1]), "malformed symbol"),
+        (lambda: Symbol("f", "1"), "malformed symbol"),
+        (lambda: Symbol(3, (0,)), "malformed symbol"),
+        (lambda: Symbol(b"a", (0,)), "malformed symbol"),
         (lambda: Summand(0, -1), "summand count must be >= 0"),
         (lambda: Summand(offset=0, count=1, top="half"), "top must be one of"),
     ],
-    ids=["no-bits", "three-bits", "bit-2", "negative-count", "unknown-top"],
+    ids=[
+        "no-bits",
+        "three-bits",
+        "bit-2",
+        "list-bits",
+        "str-bits",
+        "int-tag",
+        "bytes-tag",
+        "negative-count",
+        "unknown-top",
+    ],
 )
 def test_validation_still_raises(build, message):
     with pytest.raises(ValueError, match=message):
